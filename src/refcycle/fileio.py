@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -73,9 +74,27 @@ def gain_table_to_dict(table: GainTable) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def gain_table_from_dict(payload: dict) -> GainTable:
-    grid = PriceGrid.from_values(payload["prices"], int(payload["memory"]))
-    return GainTable.from_rows(grid, payload["gains"])
+    """Validate and build; every malformed payload raises ``ValueError``."""
+    if not isinstance(payload, dict):
+        raise ValueError("a gain table must be a JSON object")
+    prices, memory, gains = payload["prices"], payload["memory"], payload["gains"]
+    if not isinstance(prices, list) or not all(
+            _is_number(p) or isinstance(p, str) for p in prices):
+        raise ValueError("prices must be a list of numbers or price strings")
+    if not isinstance(memory, int) or isinstance(memory, bool):
+        raise ValueError(f"memory must be an integer, got {memory!r}")
+    if not isinstance(gains, list) or not all(
+            isinstance(row, list)
+            and all(_is_number(g) and abs(g) <= sys.float_info.max for g in row)
+            for row in gains):
+        raise ValueError("gains must be a list of rows of finite numbers")
+    grid = PriceGrid.from_values(prices, memory)
+    return GainTable.from_rows(grid, gains)
 
 
 def load_gain_table(path: str | Path, memory: int | None = None) -> GainTable:
@@ -85,6 +104,8 @@ def load_gain_table(path: str | Path, memory: int | None = None) -> GainTable:
             raise ValueError("CSV gain tables need an explicit memory length")
         with path.open(newline="") as handle:
             rows = [row for row in csv.reader(handle) if row]
+        if not rows:
+            raise ValueError(f"CSV gain table {path} is empty")
         grid = PriceGrid.from_values([as_price(cell) for cell in rows[0]], memory)
         return GainTable.from_rows(grid, [[float(cell) for cell in row] for row in rows[1:]])
     payload = json.loads(path.read_text())

@@ -5,10 +5,11 @@ so ``|P|**memory`` states.  Transitions are deterministic: offering price p
 from history s yields gain ``g(min s, p)`` and moves to ``(s[1:], p)``.  The
 best long-run average over all policies equals the maximum mean cycle of this
 graph, which :func:`max_mean_cycle` computes exactly (rational arithmetic)
-with a dynamic program over walk lengths plus a tight-edge analysis for the
-witness.  :func:`exhaustive_generators` independently enumerates every cycle
-of distinct prices and scores its expansion directly, and :func:`simulate`
-replays a plan step by step from the all-top-price start state.
+by policy iteration (:mod:`refcycle.kernel`, unit times) plus a tight-edge
+analysis for the witness.  :func:`exhaustive_generators` independently
+enumerates every cycle of distinct prices and scores its expansion directly,
+and :func:`simulate` replays a plan step by step from the all-top-price start
+state.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .core import (
     GainTable,
@@ -25,6 +26,7 @@ from .core import (
     expand,
     reference_index_at,
 )
+from .kernel import Edge, max_ratio_cycle
 
 __all__ = [
     "NodeBudgetError",
@@ -105,93 +107,32 @@ class GeneratorSearchResult:
 # ---------------------------------------------------------------------------
 
 
-def _edge_lists(graph: StateGraph):
-    """Adjacency as (successor index, weight, action) per node."""
+def _edge_lists(graph: StateGraph) -> list[list[Edge]]:
+    """Adjacency as (successor index, weight, time 1) per node, indexed by action."""
     index = graph.node_index()
-    out: list[list[tuple[int, Fraction, int]]] = []
-    for node in graph.nodes:
-        row = []
-        for action in range(graph.num_actions):
-            row.append((index[graph.successor(node, action)],
-                        graph.edge_weight(node, action), action))
-        out.append(row)
-    return out
+    return [
+        [(index[graph.successor(node, action)], graph.edge_weight(node, action), 1)
+         for action in range(graph.num_actions)]
+        for node in graph.nodes
+    ]
 
 
-def _max_mean_value(out_edges) -> Fraction:
-    """Exact maximum cycle mean via the walk-length dynamic program.
+def _critical_components(graph: StateGraph):
+    """Exact optimal mean, tight (action, successor) lists, and cycle components.
 
-    A virtual source with zero-weight edges to every node makes all nodes
-    reachable; the optimum is max over nodes v of
-    min_k (F[N](v) - F[k](v)) / (N - k) over defined levels k < N.
+    The state graph is strongly connected, so policy iteration returns one
+    value and a bias with h[u] >= w - mu + h[v] on every edge.  Tight edges
+    attain equality; every cycle of tight edges is optimal and every optimal
+    cycle is tight, whichever valid bias is used.
     """
-    n = len(out_edges)
-    big = n + 1  # walks of length up to n+1 from the virtual source
-    prev: list[Fraction | None] = [Fraction(0)] * n  # level 1: source -> v
-    levels: list[list[Fraction | None]] = [[None] * n, list(prev)]
-    for _ in range(2, big + 1):
-        cur: list[Fraction | None] = [None] * n
-        for u in range(n):
-            fu = prev[u]
-            if fu is None:
-                continue
-            for v, w, _ in out_edges[u]:
-                cand = fu + w
-                if cur[v] is None or cand > cur[v]:
-                    cur[v] = cand
-        levels.append(cur)
-        prev = cur
-    top = levels[big]
-    best: Fraction | None = None
-    for v in range(n):
-        fv = top[v]
-        if fv is None:
-            continue
-        worst: Fraction | None = None
-        for k in range(big):
-            fk = levels[k][v]
-            if fk is None:
-                continue
-            ratio = (fv - fk) / (big - k)
-            if worst is None or ratio < worst:
-                worst = ratio
-        if worst is not None and (best is None or worst > best):
-            best = worst
-    assert best is not None
-    return best
-
-
-def _potentials(out_edges, mu: Fraction) -> list[Fraction]:
-    """Longest-walk potentials for weights reduced by mu.
-
-    With no positive reduced cycle the all-zero start converges; afterwards
-    h[v] >= h[u] + w(u, v) - mu for every edge, with equality on the edges of
-    every optimal cycle.
-    """
-    n = len(out_edges)
-    h = [Fraction(0)] * n
-    for _ in range(n + 1):
-        changed = False
-        for u in range(n):
-            base = h[u]
-            for v, w, _ in out_edges[u]:
-                cand = base + w - mu
-                if cand > h[v]:
-                    h[v] = cand
-                    changed = True
-        if not changed:
-            return h
-    raise AssertionError("potentials did not converge; mean value too small")
-
-
-def _tight_successors(out_edges, mu: Fraction, h: Sequence[Fraction]):
-    """Per node, edges that are tight at the optimal mean (sorted by action)."""
-    tight: list[list[tuple[int, int]]] = []
-    for u in range(len(out_edges)):
-        row = [(action, v) for v, w, action in out_edges[u] if h[u] + w - mu == h[v]]
-        row.sort()
-        tight.append(row)
-    return tight
+    out_edges = _edge_lists(graph)
+    value, h, _ = max_ratio_cycle(out_edges)
+    mu = value[0]
+    tight = [
+        [(action, v) for action, (v, w, _) in enumerate(out_edges[u]) if h[u] == w - mu + h[v]]
+        for u in range(len(out_edges))
+    ]
+    return mu, tight, _cycle_components(tight)
 
 
 def _strongly_connected(tight) -> list[list[int]]:
@@ -289,11 +230,7 @@ def max_mean_cycle(graph: StateGraph) -> MeanCycleResult:
     edges from the least state of the least optimal component.  When several
     cycles attain the optimum this need not be the globally least one.
     """
-    out_edges = _edge_lists(graph)
-    mu = _max_mean_value(out_edges)
-    h = _potentials(out_edges, mu)
-    tight = _tight_successors(out_edges, mu, h)
-    components = _cycle_components(tight)
+    mu, tight, components = _critical_components(graph)
     assert components, "an optimal cycle always exists"
     component = min(components, key=lambda comp: comp[0])
     pairs = _walk_cycle(tight, component)
@@ -310,11 +247,7 @@ def optimal_cycles_unique(graph: StateGraph) -> tuple[Fraction, PriceCycle | Non
     nontrivial component and each of its nodes keeps a single tight edge
     inside it.  Returns ``(value, None)`` otherwise.
     """
-    out_edges = _edge_lists(graph)
-    mu = _max_mean_value(out_edges)
-    h = _potentials(out_edges, mu)
-    tight = _tight_successors(out_edges, mu, h)
-    components = _cycle_components(tight)
+    mu, tight, components = _critical_components(graph)
     if len(components) != 1:
         return mu, None
     component = components[0]

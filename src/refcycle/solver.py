@@ -4,13 +4,11 @@ Restricting attention to cycles of distinct prices (each increase held for
 ``memory`` steps, each decrease offered once) collapses the exponential state
 space to one state per price: offering p from reference r earns g(r, p) per
 step over k(r, p) = 1 + (memory-1)*[r < p] steps.  The best cycle maximizes
-the ratio of total gain to total time, found here by parametric search:
-bisection on the mean with positive-cycle detection on edge profits
-g(r, p)*k(r, p) - mean*k(r, p), followed by exact rational re-scoring of the
-extracted cycle until no improving cycle remains.  The returned mean is exact
-for the instance, the bias vector solves the average-reward optimality
-equations, and ties are broken to the lexicographically least canonical
-generator.
+the ratio of total gain to total time, found here exactly by Howard policy
+iteration (:mod:`refcycle.kernel`) on edge weights g(r, p)*k(r, p) and times
+k(r, p).  The returned mean is exact for the instance, the bias vector solves
+the average-reward optimality equations, and ties are broken to the
+lexicographically least canonical generator at every grid size.
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import GainTable, GeneratorCycle, PriceCycle, expand, expansion_count
+from .kernel import Edge, max_ratio_cycle
 
 __all__ = [
     "SolveResult",
@@ -27,11 +26,6 @@ __all__ = [
     "solve",
     "bellman_residual",
 ]
-
-# beyond this many prices, equal-value generators are not enumerated for
-# tie-breaking and the first extracted optimal cycle is returned
-_TIE_ENUMERATION_LIMIT = 8
-
 
 def transition_steps(memory: int, reference_index: int, price_index: int) -> int:
     """Steps k(r, p) consumed by offering price p from reference r."""
@@ -69,6 +63,10 @@ def _generator_objective_exact(generator: GeneratorCycle, table: GainTable) -> F
 class SolveResult:
     """Optimal mean, optimality-equation bias, and the optimal cycle.
 
+    The bias is anchored on the returned cycle: it is the best total of
+    (g - opt) * k over walks into the generator's first price that go round
+    the generator once they reach it, shifted so that ``bias[0] == 0``.
+
     ``assumption_violated`` flags gain tables that are not reference-monotone;
     the result is then only the best distinct-price cycle, which may be beaten
     by cycles revisiting a price (see the oracle).
@@ -86,156 +84,67 @@ class SolveResult:
             raise ValueError("bias vector cannot be empty")
 
 
-def _reduced_weights(table: GainTable, mean: Fraction) -> list[list[Fraction]]:
+def _ratio_edges(table: GainTable) -> list[list[Edge]]:
+    """Per-price graph: offering p from r earns g(r, p) * k(r, p) in k(r, p) steps."""
     n = len(table.grid)
     memory = table.grid.memory
-    out = []
-    for r in range(n):
-        row = []
-        for p in range(n):
-            k = transition_steps(memory, r, p)
-            row.append((Fraction(table.gains[r][p]) - mean) * k)
-        out.append(row)
-    return out
+    return [
+        [(p, Fraction(table.gains[r][p]) * transition_steps(memory, r, p),
+          transition_steps(memory, r, p)) for p in range(n)]
+        for r in range(n)
+    ]
 
 
-def _find_positive_cycle(reduced: list[list[Fraction]]) -> list[int] | None:
-    """Node cycle with positive total reduced weight, or None.
+def _least_tight_cycle(tight: list[set[int]]) -> tuple[int, ...]:
+    """Lexicographically least simple cycle of the tight subgraph.
 
-    Longest-walk relaxation from an implicit zero source; a relaxation that
-    survives n rounds exposes a positive cycle in the predecessor graph.
+    From the least node s on any tight cycle, close the cycle when possible,
+    else step to the least successor above s that can still return to s
+    through unused nodes.
     """
-    n = len(reduced)
-    dist = [Fraction(0)] * n
-    pred = [-1] * n
-    for _ in range(n):
-        changed = False
-        for u in range(n):
-            du = dist[u]
-            row = reduced[u]
-            for v in range(n):
-                cand = du + row[v]
-                if cand > dist[v]:
-                    dist[v] = cand
-                    pred[v] = u
-                    changed = True
-        if not changed:
-            return None
-    start = None
-    for u in range(n):
-        du = dist[u]
-        row = reduced[u]
-        for v in range(n):
-            if du + row[v] > dist[v]:
-                pred[v] = u
-                start = v
-                break
-        if start is not None:
-            break
-    if start is None:
-        return None
-    v = start
-    for _ in range(n):
-        v = pred[v]
-    cycle = [v]
-    u = pred[v]
-    while u != v:
-        cycle.append(u)
-        u = pred[u]
-    cycle.reverse()
-    return cycle
-
-
-def _cycle_ratio(nodes: list[int], table: GainTable) -> Fraction:
-    return _generator_objective_exact(GeneratorCycle(tuple(nodes)), table)
-
-
-def _source_potentials(reduced: list[list[Fraction]]) -> list[Fraction]:
-    """Longest-walk potentials; requires no positive cycle in ``reduced``."""
-    n = len(reduced)
-    h = [Fraction(0)] * n
-    for _ in range(n + 1):
-        changed = False
-        for u in range(n):
-            base = h[u]
-            for v in range(n):
-                cand = base + reduced[u][v]
-                if cand > h[v]:
-                    h[v] = cand
-                    changed = True
-        if not changed:
-            return h
-    raise AssertionError("positive cycle present at the claimed optimum")
-
-
-def _tight_simple_cycles(tight: list[list[int]]) -> list[tuple[int, ...]]:
-    """All simple cycles of the tight subgraph, each from its least node."""
     n = len(tight)
-    cycles: list[tuple[int, ...]] = []
     for s in range(n):
-        path: list[int] = [s]
-        on_path = {s}
-
-        def extend() -> None:
-            u = path[-1]
-            for v in tight[u]:
-                if v == s:
-                    cycles.append(tuple(path))
-                elif v > s and v not in on_path:
-                    path.append(v)
-                    on_path.add(v)
-                    extend()
-                    on_path.remove(v)
-                    path.pop()
-
-        extend()
-    return cycles
+        path = [s]
+        while s not in tight[path[-1]]:
+            returns = {s}
+            frontier = [s]
+            while frontier:
+                v = frontier.pop()
+                for u in range(s + 1, n):
+                    if u not in returns and u not in path and v in tight[u]:
+                        returns.add(u)
+                        frontier.append(u)
+            steps = [v for v in tight[path[-1]] if v in returns]
+            if not steps:
+                break
+            path.append(min(steps))
+        else:
+            return tuple(path)
+    raise AssertionError("the optimal cycle is tight by construction")
 
 
 def solve(table: GainTable) -> SolveResult:
     """Best distinct-price cycle, its exact mean, and the bias vector.
 
-    Bisection narrows the mean to within 1e-12 of the optimum, the extracted
-    cycle is re-scored exactly, and re-probing at the exact ratio repeats
-    until no cycle improves on it; the final mean is the exact optimum.
+    Policy iteration on the per-price graph gives the exact optimum; the
+    generator is the least tight cycle, and a second run on the graph where
+    that cycle's prices keep only their cycle edge anchors the bias on it.
     """
     n = len(table.grid)
-    gains = [g for row in table.gains for g in row]
-    lo = Fraction(min(gains)) - 1
-    hi = Fraction(max(gains))
-    width_target = Fraction("1e-12") * (1 + Fraction(max(gains)) - Fraction(min(gains)))
-    while hi - lo > width_target:
-        mid = (lo + hi) / 2
-        if _find_positive_cycle(_reduced_weights(table, mid)) is not None:
-            lo = mid
-        else:
-            hi = mid
-    candidate = _find_positive_cycle(_reduced_weights(table, lo))
-    assert candidate is not None, "optimum strictly exceeds the bracket floor"
-    opt = _cycle_ratio(candidate, table)
-    while True:
-        better = _find_positive_cycle(_reduced_weights(table, opt))
-        if better is None:
-            break
-        candidate = better
-        opt = _cycle_ratio(candidate, table)
-
-    reduced = _reduced_weights(table, opt)
-    potentials = _source_potentials(reduced)
+    edges = _ratio_edges(table)
+    value, bias, _ = max_ratio_cycle(edges)
+    opt = value[0]
     tight = [
-        [v for v in range(n) if potentials[u] + reduced[u][v] == potentials[v]]
+        {v for v, weight, steps in edges[u] if bias[u] == weight - opt * steps + bias[v]}
         for u in range(n)
     ]
-    if n <= _TIE_ENUMERATION_LIMIT:
-        optimal = _tight_simple_cycles(tight)
-        assert optimal, "the optimal cycle is tight by construction"
-        generator = GeneratorCycle(min(optimal))
-    else:
-        generator = GeneratorCycle(tuple(candidate)).canonical()
-
-    bias = _bias_to_cycle(reduced, set(generator.values))
-    base = bias[0]
-    bias = [b - base for b in bias]
+    generator = GeneratorCycle(_least_tight_cycle(tight))
+    values = generator.values
+    following = {u: values[(i + 1) % len(values)] for i, u in enumerate(values)}
+    anchored = [[edges[u][following[u]]] if u in following else edges[u] for u in range(n)]
+    start = [0 if u in following else values[0] for u in range(n)]
+    _, bias, _ = max_ratio_cycle(anchored, start)
+    bias = [b - bias[0] for b in bias]
     return SolveResult(
         opt=float(opt),
         bias=tuple(float(b) for b in bias),
@@ -244,30 +153,6 @@ def solve(table: GainTable) -> SolveResult:
         assumption_violated=not table.reference_monotone(),
         opt_exact=opt,
     )
-
-
-def _bias_to_cycle(reduced: list[list[Fraction]], targets: set[int]) -> list[Fraction]:
-    """Best total reduced weight of a walk into the optimal cycle's nodes.
-
-    This is a fixed point of the optimality operator: on the cycle the next
-    cycle edge keeps the value, elsewhere some path into the cycle attains it.
-    """
-    n = len(reduced)
-    h: list[Fraction | None] = [Fraction(0) if u in targets else None for u in range(n)]
-    for _ in range(n + 1):
-        changed = False
-        for u in range(n):
-            for v in range(n):
-                if h[v] is None:
-                    continue
-                cand = reduced[u][v] + h[v]
-                if h[u] is None or cand > h[u]:
-                    h[u] = cand
-                    changed = True
-        if not changed:
-            break
-    assert all(value is not None for value in h)
-    return h  # type: ignore[return-value]
 
 
 def bellman_residual(result: SolveResult, table: GainTable) -> float:

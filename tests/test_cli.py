@@ -161,6 +161,27 @@ def test_validation_exit_code(capsys, tmp_path):
     assert "error" in err
 
 
+MALFORMED_GAIN_TABLES = {
+    "list.json": "[1, 2]",
+    "gains-scalar.json": '{"prices": [1, 2], "memory": 2, "gains": 5}',
+    "memory-float.json": '{"prices": [1, 2], "memory": 2.7, "gains": [[0, 1], [1, 0]]}',
+    "memory-bool.json": '{"prices": [1, 2], "memory": true, "gains": [[0, 1], [1, 0]]}',
+    "gain-bool.json": '{"prices": [1, 2], "memory": 2, "gains": [[true, 1], [1, 0]]}',
+    "gain-huge.json": '{"prices": [1, 2], "memory": 2, "gains": [[1%s, 1], [1, 0]]}' % ("0" * 400),
+    "empty.csv": "",
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_GAIN_TABLES))
+def test_malformed_gain_table_exit_code(capsys, tmp_path, name):
+    path = tmp_path / name
+    path.write_text(MALFORMED_GAIN_TABLES[name])
+    memory = ["--memory", 2] if name.endswith(".csv") else []
+    code, _, err = run(capsys, "solve", "--gains", path, *memory)
+    assert code == 2
+    assert "error" in err
+
+
 def test_assumption_violation_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "spec.json").write_text(json.dumps({"population": 30, "horizon": 4}))

@@ -1,16 +1,17 @@
-"""Reduced-process solver: ratio objective, parametric search, optimality equations."""
+"""Reduced-process solver: ratio objective, exact ratio kernel, optimality equations."""
 
 import itertools
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from refcycle.core import GainTable, GeneratorCycle, PriceCycle, cycle_objective, expand
 from refcycle.instances import integer_grid, random_monotone_table, random_table
+from refcycle.kernel import max_ratio_cycle
 from refcycle.oracle import StateGraph, exhaustive_generators, max_mean_cycle
 from refcycle.solver import (
-    _find_positive_cycle,
     bellman_residual,
     generator_objective,
     solve,
@@ -62,48 +63,72 @@ def test_generator_objective_matches_expansion(rng):
         assert direct == pytest.approx(expanded, abs=1e-12)
 
 
-# --- positive-cycle detection --------------------------------------------------
+# --- exact max-ratio kernel ----------------------------------------------------
 
 
-def brute_force_best_mean(weights):
-    n = len(weights)
-    best = [None]
+def brute_force_best_ratio(edges, nodes):
+    """Best weight-to-time ratio over the simple cycles inside ``nodes``."""
+    best = None
 
-    def extend(start, node, on_path, total, length):
-        for nxt in range(n):
-            w = weights[node][nxt]
+    def extend(start, node, on_path, total, time):
+        nonlocal best
+        for nxt, w, t in edges[node]:
             if nxt == start:
-                mean = (total + w) / (length + 1)
-                if best[0] is None or mean > best[0]:
-                    best[0] = mean
-            elif nxt > start and nxt not in on_path:
+                ratio = (total + w) / (time + t)
+                best = ratio if best is None else max(best, ratio)
+            elif nxt > start and nxt in nodes and nxt not in on_path:
                 on_path.add(nxt)
-                extend(start, nxt, on_path, total + w, length + 1)
+                extend(start, nxt, on_path, total + w, time + t)
                 on_path.remove(nxt)
 
-    for start in range(n):
+    for start in nodes:
         extend(start, start, {start}, Fraction(0), 0)
-    return best[0]
+    return best
 
 
-def test_positive_cycle_detection_matches_brute_force(rng):
+def test_kernel_ratio_matches_brute_force(rng):
+    # times come from their own generator, so the seeded weight matrices do
+    # not depend on them
+    time_rng = np.random.default_rng(7)
     for _ in range(60):
         n = int(rng.integers(1, 5))
         weights = [
             [Fraction(int(x), 16) for x in rng.integers(-20, 21, size=n)]
             for _ in range(n)
         ]
-        found = _find_positive_cycle(weights)
-        best_mean = brute_force_best_mean(weights)
-        if found is None:
-            assert best_mean <= 0
-        else:
-            total = sum(
-                weights[found[i]][found[(i + 1) % len(found)]]
-                for i in range(len(found))
-            )
-            assert total > 0
-            assert len(set(found)) == len(found)
+        times = [[int(t) for t in time_rng.integers(1, 5, size=n)] for _ in range(n)]
+        edges = [[(v, weights[u][v], times[u][v]) for v in range(n)] for u in range(n)]
+        value, bias, policy = max_ratio_cycle(edges)
+        best = brute_force_best_ratio(edges, set(range(n)))
+        assert value == [best] * n
+        for u in range(n):
+            right = [weights[u][v] - best * times[u][v] + bias[v] for v in range(n)]
+            assert bias[u] - max(right) == 0
+            assert bias[u] - right[policy[u]] == 0
+
+
+def test_kernel_multichain_values(rng):
+    # sparse graphs: each node's value is the best ratio of a cycle it can reach
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        edges = [
+            [(v, Fraction(int(rng.integers(-8, 9)), 4), int(rng.integers(1, 4)))
+             for v in sorted({int(v) for v in rng.integers(0, n, size=int(rng.integers(1, 3)))})]
+            for _ in range(n)
+        ]
+        value, bias, policy = max_ratio_cycle(edges)
+        for u in range(n):
+            reach, frontier = {u}, [u]
+            while frontier:
+                for v, _, _ in edges[frontier.pop()]:
+                    if v not in reach:
+                        reach.add(v)
+                        frontier.append(v)
+            assert value[u] == brute_force_best_ratio(edges, reach)
+            for v, w, t in edges[u]:
+                assert value[v] < value[u] or bias[u] >= w - value[u] * t + bias[v]
+            v, w, t = edges[u][policy[u]]
+            assert value[v] == value[u] and bias[u] == w - value[u] * t + bias[v]
 
 
 # --- solve ----------------------------------------------------------------------
@@ -139,6 +164,14 @@ def test_solve_matches_oracle_on_monotone_instances(rng):
         assert result.opt_exact == oracle_result.value_exact
         assert bellman_residual(result, table) <= 1e-8
         assert not result.assumption_violated
+
+
+def test_solve_matches_oracle_at_memory_seven(rng):
+    # the allocator's data uses memory 7; the state graph has 128 and 2187 states
+    for n, count in ((2, 3), (3, 2)):
+        for _ in range(count):
+            table = random_monotone_table(rng, n, 7)
+            assert solve(table).opt_exact == max_mean_cycle(StateGraph.build(table)).value_exact
 
 
 def test_memory_one_reduces_to_plain_mean_cycle(rng):
@@ -211,6 +244,21 @@ def test_tie_break_is_least_canonical_generator():
     grid = integer_grid(4, 2)
     table = GainTable.from_rows(grid, [[0.5] * 4] * 4)
     assert solve(table).generator.values == (0,)
+
+
+def test_tie_break_does_not_depend_on_grid_size(rng):
+    # a tie-heavy 6-price table embedded in 12 prices, the new rows and
+    # columns at -1, keeps its optimal cycles and so its least generator
+    for _ in range(20):
+        memory = int(rng.integers(1, 4))
+        gains = rng.integers(0, 4, size=(6, 6)).astype(float)
+        small = GainTable.from_rows(integer_grid(6, memory), gains.tolist())
+        padded = np.full((12, 12), -1.0)
+        padded[:6, :6] = gains
+        big = GainTable.from_rows(integer_grid(12, memory), padded.tolist())
+        expected = exhaustive_generators(small).best
+        assert solve(small).generator == expected
+        assert solve(big).generator == expected
 
 
 def test_solve_result_cycle_is_expansion(rng):
