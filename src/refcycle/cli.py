@@ -49,12 +49,13 @@ from .fileio import (
     load_dataset,
     load_gain_table,
     load_model,
+    load_simulation_spec,
     parse_cycle_text,
     parse_price_list,
     save_dataset,
 )
 from .instances import integer_grid, nonmonotone_demo_table, random_monotone_table
-from .oracle import NodeBudgetError, StateGraph, max_mean_cycle, simulate
+from .oracle import NodeBudgetError, StateGraph, max_mean_cycle, optimal_cycles_unique, simulate
 from .reduce import ReductionViolationError, reduce_to_l_up_1_down
 from .solver import bellman_residual, solve
 from .tightness import build as build_tightness
@@ -277,12 +278,12 @@ def _parse_policy(payload, model):
 
 
 def _cmd_simulate(args) -> int:
-    raw = json.loads(Path(args.spec).read_text())
+    raw = load_simulation_spec(args.spec)
     manifest = _manifest(args, [args.spec])
     spec = PopulationSpec(
-        size=int(raw["population"]),
-        horizon=int(raw["horizon"]),
-        memory=int(raw.get("memory", 7)),
+        size=raw["population"],
+        horizon=raw["horizon"],
+        memory=raw.get("memory", 7),
         discounts=tuple(raw.get("discounts", (0.10, 0.12, 0.15, 0.17, 0.20))),
     )
     if "ground_truth" in raw:
@@ -366,6 +367,8 @@ def _cmd_selftest(args) -> int:
         "demo table: witness objective matches value",
         cycle_objective(oracle_result.cycle, demo) == oracle_result.value,
     ))
+    checks.append(("demo table: optimum not unique (12233 and 414243 tie)",
+                   optimal_cycles_unique(StateGraph.build(demo))[1] is None))
     solved = solve(demo)
     checks.append(("demo table: non-monotone flagged", solved.assumption_violated))
     checks.append(("demo table: best generator value 1.0", solved.opt == 1.0))

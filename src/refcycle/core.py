@@ -46,7 +46,10 @@ def as_price(value: int | float | str | Fraction) -> Fraction:
         return value
     if isinstance(value, float):
         return Fraction(repr(value))
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"price {value!r} has a zero denominator") from None
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ __all__ = [
     "load_gain_table",
     "save_gain_table",
     "load_model",
+    "load_simulation_spec",
     "save_model",
     "save_dataset",
     "load_dataset",
@@ -76,6 +77,36 @@ def gain_table_to_dict(table: GainTable) -> dict:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and all(_is_number(x) for x in value)
+
+
+def _checked(payload, what: str, **checks) -> dict:
+    """``payload`` if it is a JSON object whose present fields pass their checks.
+
+    Every mismatch raises ``ValueError``, so malformed files exit with code 2.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key, check in checks.items():
+        if key in payload and not check(payload[key]):
+            raise ValueError(f"{what}: malformed {key!r}: {payload[key]!r}")
+    return payload
+
+
+_MODEL_FIELDS = dict(
+    feature_names=lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    alpha_weights=_is_number_list,
+    beta_weights=_is_number_list,
+    pivot=_is_number,
+    discounts=_is_number_list,
+)
 
 
 def gain_table_from_dict(payload: dict) -> GainTable:
@@ -129,7 +160,8 @@ def save_gain_table(table: GainTable, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> tuple[AllocationModel, DiscountSet]:
-    payload = json.loads(Path(path).read_text())
+    payload = _checked(json.loads(Path(path).read_text()), "an allocation model",
+                       **_MODEL_FIELDS)
     model = AllocationModel(
         feature_names=tuple(payload["feature_names"]),
         alpha_weights=np.asarray(payload["alpha_weights"], dtype=float),
@@ -138,6 +170,18 @@ def load_model(path: str | Path) -> tuple[AllocationModel, DiscountSet]:
     )
     discounts = DiscountSet(tuple(payload["discounts"])) if "discounts" in payload else DiscountSet()
     return model, discounts
+
+
+def load_simulation_spec(path: str | Path) -> dict:
+    """The ``simulate --spec`` object, with the types of its fields checked."""
+    spec = _checked(json.loads(Path(path).read_text()), "a simulation spec",
+                    population=_is_integer, horizon=_is_integer, memory=_is_integer,
+                    discounts=_is_number_list)
+    if "ground_truth" in spec:
+        _checked(spec["ground_truth"], "ground_truth", **_MODEL_FIELDS)
+    if isinstance(spec.get("policy"), dict):
+        _checked(spec["policy"], "policy", value=_is_number, shadow_price=_is_number)
+    return spec
 
 
 def save_model(model: AllocationModel, discounts: DiscountSet, path: str | Path) -> None:

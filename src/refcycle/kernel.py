@@ -10,6 +10,12 @@ node).  At the fixed point no edge leads to a higher value, and every edge
 ``bias[u] >= weight - value[u] * time + bias[v]`` with equality on the policy
 edge, exactly; on a strongly connected graph the value is uniform and the bias
 solves the optimality equations with zero residual.
+
+The edges that meet these equations with equality (:func:`tight_successors`)
+form the critical graph: on a strongly connected graph its cycles are exactly
+the optimal cycles, whichever bias the iteration returned.  :func:`least_tight_cycle` picks the
+lexicographically least of them, the tie-break shared by the solver and the
+oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-__all__ = ["Edge", "max_ratio_cycle"]
+__all__ = ["Edge", "max_ratio_cycle", "tight_successors", "least_tight_cycle"]
 
 Edge = tuple[int, Fraction, int]
 
@@ -91,3 +97,42 @@ def max_ratio_cycle(edges: Sequence[Sequence[Edge]], policy: Sequence[int] | Non
                     best, policy[u], switched = weight - value[u] * time + bias[v], k, True
         if not switched:
             return value, bias, policy
+
+
+def tight_successors(edges: Sequence[Sequence[Edge]], value: Sequence[Fraction],
+                     bias: Sequence[Fraction]) -> list[list[int]]:
+    """Per node, the successors whose edge meets the optimality equations with equality."""
+    return [[v for v, weight, time in row
+             if bias[u] == weight - value[u] * time + bias[v] and value[v] == value[u]]
+            for u, row in enumerate(edges)]
+
+
+def least_tight_cycle(tight: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Lexicographically least simple cycle of ``tight`` (successor lists),
+    written from its least node; ``ValueError`` when there is none.
+
+    From the least node s on any cycle, close the cycle when possible, else
+    step to the least successor above s that can still return to s through
+    unused nodes, found by a search along predecessor lists.
+    """
+    predecessors: list[list[int]] = [[] for _ in tight]
+    for u, row in enumerate(tight):
+        for v in row:
+            predecessors[v].append(u)
+    for s in range(len(tight)):
+        path, used = [s], {s}
+        while s not in tight[path[-1]]:
+            returns, frontier = {s}, [s]
+            while frontier:
+                for u in predecessors[frontier.pop()]:
+                    if u > s and u not in returns and u not in used:
+                        returns.add(u)
+                        frontier.append(u)
+            steps = [v for v in tight[path[-1]] if v in returns]
+            if not steps:
+                break
+            path.append(min(steps))
+            used.add(path[-1])
+        else:
+            return tuple(path)
+    raise ValueError("the graph has no cycle")

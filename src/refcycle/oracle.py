@@ -5,8 +5,8 @@ so ``|P|**memory`` states.  Transitions are deterministic: offering price p
 from history s yields gain ``g(min s, p)`` and moves to ``(s[1:], p)``.  The
 best long-run average over all policies equals the maximum mean cycle of this
 graph, which :func:`max_mean_cycle` computes exactly (rational arithmetic)
-by policy iteration (:mod:`refcycle.kernel`, unit times) plus a tight-edge
-analysis for the witness.  :func:`exhaustive_generators` independently
+by policy iteration (:mod:`refcycle.kernel`, unit times); the witness is the
+least optimal cycle of states, the solver's tie-break.  :func:`exhaustive_generators` independently
 enumerates every cycle of distinct prices and scores its expansion directly,
 and :func:`simulate` replays a plan step by step from the all-top-price start
 state.
@@ -26,7 +26,7 @@ from .core import (
     expand,
     reference_index_at,
 )
-from .kernel import Edge, max_ratio_cycle
+from .kernel import Edge, least_tight_cycle, max_ratio_cycle, tight_successors
 
 __all__ = [
     "NodeBudgetError",
@@ -117,148 +117,62 @@ def _edge_lists(graph: StateGraph) -> list[list[Edge]]:
     ]
 
 
-def _critical_components(graph: StateGraph):
-    """Exact optimal mean, tight (action, successor) lists, and cycle components.
+def _tight_graph(graph: StateGraph) -> tuple[Fraction, list[list[int]]]:
+    """Exact optimal mean and, per state, its tight successors.
 
     The state graph is strongly connected, so policy iteration returns one
     value and a bias with h[u] >= w - mu + h[v] on every edge.  Tight edges
     attain equality; every cycle of tight edges is optimal and every optimal
     cycle is tight, whichever valid bias is used.
     """
-    out_edges = _edge_lists(graph)
-    value, h, _ = max_ratio_cycle(out_edges)
-    mu = value[0]
-    tight = [
-        [(action, v) for action, (v, w, _) in enumerate(out_edges[u]) if h[u] == w - mu + h[v]]
-        for u in range(len(out_edges))
-    ]
-    return mu, tight, _cycle_components(tight)
+    edges = _edge_lists(graph)
+    value, bias, _ = max_ratio_cycle(edges)
+    return value[0], tight_successors(edges, value, bias)
 
 
-def _strongly_connected(tight) -> list[list[int]]:
-    """Tarjan's algorithm (iterative) on the tight subgraph."""
-    n = len(tight)
-    index_of = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index_of[root] != -1:
-            continue
-        work = [(root, iter([v for _, v in tight[root]]))]
-        index_of[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            u, it = work[-1]
-            advanced = False
-            for v in it:
-                if index_of[v] == -1:
-                    index_of[v] = low[v] = counter
-                    counter += 1
-                    stack.append(v)
-                    on_stack[v] = True
-                    work.append((v, iter([w for _, w in tight[v]])))
-                    advanced = True
-                    break
-                if on_stack[v]:
-                    low[u] = min(low[u], index_of[v])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[u])
-            if low[u] == index_of[u]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == u:
-                        break
-                components.append(comp)
-    return components
-
-
-def _cycle_components(tight) -> list[list[int]]:
-    """Nontrivial strongly connected components: those containing a cycle."""
-    comps = _strongly_connected(tight)
-    keep = []
-    for comp in comps:
-        if len(comp) > 1:
-            keep.append(sorted(comp))
-        else:
-            u = comp[0]
-            if any(v == u for _, v in tight[u]):
-                keep.append(comp)
-    return keep
-
-
-def _walk_cycle(tight, component: list[int]) -> list[tuple[int, int]]:
-    """Deterministic cycle inside a component: from its least node, follow the
-    least tight action that stays inside until a node repeats.
-
-    Returns the cycle as (node, action) pairs in traversal order.
-    """
-    members = set(component)
-    succ: dict[int, tuple[int, int]] = {}
-    for u in component:
-        for action, v in tight[u]:
-            if v in members:
-                succ[u] = (action, v)
-                break
-    walk = [min(component)]
-    seen = {walk[0]: 0}
-    while True:
-        action, v = succ[walk[-1]]
-        if v in seen:
-            start = seen[v]
-            cycle_nodes = walk[start:]
-            return [(u, succ[u][0]) for u in cycle_nodes]
-        seen[v] = len(walk)
-        walk.append(v)
+def _action_cycle(graph: StateGraph, states: tuple[int, ...]) -> PriceCycle:
+    """Prices offered along a state cycle: entering state v offers ``nodes[v][-1]``."""
+    return PriceCycle(tuple(graph.nodes[v][-1] for v in states)).canonical()
 
 
 def max_mean_cycle(graph: StateGraph) -> MeanCycleResult:
     """Best long-run average gain over all policies, with an optimal cycle.
 
-    The witness is deterministic: the cycle traced by least-action tight
-    edges from the least state of the least optimal component.  When several
-    cycles attain the optimum this need not be the globally least one.
+    The witness is the kernel's least tight cycle: the lexicographically
+    least optimal cycle of states, written from the least state on any.
+    States are indexed in the lexicographic order of their price histories.
     """
-    mu, tight, components = _critical_components(graph)
-    assert components, "an optimal cycle always exists"
-    component = min(components, key=lambda comp: comp[0])
-    pairs = _walk_cycle(tight, component)
-    witness = PriceCycle(tuple(action for _, action in pairs)).canonical()
+    mu, tight = _tight_graph(graph)
+    witness = _action_cycle(graph, least_tight_cycle(tight))
     return MeanCycleResult(float(mu), mu, witness, graph.num_nodes)
 
 
 def optimal_cycles_unique(graph: StateGraph) -> tuple[Fraction, PriceCycle | None]:
     """Exact optimal value, plus the optimal action cycle when it is unique.
 
-    Unique means every cycle attaining the optimum in the state graph is a
-    rotation or repetition of a single simple cycle; all such cycles live in
-    the tight subgraph, so uniqueness holds exactly when there is one
-    nontrivial component and each of its nodes keeps a single tight edge
-    inside it.  Returns ``(value, None)`` otherwise.
+    Unique means every optimal cycle of the state graph is a rotation or
+    repetition of a single simple cycle; the optimal cycles are the tight
+    ones.  Every state keeps a tight out-edge (its policy edge), so peeling
+    off the states with no tight in-edge left (in-degree counters and a
+    queue, linear time) keeps exactly the states reachable from an optimal
+    cycle, each with tight edges in and out.  The optimum is unique exactly
+    when the tight edges left are as many as the witness's states.  Returns
+    ``(value, None)`` otherwise.
     """
-    mu, tight, components = _critical_components(graph)
-    if len(components) != 1:
-        return mu, None
-    component = components[0]
-    members = set(component)
-    for u in component:
-        if sum(1 for _, v in tight[u] if v in members) != 1:
-            return mu, None
-    pairs = _walk_cycle(tight, component)
-    if len(pairs) != len(component):
-        return mu, None
-    return mu, PriceCycle(tuple(action for _, action in pairs)).canonical()
+    mu, tight = _tight_graph(graph)
+    witness = least_tight_cycle(tight)
+    indegree = [0] * len(tight)
+    for row in tight:
+        for v in row:
+            indegree[v] += 1
+    queue = [u for u, degree in enumerate(indegree) if not degree]
+    for u in queue:
+        for v in tight[u]:
+            indegree[v] -= 1
+            if not indegree[v]:
+                queue.append(v)
+    # a peeled state's in-degree is 0, a kept one's counts its edges from kept states
+    return mu, _action_cycle(graph, witness) if sum(indegree) == len(witness) else None
 
 
 # ---------------------------------------------------------------------------

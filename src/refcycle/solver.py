@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import GainTable, GeneratorCycle, PriceCycle, expand, expansion_count
-from .kernel import Edge, max_ratio_cycle
+from .kernel import Edge, least_tight_cycle, max_ratio_cycle, tight_successors
 
 __all__ = [
     "SolveResult",
@@ -95,34 +95,6 @@ def _ratio_edges(table: GainTable) -> list[list[Edge]]:
     ]
 
 
-def _least_tight_cycle(tight: list[set[int]]) -> tuple[int, ...]:
-    """Lexicographically least simple cycle of the tight subgraph.
-
-    From the least node s on any tight cycle, close the cycle when possible,
-    else step to the least successor above s that can still return to s
-    through unused nodes.
-    """
-    n = len(tight)
-    for s in range(n):
-        path = [s]
-        while s not in tight[path[-1]]:
-            returns = {s}
-            frontier = [s]
-            while frontier:
-                v = frontier.pop()
-                for u in range(s + 1, n):
-                    if u not in returns and u not in path and v in tight[u]:
-                        returns.add(u)
-                        frontier.append(u)
-            steps = [v for v in tight[path[-1]] if v in returns]
-            if not steps:
-                break
-            path.append(min(steps))
-        else:
-            return tuple(path)
-    raise AssertionError("the optimal cycle is tight by construction")
-
-
 def solve(table: GainTable) -> SolveResult:
     """Best distinct-price cycle, its exact mean, and the bias vector.
 
@@ -134,11 +106,7 @@ def solve(table: GainTable) -> SolveResult:
     edges = _ratio_edges(table)
     value, bias, _ = max_ratio_cycle(edges)
     opt = value[0]
-    tight = [
-        {v for v, weight, steps in edges[u] if bias[u] == weight - opt * steps + bias[v]}
-        for u in range(n)
-    ]
-    generator = GeneratorCycle(_least_tight_cycle(tight))
+    generator = GeneratorCycle(least_tight_cycle(tight_successors(edges, value, bias)))
     values = generator.values
     following = {u: values[(i + 1) % len(values)] for i, u in enumerate(values)}
     anchored = [[edges[u][following[u]]] if u in following else edges[u] for u in range(n)]

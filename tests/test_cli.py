@@ -1,13 +1,28 @@
 """Command-line interface: outputs, determinism, exit codes, manifests."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from refcycle.cli import main
-from refcycle.fileio import gain_table_from_dict, save_gain_table, save_model
-from refcycle.allocator import DiscountSet, default_ground_truth
+from refcycle.fileio import gain_table_from_dict, save_dataset, save_gain_table, save_model
+from refcycle.allocator import DiscountSet, PopulationSpec, default_ground_truth, simulate_population
 from refcycle.instances import nonmonotone_demo_table
+
+
+@pytest.fixture(scope="module")
+def panel(tmp_path_factory):
+    """A 20-customer, 5-day panel on the memory-3 feature schema."""
+    path = tmp_path_factory.mktemp("panel") / "panel.csv"
+    spec = PopulationSpec(size=20, horizon=5, memory=3)
+    save_dataset(simulate_population(spec, TRUTH, seed=3), path)
+    return path
 
 
 @pytest.fixture
@@ -169,6 +184,7 @@ MALFORMED_GAIN_TABLES = {
     "gain-bool.json": '{"prices": [1, 2], "memory": 2, "gains": [[true, 1], [1, 0]]}',
     "gain-huge.json": '{"prices": [1, 2], "memory": 2, "gains": [[1%s, 1], [1, 0]]}' % ("0" * 400),
     "empty.csv": "",
+    "price-zero-denominator.json": '{"prices": ["1/0", 2], "memory": 2, "gains": [[0, 1], [1, 0]]}',
 }
 
 
@@ -180,6 +196,130 @@ def test_malformed_gain_table_exit_code(capsys, tmp_path, name):
     code, _, err = run(capsys, "solve", "--gains", path, *memory)
     assert code == 2
     assert "error" in err
+
+
+TRUTH = default_ground_truth(3)  # the panel's schema
+FEATURES = TRUTH.feature_names
+VALID_MODEL = {"feature_names": list(FEATURES), "alpha_weights": TRUTH.alpha_weights.tolist(),
+               "beta_weights": TRUTH.beta_weights.tolist(), "pivot": 0.15,
+               "discounts": [0.1, 0.2]}
+MODELS = {
+    "valid": VALID_MODEL,
+    "list": [1],
+    "feature-names-scalar": {**VALID_MODEL, "feature_names": 5},
+    "feature-names-numbers": {**VALID_MODEL, "feature_names": [1]},
+    "alpha-weights-scalar": {**VALID_MODEL, "alpha_weights": 5},
+    "alpha-weights-null": {**VALID_MODEL, "alpha_weights": [0, None]},
+    "beta-weights-scalar": {**VALID_MODEL, "beta_weights": 5},
+    "pivot-list": {**VALID_MODEL, "pivot": [0.15]},
+    "discounts-scalar": {**VALID_MODEL, "discounts": 0.1},
+}
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_malformed_model_exit_code(capsys, tmp_path, panel, name):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(MODELS[name]))
+    code, _, err = run(capsys, "allocate", "--model", path, "--customers", panel,
+                       "--budget", 1e9, "--W", 100, "--out", tmp_path / "out.json")
+    assert code == (0 if name == "valid" else 2)
+    assert name == "valid" or "error" in err
+
+
+VALID_SPEC = {"population": 2, "horizon": 3}
+SPECS = {
+    "valid": VALID_SPEC,
+    "list": [1],
+    "population-float": {**VALID_SPEC, "population": 2.7},
+    "population-bool": {**VALID_SPEC, "population": True},
+    "horizon-string": {**VALID_SPEC, "horizon": "3"},
+    "memory-float": {**VALID_SPEC, "memory": 2.5},
+    "discounts-scalar": {**VALID_SPEC, "discounts": 0.1},
+    "ground-truth-list": {**VALID_SPEC, "ground_truth": [1]},
+    "ground-truth-weights-scalar": {**VALID_SPEC, "ground_truth": {"alpha_weights": 5}},
+    "policy-value-list": {**VALID_SPEC, "policy": {"type": "constant", "value": [0.1]}},
+}
+
+
+@pytest.mark.parametrize("name", list(SPECS))
+def test_malformed_spec_exit_code(capsys, tmp_path, name):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SPECS[name]))
+    code, _, err = run(capsys, "simulate", "--spec", path, "--out", tmp_path / "panel.csv")
+    assert code == (0 if name == "valid" else 2)
+    assert name == "valid" or "error" in err
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(0, 5)
+                | st.floats(-5, 5, allow_nan=False) | st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+NUMBERS = st.integers(0, 5) | st.floats(-5, 5, allow_nan=False)
+DISCOUNTS = st.lists(st.floats(0, 1), min_size=1, max_size=4, unique=True).map(sorted)
+
+
+def field(plausible):
+    """Mostly a well-typed value of the field's own kind, else any JSON value."""
+    return st.integers(0, 3).flatmap(lambda k: JSON_VALUES if k == 3 else plausible)
+
+
+def numbers(size):
+    return st.lists(NUMBERS, min_size=size, max_size=size)
+
+
+def json_object(fields, optional=None):
+    return field(st.fixed_dictionaries(
+        {key: field(value) for key, value in fields.items()},
+        optional={key: field(value) for key, value in (optional or {}).items()}))
+
+
+MODEL_FIELDS = {"alpha_weights": numbers(len(FEATURES) + 1), "beta_weights": numbers(len(FEATURES))}
+JSON_FILES = {
+    "solve": st.integers(1, 4).flatmap(lambda n: json_object({
+        "prices": st.lists(st.integers(0, 5), min_size=n, max_size=n, unique=True).map(sorted),
+        "memory": st.integers(0, 5),
+        "gains": st.lists(numbers(n), min_size=n, max_size=n),
+    })),
+    "allocate": json_object({"feature_names": st.just(list(FEATURES)), **MODEL_FIELDS},
+                            {"pivot": NUMBERS, "discounts": DISCOUNTS}),
+    "simulate": json_object({"population": st.integers(0, 5), "horizon": st.integers(0, 5)}, {
+        "memory": st.integers(0, 5),
+        "discounts": DISCOUNTS,
+        "ground_truth": json_object({}, {**MODEL_FIELDS, "pivot": NUMBERS}),
+        "policy": st.just("uniform") | json_object({
+            "type": st.sampled_from(["constant", "myopic"]),
+            "value": st.sampled_from([0.1, 0.12, 0.15]),
+            "shadow_price": NUMBERS,
+        }),
+    }),
+}
+
+
+def fuzz_exit_code(command, payload, panel) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(payload))
+        out = str(Path(tmp) / "out.json")
+        argv = {
+            "solve": ["solve", "--gains", str(path)],
+            "allocate": ["allocate", "--model", str(path), "--customers", str(panel),
+                         "--budget", "50", "--W", "100", "--out", out],
+            "simulate": ["simulate", "--spec", str(path), "--out", str(Path(tmp) / "p.csv")],
+        }[command]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+
+
+@pytest.mark.parametrize("command", list(JSON_FILES))
+def test_any_json_file_keeps_exit_code_contract(command, panel):
+    @given(JSON_FILES[command])
+    def check(payload):
+        assert fuzz_exit_code(command, payload, panel) in {0, 2, 3}
+
+    check()
 
 
 def test_assumption_violation_exit_code(tmp_path, capsys, monkeypatch):

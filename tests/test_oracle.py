@@ -197,6 +197,63 @@ def test_unique_cycle_reported(demo_table):
     assert cycle is None  # 12233 and 414243 both attain the optimum
 
 
+def optimal_state_cycles(graph: StateGraph) -> tuple[Fraction, list[tuple[int, ...]]]:
+    """Brute force: the optimal mean and every optimal simple state cycle,
+    each written from its least state."""
+    index = graph.node_index()
+    succ = [
+        [(index[graph.successor(node, a)], graph.edge_weight(node, a))
+         for a in range(graph.num_actions)]
+        for node in graph.nodes
+    ]
+    cycles: list[tuple[Fraction, tuple[int, ...]]] = []
+
+    def extend(path: list[int], weight: Fraction):
+        for nxt, w in succ[path[-1]]:
+            if nxt == path[0]:
+                cycles.append(((weight + w) / len(path), tuple(path)))
+            elif nxt > path[0] and nxt not in path:
+                extend(path + [nxt], weight + w)
+
+    for start in range(len(succ)):
+        extend([start], Fraction(0))
+    best = max(mean for mean, _ in cycles)
+    return best, [states for mean, states in cycles if mean == best]
+
+
+def test_witness_and_uniqueness_match_brute_force(rng):
+    # at most 9 states; half the tables have gains in {0, 1, 2}, so ties are common
+    shapes = [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+    unique_seen = tied_seen = 0
+    for i in range(140):
+        n, memory = shapes[i % len(shapes)]
+        if i % 2:
+            rows = rng.integers(0, 3, size=(n, n)).astype(float).tolist()
+            table = GainTable.from_rows(integer_grid(n, memory), rows)
+        else:
+            table = random_table(rng, n, memory)
+        graph = StateGraph.build(table)
+        best, optimal = optimal_state_cycles(graph)
+        actions = {
+            PriceCycle(tuple(graph.nodes[v][-1] for v in states)).canonical()
+            for states in optimal
+        }
+        witness = max_mean_cycle(graph)
+        assert witness.value_exact == best
+        assert exact_objective(witness.cycle, table) == best
+        least = min(optimal)
+        assert witness.cycle == PriceCycle(tuple(graph.nodes[v][-1] for v in least)).canonical()
+        value, unique = optimal_cycles_unique(graph)
+        assert value == best
+        if len(actions) == 1:
+            unique_seen += 1
+            assert unique == actions.pop()
+        else:
+            tied_seen += 1
+            assert unique is None
+    assert unique_seen >= 40 and tied_seen >= 10
+
+
 # --- replay -------------------------------------------------------------------
 
 

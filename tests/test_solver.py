@@ -9,7 +9,7 @@ import pytest
 
 from refcycle.core import GainTable, GeneratorCycle, PriceCycle, cycle_objective, expand
 from refcycle.instances import integer_grid, random_monotone_table, random_table
-from refcycle.kernel import max_ratio_cycle
+from refcycle.kernel import least_tight_cycle, max_ratio_cycle, tight_successors
 from refcycle.oracle import StateGraph, exhaustive_generators, max_mean_cycle
 from refcycle.solver import (
     bellman_residual,
@@ -129,6 +129,52 @@ def test_kernel_multichain_values(rng):
                 assert value[v] < value[u] or bias[u] >= w - value[u] * t + bias[v]
             v, w, t = edges[u][policy[u]]
             assert value[v] == value[u] and bias[u] == w - value[u] * t + bias[v]
+
+
+def brute_force_least_cycle(successors):
+    """Least of all simple cycles, each written from its least node, or None."""
+    cycles = []
+
+    def extend(path):
+        for nxt in successors[path[-1]]:
+            if nxt == path[0]:
+                cycles.append(tuple(path))
+            elif nxt > path[0] and nxt not in path:
+                extend(path + [nxt])
+
+    for start in range(len(successors)):
+        extend([start])
+    return min(cycles, default=None)
+
+
+def test_least_tight_cycle_matches_brute_force(rng):
+    found = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 8))
+        density = float(rng.uniform(0.1, 0.5))
+        successors = [[v for v in range(n) if rng.random() < density] for _ in range(n)]
+        expected = brute_force_least_cycle(successors)
+        if expected is None:
+            with pytest.raises(ValueError):
+                least_tight_cycle(successors)
+        else:
+            found += 1
+            assert least_tight_cycle(successors) == expected
+    assert found >= 100
+
+
+def test_tight_successors_skip_edges_to_lower_values():
+    # node 0 loops at ratio 1, node 1 at ratio 0; the edge 0 -> 1 meets the
+    # bias equation by coincidence but leads to a lower value
+    edges = [[(0, Fraction(1), 1), (1, Fraction(1), 1)], [(1, Fraction(0), 1)]]
+    value, bias, _ = max_ratio_cycle(edges)
+    assert value == [1, 0] and bias[0] == 1 - 1 + bias[1]
+    assert tight_successors(edges, value, bias) == [[0], [1]]
+
+
+def test_least_tight_cycle_rejects_acyclic_graph():
+    with pytest.raises(ValueError):
+        least_tight_cycle([[1, 2, 3], [2, 3], [3], []])
 
 
 # --- solve ----------------------------------------------------------------------
