@@ -29,7 +29,8 @@ def main() -> int:
     print(f"{'prices':>6} {'memory':>6} {'instances':>9} {'worst gap':>12} "
           f"{'worst residual':>14} {'time':>8}")
     # the allocator's data uses memory 7, so its cells join the small grid
-    cells = [(n, memory) for n in (2, 3, 4) for memory in (1, 2, 3)] + [(2, 7), (3, 7)]
+    cells = [(n, memory) for n in (2, 3, 4) for memory in (1, 2, 3)]
+    cells += [(2, 7), (3, 7), (4, 7), (5, 7), (6, 7), (8, 7)]
     for n, memory in cells:
         start = time.perf_counter()
         worst_gap = 0.0

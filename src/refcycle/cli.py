@@ -7,8 +7,8 @@ identical inputs plus --seed give byte-identical results.  A run manifest
 and next to --out when set.
 
 Exit codes: 0 success, 2 validation/usage error, 3 violated-assumption error
-(for example a reduction step with no non-decreasing rewrite, or a budget the
-search interval cannot meet).
+(for example a reduction step with no non-decreasing rewrite, a budget the
+search interval cannot meet, or a diagnostic cell with no rows or purchases).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from . import __version__
 from .allocator import (
     BudgetConfig,
     ConstantPolicy,
+    EmptyCellError,
     InfeasibleBudgetError,
     MyopicPolicy,
     PopulationSpec,
@@ -59,7 +60,7 @@ from .oracle import NodeBudgetError, StateGraph, max_mean_cycle, optimal_cycles_
 from .reduce import ReductionViolationError, reduce_to_l_up_1_down
 from .solver import bellman_residual, solve
 from .tightness import build as build_tightness
-from .tightness import verify_uniqueness
+from .tightness import certify, verify_uniqueness
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +211,7 @@ def _cmd_tightness(args) -> int:
     manifest = _manifest(args, [])
     start = time.perf_counter()
     inst = build_tightness(target, grid)
-    unique = verify_uniqueness(inst)
-    graph_value = max_mean_cycle(StateGraph.build(inst.table)).value
+    graph_value, unique = certify(inst)
     manifest["wall_time_s"] = time.perf_counter() - start
     payload = {
         "gain_table": gain_table_to_dict(inst.table),
@@ -221,7 +221,7 @@ def _cmd_tightness(args) -> int:
         "bias": [float(b) for b in inst.bias],
         "penalty": inst.penalty,
         "verified_unique": unique,
-        "oracle_value": graph_value,
+        "oracle_value": float(graph_value),
     }
     _emit(payload, args.out, manifest)
     return 0
@@ -415,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("oracle", help="exact optimum over the full state graph")
+    p = sub.add_parser("oracle", help="exact optimum over the suffix-minimum state graph")
     p.add_argument("--gains", required=True)
     p.add_argument("--memory", type=int)
     p.add_argument("--horizon", type=int, help="also replay the witness this many steps")
@@ -467,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ReductionViolationError, InfeasibleBudgetError) as exc:
+    except (ReductionViolationError, InfeasibleBudgetError, EmptyCellError) as exc:
         print(f"refcycle: assumption violated: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, NodeBudgetError, OSError, json.JSONDecodeError) as exc:

@@ -87,6 +87,10 @@ def _is_number_list(value) -> bool:
     return isinstance(value, list) and all(_is_number(x) for x in value)
 
 
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def _checked(payload, what: str, **checks) -> dict:
     """``payload`` if it is a JSON object whose present fields pass their checks.
 
@@ -101,7 +105,7 @@ def _checked(payload, what: str, **checks) -> dict:
 
 
 _MODEL_FIELDS = dict(
-    feature_names=lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    feature_names=_is_string_list,
     alpha_weights=_is_number_list,
     beta_weights=_is_number_list,
     pivot=_is_number,
@@ -226,20 +230,27 @@ def save_dataset(dataset: CouponDataset, path: str | Path) -> Path:
 
 
 def load_dataset(path: str | Path) -> CouponDataset:
+    """Read a panel and its sidecar.  A malformed file raises ``ValueError``,
+    a sidecar without a field ``KeyError``; both exit 2 from the CLI."""
     path = Path(path)
-    meta = json.loads(_sidecar_path(path).read_text())
+    meta = _checked(json.loads(_sidecar_path(path).read_text()), "a dataset sidecar",
+                    feature_columns=_is_string_list, reference_feature=lambda v: isinstance(v, str),
+                    discounts=_is_number_list, memory=_is_integer)
     feature_names = tuple(meta["feature_columns"])
     ids, days, coupons, purchases = [], [], [], []
     features = []
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
         expected = ["customer_id", "day", *feature_names, "coupon_value", "purchased"]
+        header = next(reader, None)
         if header != expected:
             raise ValueError(f"unexpected dataset header {header!r}")
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(expected):
+                raise ValueError(f"dataset line {reader.line_num} has {len(row)} fields, "
+                                 f"the header {len(expected)}")
             ids.append(int(row[0]))
             days.append(int(row[1]))
             features.append([float(cell) for cell in row[2:-2]])

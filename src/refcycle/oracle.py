@@ -1,31 +1,28 @@
 """Exact, exponential-cost verifiers for the reference-effect pricing problem.
 
-The full decision process has one state per length-``memory`` price history,
-so ``|P|**memory`` states.  Transitions are deterministic: offering price p
-from history s yields gain ``g(min s, p)`` and moves to ``(s[1:], p)``.  The
-best long-run average over all policies equals the maximum mean cycle of this
-graph, which :func:`max_mean_cycle` computes exactly (rational arithmetic)
-by policy iteration (:mod:`refcycle.kernel`, unit times); the witness is the
-least optimal cycle of states, the solver's tie-break.  :func:`exhaustive_generators` independently
-enumerates every cycle of distinct prices and scores its expansion directly,
-and :func:`simulate` replays a plan step by step from the all-top-price start
-state.
+The reference is the lowest of the last ``memory`` prices, so a history's
+future depends only on its suffix minima s1 >= ... >= sm (sj is the lowest of
+the last j prices): C(n+m-1, m) states for n prices and memory m, not n**m.
+Offering p from (s1, ..., sm) yields gain ``g(sm, p)`` and moves to
+(p, min(p, s1), ..., min(p, s(m-1))).  The best long-run average over all
+policies equals the maximum mean cycle of this graph, which
+:func:`max_mean_cycle` computes exactly (rational arithmetic) by policy
+iteration (:mod:`refcycle.kernel`, unit times); the witness is the least
+optimal cycle of states, the solver's tie-break.  :func:`exhaustive_generators`
+independently enumerates every cycle of distinct prices and scores its
+expansion directly, and :func:`simulate` replays a plan step by step from the
+all-top-price start state.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import (
-    GainTable,
-    GeneratorCycle,
-    PriceCycle,
-    expand,
-    reference_index_at,
-)
+from .core import GainTable, GeneratorCycle, PriceCycle, expand, reference_index_at
 from .kernel import Edge, least_tight_cycle, max_ratio_cycle, tight_successors
 
 __all__ = [
@@ -43,16 +40,24 @@ __all__ = [
 
 
 class NodeBudgetError(ValueError):
-    """State space larger than the configured node budget."""
+    """State graph larger than the configured budget."""
 
 
 @dataclass(frozen=True)
 class StateGraph:
-    """Materialized state graph: every price history of length ``memory``.
+    """Materialized state graph on suffix minima.
 
-    ``nodes[i]`` is a tuple of price indices with the most recent price last;
-    the edge for action p goes to ``nodes[i][1:] + (p,)`` and carries weight
-    ``gains[min(nodes[i])][p]``.
+    ``nodes[i]`` is a nondecreasing tuple of price indices (sm, ..., s1):
+    entry -j is the lowest of the last j prices, so ``nodes[i][-1]`` is the
+    action that entered the state and ``nodes[i][0]`` its reference.  Nodes
+    are listed in lexicographic order.  The edge for action p goes to
+    ``successor(nodes[i], p)`` and carries weight ``gains[nodes[i][0]][p]``.
+
+    The states are closed under :meth:`successor` and strongly connected:
+    ``memory`` offers of the top price reach the all-top state, and offering
+    a1 <= ... <= am from there reaches (a1, ..., am).  The gains ahead of a
+    history depend only on its suffix minima, so the history graph and this
+    one have the same action cycles, with the same means.
     """
 
     table: GainTable
@@ -60,14 +65,13 @@ class StateGraph:
 
     @classmethod
     def build(cls, table: GainTable, node_budget: int = 10**6) -> "StateGraph":
-        n = len(table.grid)
-        count = n ** table.grid.memory
-        if count > node_budget:
-            raise NodeBudgetError(
-                f"state graph needs {count} nodes, budget is {node_budget}"
-            )
-        nodes = tuple(itertools.product(range(n), repeat=table.grid.memory))
-        return cls(table, nodes)
+        """``node_budget`` bounds the edges built, states times prices,
+        checked before anything is materialized."""
+        n, memory = len(table.grid), table.grid.memory
+        edges = math.comb(n + memory - 1, memory) * n
+        if edges > node_budget:
+            raise NodeBudgetError(f"state graph needs {edges} edges, budget is {node_budget}")
+        return cls(table, tuple(itertools.combinations_with_replacement(range(n), memory)))
 
     @property
     def num_nodes(self) -> int:
@@ -81,10 +85,10 @@ class StateGraph:
         return {node: i for i, node in enumerate(self.nodes)}
 
     def successor(self, node: tuple[int, ...], action: int) -> tuple[int, ...]:
-        return node[1:] + (action,)
+        return tuple(min(action, x) for x in node[1:]) + (action,)
 
     def edge_weight(self, node: tuple[int, ...], action: int) -> Fraction:
-        return Fraction(self.table.gains[min(node)][action])
+        return Fraction(self.table.gains[node[0]][action])
 
 
 @dataclass(frozen=True)
@@ -107,16 +111,6 @@ class GeneratorSearchResult:
 # ---------------------------------------------------------------------------
 
 
-def _edge_lists(graph: StateGraph) -> list[list[Edge]]:
-    """Adjacency as (successor index, weight, time 1) per node, indexed by action."""
-    index = graph.node_index()
-    return [
-        [(index[graph.successor(node, action)], graph.edge_weight(node, action), 1)
-         for action in range(graph.num_actions)]
-        for node in graph.nodes
-    ]
-
-
 def _tight_graph(graph: StateGraph) -> tuple[Fraction, list[list[int]]]:
     """Exact optimal mean and, per state, its tight successors.
 
@@ -125,7 +119,12 @@ def _tight_graph(graph: StateGraph) -> tuple[Fraction, list[list[int]]]:
     attain equality; every cycle of tight edges is optimal and every optimal
     cycle is tight, whichever valid bias is used.
     """
-    edges = _edge_lists(graph)
+    index = graph.node_index()
+    edges: list[list[Edge]] = [
+        [(index[graph.successor(node, p)], graph.edge_weight(node, p), 1)
+         for p in range(graph.num_actions)]
+        for node in graph.nodes
+    ]
     value, bias, _ = max_ratio_cycle(edges)
     return value[0], tight_successors(edges, value, bias)
 
@@ -140,7 +139,7 @@ def max_mean_cycle(graph: StateGraph) -> MeanCycleResult:
 
     The witness is the kernel's least tight cycle: the lexicographically
     least optimal cycle of states, written from the least state on any.
-    States are indexed in the lexicographic order of their price histories.
+    States are indexed in the lexicographic order of their suffix minima.
     """
     mu, tight = _tight_graph(graph)
     witness = _action_cycle(graph, least_tight_cycle(tight))

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes, manifests."""
 
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -58,7 +59,7 @@ def test_oracle_and_solve_agree(demo_file, capsys):
     code, solve_out, _ = run(capsys, "solve", "--gains", demo_file)
     solve_payload = json.loads(solve_out)
     assert oracle_payload["value"] == solve_payload["opt"]
-    assert oracle_payload["nodes"] == 16
+    assert oracle_payload["nodes"] == 10  # C(4 + 2 - 1, 2) suffix-minimum states
     assert abs(oracle_payload["simulation"]["running_average"] - 1.0) <= 0.01
 
 
@@ -226,6 +227,38 @@ def test_malformed_model_exit_code(capsys, tmp_path, panel, name):
     assert name == "valid" or "error" in err
 
 
+DATASET_DEFECTS = {
+    "valid": lambda panel, sidecar: (panel, sidecar),
+    "sidecar-list": lambda panel, sidecar: (panel, "[1]"),
+    "sidecar-memory-list": lambda panel, sidecar: (
+        panel, json.dumps({**json.loads(sidecar), "memory": [3]})),
+    "sidecar-discounts-scalar": lambda panel, sidecar: (
+        panel, json.dumps({**json.loads(sidecar), "discounts": 0.1})),
+    "empty-panel": lambda panel, sidecar: ("", sidecar),
+    "short-row": lambda panel, sidecar: (panel + "0\n", sidecar),
+    "long-row": lambda panel, sidecar: (panel + "0,1" + ",0" * len(FEATURES) + ",0.1,0,9\n", sidecar),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "allocate"])
+@pytest.mark.parametrize("name", list(DATASET_DEFECTS))
+def test_malformed_dataset_exit_code(capsys, tmp_path, panel, command, name):
+    text, sidecar = DATASET_DEFECTS[name](panel.read_text(),
+                                          Path(f"{panel}.meta.json").read_text())
+    path = tmp_path / "panel.csv"
+    path.write_text(text)
+    Path(f"{path}.meta.json").write_text(sidecar)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(VALID_MODEL))
+    code, _, err = run(capsys, *{
+        "analyze": ["analyze", "--dataset", path, "--memory", "1"],
+        "allocate": ["allocate", "--model", model, "--customers", path,
+                     "--budget", 1e9, "--W", 100, "--out", tmp_path / "out.json"],
+    }[command])
+    assert code == (0 if name == "valid" else 2)
+    assert name == "valid" or "error" in err
+
+
 VALID_SPEC = {"population": 2, "horizon": 3}
 SPECS = {
     "valid": VALID_SPEC,
@@ -261,9 +294,9 @@ NUMBERS = st.integers(0, 5) | st.floats(-5, 5, allow_nan=False)
 DISCOUNTS = st.lists(st.floats(0, 1), min_size=1, max_size=4, unique=True).map(sorted)
 
 
-def field(plausible):
+def field(plausible, odds=4):
     """Mostly a well-typed value of the field's own kind, else any JSON value."""
-    return st.integers(0, 3).flatmap(lambda k: JSON_VALUES if k == 3 else plausible)
+    return st.integers(1, odds).flatmap(lambda k: JSON_VALUES if k == odds else plausible)
 
 
 def numbers(size):
@@ -318,6 +351,85 @@ def test_any_json_file_keeps_exit_code_contract(command, panel):
     @given(JSON_FILES[command])
     def check(payload):
         assert fuzz_exit_code(command, payload, panel) in {0, 2, 3}
+
+    check()
+
+
+CELL = st.text(max_size=3) | NUMBERS.map(repr)
+HEADER = ["customer_id", "day", *FEATURES, "coupon_value", "purchased"]
+
+
+def csv_text(header, rows, odds):
+    """CSV text of a header and rows, each row replaced by any short row of
+    cells once in ``odds``; now and then any text at all."""
+    def row(plausible):
+        return st.integers(1, odds).flatmap(
+            lambda k: st.lists(CELL, max_size=5) if k == odds else plausible)
+
+    def render(table):
+        handle = io.StringIO()
+        csv.writer(handle).writerows(table)
+        return handle.getvalue()
+
+    table = st.tuples(row(header), rows.flatmap(lambda rs: st.tuples(*map(row, rs))))
+    return st.integers(1, 8).flatmap(
+        lambda k: st.text(max_size=12) if k == 8 else table.map(lambda t: render([t[0], *t[1]])))
+
+
+def gain_table_csv(n):
+    header = st.lists(st.integers(0, 5), min_size=n, max_size=n, unique=True).map(
+        lambda prices: [str(p) for p in sorted(prices)])
+    row = numbers(n).map(lambda gains: [repr(g) for g in gains])
+    return csv_text(header, st.sampled_from((n - 1, n, n, n + 1)).map(lambda k: [row] * k), 3 * n)
+
+
+def panel_rows(customers, days):
+    """One row per customer and day.  Coupons 0.12 and 0.2 fall in the small and
+    the large group of `analyze`'s monotonicity table, so its cells can fill."""
+    values = st.tuples(numbers(len(FEATURES)), st.sampled_from([0.12, 0.2]), st.integers(0, 1))
+    return [values.map(lambda v, c=c, d=d: [str(c), str(d), *map(repr, v[0]), repr(v[1]), str(v[2])])
+            for c in range(customers) for d in range(1, days + 1)]
+
+
+PANEL_CSV = csv_text(st.just(HEADER), st.tuples(st.integers(1, 4), st.integers(3, 6)).map(
+    lambda shape: panel_rows(*shape)), 48)
+SIDECAR = field(st.fixed_dictionaries({
+    "feature_columns": field(st.just(list(FEATURES)), 12),
+    "reference_feature": field(st.sampled_from(FEATURES), 12),
+    "discounts": field(st.just([0.12, 0.2]) | DISCOUNTS, 12),
+    "memory": field(st.integers(0, 5), 12),
+}), 12)
+CSV_FILES = {
+    "solve": st.tuples(st.integers(1, 4).flatmap(gain_table_csv), st.integers(0, 6)),
+    "analyze": st.tuples(PANEL_CSV, SIDECAR),
+    "allocate": st.tuples(PANEL_CSV, SIDECAR),
+}
+
+
+@pytest.mark.parametrize("command", list(CSV_FILES))
+def test_any_csv_file_keeps_exit_code_contract(command, tmp_path):
+    model = tmp_path / "model.json"
+    save_model(TRUTH, DiscountSet((0.12, 0.2)), model)
+
+    @given(CSV_FILES[command])
+    def check(files):
+        text, extra = files
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.csv"
+            path.write_text(text)
+            if command == "solve":
+                argv = ["solve", "--gains", str(path), "--memory", str(extra)]
+            else:
+                (Path(tmp) / "input.csv.meta.json").write_text(json.dumps(extra))
+                argv = {
+                    "analyze": ["analyze", "--dataset", str(path), "--memory", "1"],
+                    "allocate": ["allocate", "--model", str(model),
+                                 "--customers", str(path), "--budget", "0.5", "--W", "100",
+                                 "--out", str(Path(tmp) / "out.json")],
+                }[command]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) in {0, 2, 3}
 
     check()
 

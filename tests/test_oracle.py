@@ -61,15 +61,35 @@ def strictness_instance() -> GainTable:
 
 def test_state_graph_shape(demo_table):
     graph = StateGraph.build(demo_table)
-    assert graph.num_nodes == 16
+    assert graph.num_nodes == 10  # C(4 + 2 - 1, 2) suffix-minimum states
     assert graph.num_actions == 4
-    assert graph.successor((2, 0), 3) == (0, 3)
-    assert graph.edge_weight((2, 0), 3) == Fraction(1)  # reference 1, price 4
+    assert graph.successor((0, 2), 3) == (2, 3)
+    assert graph.successor((0, 2), 1) == (1, 1)
+    assert graph.edge_weight((0, 2), 3) == Fraction(1)  # reference 1, price 4
 
 
 def test_node_budget(demo_table):
     with pytest.raises(NodeBudgetError):
         StateGraph.build(demo_table, node_budget=15)
+    # the budget counts edges: 10 states times 4 prices
+    assert StateGraph.build(demo_table, node_budget=40).num_nodes == 10
+    with pytest.raises(NodeBudgetError):
+        StateGraph.build(demo_table, node_budget=39)
+
+
+def test_node_budget_refuses_oversized_grid_before_building():
+    # 40 prices at memory 7: C(46, 7) * 40 = 2.1e9 edges, refused without enumerating
+    huge = GainTable.from_rows(integer_grid(40, 7), [[0.0] * 40] * 40)
+    with pytest.raises(NodeBudgetError, match="2140987200 edges"):
+        StateGraph.build(huge)
+
+
+def test_node_budget_admits_ten_prices_at_memory_six():
+    # 5005 states, 50 050 edges: inside the default budget
+    table = GainTable.from_rows(integer_grid(10, 6), [[0.0] * 10] * 10)
+    graph = StateGraph.build(table)
+    assert graph.num_nodes == 5005
+    assert all(a <= b for node in graph.nodes for a, b in zip(node, node[1:]))
 
 
 # --- max mean cycle ----------------------------------------------------------
@@ -79,7 +99,7 @@ def test_demo_instance_value_and_witness(demo_table):
     result = max_mean_cycle(StateGraph.build(demo_table))
     assert result.value == 1.0
     assert result.value_exact == Fraction(1)
-    assert result.nodes == 16
+    assert result.nodes == 10
     assert cycle_objective(result.cycle, demo_table) == result.value
     # several cycles attain 1.0 here; the deterministic witness is the
     # five-step expansion of generator (1, 2, 3)

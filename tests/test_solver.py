@@ -213,8 +213,9 @@ def test_solve_matches_oracle_on_monotone_instances(rng):
 
 
 def test_solve_matches_oracle_at_memory_seven(rng):
-    # the allocator's data uses memory 7; the state graph has 128 and 2187 states
-    for n, count in ((2, 3), (3, 2)):
+    # the allocator's data uses memory 7; the state graph has 8, 36, 120, 330
+    # and 792 suffix-minimum states for 2 to 6 prices
+    for n, count in ((2, 3), (3, 2), (4, 2), (5, 1), (6, 1)):
         for _ in range(count):
             table = random_monotone_table(rng, n, 7)
             assert solve(table).opt_exact == max_mean_cycle(StateGraph.build(table)).value_exact
