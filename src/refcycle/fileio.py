@@ -245,12 +245,13 @@ def load_dataset(path: str | Path) -> CouponDataset:
         header = next(reader, None)
         if header != expected:
             raise ValueError(f"unexpected dataset header {header!r}")
+        width = len(expected)
         for row in reader:
-            if not row:
-                continue
-            if len(row) != len(expected):
+            if len(row) != width:
+                if not row:
+                    continue
                 raise ValueError(f"dataset line {reader.line_num} has {len(row)} fields, "
-                                 f"the header {len(expected)}")
+                                 f"the header {width}")
             ids.append(int(row[0]))
             days.append(int(row[1]))
             features.append([float(cell) for cell in row[2:-2]])

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import GainTable, GeneratorCycle, PriceCycle, expand, reference_index_at
+from .core import (
+    GainTable,
+    GeneratorCycle,
+    PriceCycle,
+    expand,
+    reference_index_at,
+)
 from .kernel import Edge, least_tight_cycle, max_ratio_cycle, tight_successors
 
 __all__ = [

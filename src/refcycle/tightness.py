@@ -9,8 +9,8 @@ the cycle gets the column
 
 prices outside the target get a uniformly negative penalty column, and the
 resulting table is reference-monotone with the target's expansion as its
-unique optimal cycle at mean exactly C.  :func:`certify` checks that on the
-state graph with the exact oracle.
+unique optimal cycle at mean exactly C.  :func:`verify_uniqueness` certifies
+that on the state graph with the exact oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .core import GainTable, GeneratorCycle, PriceGrid, expand
 from .oracle import StateGraph, optimal_cycles_unique
 from .solver import transition_steps
 
-__all__ = ["TightnessInstance", "build", "certify", "verify_uniqueness"]
+__all__ = ["TightnessInstance", "build", "verify_uniqueness"]
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,10 @@ def build(
     d = len(target)
     if any(v >= n for v in target.values):
         raise ValueError("target value out of range for grid")
-    bias = tuple(Fraction(b) for b in (range(d) if bias is None else bias))
+    if bias is None:
+        bias = tuple(Fraction(i) for i in range(d))
+    else:
+        bias = tuple(Fraction(b) for b in bias)
     if len(bias) != d:
         raise ValueError("need one bias value per target price")
     if any(b2 <= b1 for b1, b2 in zip(bias, bias[1:])):
@@ -108,15 +111,13 @@ def build(
     return TightnessInstance(table, target, bias, value, pen)
 
 
-def certify(inst: TightnessInstance, node_budget: int = 10**6) -> tuple[Fraction, bool]:
-    """Exact optimal value of the built table, from one state-graph run, and
-    whether the target expansion is the unique optimum (up to rotation and
-    repetition) at the constructed mean value."""
-    found, unique = optimal_cycles_unique(StateGraph.build(inst.table, node_budget))
-    return found, (unique is not None and abs(float(found) - float(inst.optimal_value)) <= 1e-9
-                   and unique.equivalent(expand(inst.target, inst.table.grid)))
-
-
 def verify_uniqueness(inst: TightnessInstance, node_budget: int = 10**6) -> bool:
-    """The verdict of :func:`certify`."""
-    return certify(inst, node_budget)[1]
+    """Exact state-graph check that the target expansion is the unique
+    optimum (up to rotation and repetition) at the constructed mean value."""
+    graph = StateGraph.build(inst.table, node_budget)
+    found, unique = optimal_cycles_unique(graph)
+    if unique is None:
+        return False
+    if abs(float(found) - float(inst.optimal_value)) > 1e-9:
+        return False
+    return unique.equivalent(expand(inst.target, inst.table.grid))
