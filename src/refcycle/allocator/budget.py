@@ -5,6 +5,11 @@ customer's coupon sensitivity is nonnegative, so the smallest feasible
 shadow price can be found by bisection: start at the revenue-maximizing
 value (the lower bound, 1 by default), and only tighten when the budget is
 exceeded.
+
+The table of purchase probabilities q(x, v) is computed once per call and
+every probe is answered from it; each probe's redemption is bit-identical to
+``projected_redemption`` of the ``myopic_assign`` choice, and the returned
+shadow price is certified with those two public functions.
 """
 
 from __future__ import annotations
@@ -19,9 +24,11 @@ from .model import (
     AllocationModel,
     CustomerRecord,
     DiscountSet,
+    _best_discount,
     feature_matrix,
     myopic_assign,
     projected_redemption,
+    purchase_prob_table,
 )
 
 __all__ = ["InfeasibleBudgetError", "BudgetConfig", "tune_lambda"]
@@ -30,7 +37,7 @@ logger = logging.getLogger(__name__)
 
 
 class InfeasibleBudgetError(RuntimeError):
-    """Redemption exceeds the budget even at the top of the search interval."""
+    """No shadow price in the search interval is certified to meet the budget."""
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,13 @@ def tune_lambda(
     :class:`InfeasibleBudgetError` when even the upper bound overspends.
     Customers with negative sensitivity break the monotonicity this search
     relies on, so their share is logged when present.
+
+    The purchase-probability table is built once per call, and every probe
+    is scored from it with the arithmetic of :func:`myopic_assign` and
+    :func:`projected_redemption`, so each probe's redemption equals theirs
+    exactly.  The returned shadow price is certified once with those two
+    functions; a result that fails that check raises
+    :class:`InfeasibleBudgetError` instead of being returned.
     """
     discounts = discounts or DiscountSet()
     X = feature_matrix(customers)
@@ -76,18 +90,37 @@ def tune_lambda(
             "redemption may not be monotone in the shadow price",
             100.0 * negative,
         )
+    lam = _bisect(model, X, config, discounts)
+    spent = projected_redemption(
+        model, X, myopic_assign(model, X, lam, discounts), config.basket_value
+    )
+    if not spent <= config.budget:
+        raise InfeasibleBudgetError(
+            f"redemption {spent:.6g} at the returned shadow price {lam} "
+            f"does not meet budget {config.budget:.6g}"
+        )
+    return lam
+
+
+def _bisect(
+    model: AllocationModel, X: np.ndarray, config: BudgetConfig, discounts: DiscountSet
+) -> float:
+    """The bisection of :func:`tune_lambda`, every probe scored off one table
+    of q(x, v).  The table dies with this call, before the certifying pass
+    builds its own, so the two never coexist."""
+    q = purchase_prob_table(model, X, discounts)
+    v = np.asarray(discounts.values)
 
     def redemption(lam: float) -> float:
-        return projected_redemption(
-            model, X, myopic_assign(model, X, lam, discounts), config.basket_value
-        )
+        return _probe(q, v, lam, config.basket_value)
 
     lo, hi = config.lambda_bounds
     if redemption(lo) <= config.budget:
         return lo
-    if redemption(hi) > config.budget:
+    top = redemption(hi)
+    if top > config.budget:
         raise InfeasibleBudgetError(
-            f"redemption {redemption(hi):.6g} exceeds budget {config.budget:.6g} "
+            f"redemption {top:.6g} exceeds budget {config.budget:.6g} "
             f"at the interval top {hi}"
         )
     while hi - lo > config.tolerance:
@@ -97,3 +130,14 @@ def tune_lambda(
         else:
             lo = mid
     return hi
+
+
+def _probe(q: np.ndarray, v: np.ndarray, shadow_price: float, basket_value: float) -> float:
+    """Redemption of the myopic choice at ``shadow_price``, scored off the table q.
+
+    Equal to ``projected_redemption(model, X, myopic_assign(model, X,
+    shadow_price, discounts), basket_value)`` bit for bit: the same choice
+    rule, and that function's product order on a contiguous 1-D array.
+    """
+    k = _best_discount(q, v, shadow_price)
+    return float(np.sum(v[k] * basket_value * q[np.arange(q.shape[0]), k]))

@@ -147,14 +147,22 @@ def myopic_assign(
 
     Ties go to the smallest discount.  Returns the chosen discount values.
     """
-    if shadow_price < 0:
-        raise ValueError("shadow price must be nonnegative")
     discounts = discounts or DiscountSet()
     q = purchase_prob_table(model, customers, discounts)
     v = np.asarray(discounts.values)
-    scores = (1.0 - shadow_price * v)[None, :] * q
+    return v[_best_discount(q, v, shadow_price)]
+
+
+def _best_discount(q: np.ndarray, v: np.ndarray, shadow_price: float) -> np.ndarray:
+    """Column index of the per-row argmax of (1 - shadow_price * v) * q.
+
+    The one place the myopic rule and its tie rule live: ``myopic_assign`` and
+    the shadow-price search both call it, so their choices agree bit for bit.
+    """
+    if shadow_price < 0:
+        raise ValueError("shadow price must be nonnegative")
     # argmax keeps the first (= smallest) discount on ties
-    return v[np.argmax(scores, axis=1)]
+    return np.argmax((1.0 - shadow_price * v)[None, :] * q, axis=1)
 
 
 def projected_redemption(

@@ -240,7 +240,7 @@ def _cmd_allocate(args) -> int:
     assignments = myopic_assign(model, X, lam, discounts)
     redemption = projected_redemption(model, X, assignments, args.W)
     q = purchase_prob_table(model, X, discounts)
-    chosen = np.array([list(discounts.values).index(v) for v in assignments])
+    chosen = np.searchsorted(np.asarray(discounts.values), assignments)
     chosen_q = q[np.arange(len(customers)), chosen]
     revenue = float(np.sum((1.0 - assignments) * args.W * chosen_q))
     manifest["wall_time_s"] = time.perf_counter() - start

@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+from refcycle.allocator import budget
 from refcycle.allocator import (
     AllocationModel,
     BudgetConfig,
@@ -12,6 +13,7 @@ from refcycle.allocator import (
     InfeasibleBudgetError,
     myopic_assign,
     projected_redemption,
+    purchase_prob_table,
     tune_lambda,
 )
 
@@ -80,3 +82,108 @@ def test_negative_sensitivity_share_logged(rng, caplog):
     with caplog.at_level(logging.WARNING):
         tune_lambda(model, X, config)
     assert any("negative coupon sensitivity" in r.message for r in caplog.records)
+
+
+def test_nonfinite_features_raise_instead_of_returning_uncertified_lambda():
+    X = np.array([[1.0, np.nan], [0.5, 0.5]])
+    model = AllocationModel(("a", "b"), np.array([-1.0, 0.0, 0.0]), np.array([2.0, 1.0]))
+    with pytest.raises(InfeasibleBudgetError, match="does not meet budget"):
+        tune_lambda(model, X, BudgetConfig(basket_value=10.0, budget=1.0))
+
+
+# -----------------------------------------------------------------------------
+# every probe off one table: the same numbers as the public functions
+# -----------------------------------------------------------------------------
+
+
+def mixed_population(rng, size, dims=3):
+    """Features and weights such that some rows have negative sensitivity."""
+    X = rng.uniform(-0.6, 2.0, size=(size, dims))
+    beta = rng.uniform(-2.0, 10.0, size=dims)
+    alpha = np.concatenate([[rng.uniform(-3.0, 0.5)], rng.uniform(-0.5, 0.5, size=dims)])
+    return X, AllocationModel(tuple(f"f{i}" for i in range(dims)), alpha, beta)
+
+
+def random_discounts(rng):
+    count = int(rng.integers(1, 6))
+    return DiscountSet(tuple(np.sort(rng.choice(np.arange(5, 40), count, replace=False)) / 100))
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 63, 64, 65, 4099])
+def test_probe_matches_public_functions_exactly(size):
+    rng = np.random.default_rng(1000 + size)
+    negative_rows = 0
+    for _ in range(8 if size < 4099 else 3):
+        X, model = mixed_population(rng, size)
+        negative_rows += int(np.sum(model.sensitivity(X) < 0))
+        discounts = random_discounts(rng)
+        q = purchase_prob_table(model, X, discounts)
+        v = np.asarray(discounts.values)
+        basket = float(rng.uniform(1.0, 200.0))
+        lambdas = [0.0, 1.0, 10.0, 1.0 / discounts.smallest, *rng.uniform(0.0, 12.0, 6)]
+        for lam in lambdas:
+            expected = redemption_at(model, X, lam, basket, discounts)
+            assert budget._probe(q, v, lam, basket) == expected
+    if size >= 7:
+        assert negative_rows > 0
+
+
+def reference_tune_lambda(model, X, config, discounts):
+    """The bisection as it was before the table was shared: every probe calls
+    ``myopic_assign`` and ``projected_redemption``."""
+
+    def redemption(lam):
+        return redemption_at(model, X, lam, config.basket_value, discounts)
+
+    lo, hi = config.lambda_bounds
+    if redemption(lo) <= config.budget:
+        return lo
+    if redemption(hi) > config.budget:
+        raise InfeasibleBudgetError("infeasible")
+    while hi - lo > config.tolerance:
+        mid = 0.5 * (lo + hi)
+        if redemption(mid) <= config.budget:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def outcome(tune, model, X, config, discounts):
+    try:
+        return tune(model, X, config, discounts)
+    except InfeasibleBudgetError:
+        return "infeasible"
+
+
+def test_same_lambda_as_reference_bisection():
+    rng = np.random.default_rng(8)
+    kinds = {"interior": 0, "lower bound": 0, "infeasible": 0}
+    for case in range(330):
+        X, model = mixed_population(rng, int(rng.integers(1, 120)))
+        discounts = random_discounts(rng)
+        basket = float(rng.uniform(1.0, 200.0))
+        bounds = [(1.0, 10.0), (0.0, 10.0), (1.0, 3.0)][case % 3]
+        top = redemption_at(model, X, bounds[1], basket, discounts)
+        base = redemption_at(model, X, bounds[0], basket, discounts)
+        low, high = min(top, base), max(top, base)
+        # most budgets inside the interval, a few on or outside its ends
+        budget_value = [
+            rng.uniform(low, high), rng.uniform(low, high), rng.uniform(low, high),
+            high * rng.uniform(1.0, 1.5), low * rng.uniform(0.0, 1.0), high, low,
+        ][case % 7]
+        for tolerance in (1e-3, 1e-6, 1e-9):
+            config = BudgetConfig(basket, budget_value, bounds, tolerance)
+            expected = outcome(reference_tune_lambda, model, X, config, discounts)
+            got = outcome(tune_lambda, model, X, config, discounts)
+            assert got == expected
+            assert (got == bounds[0]) == (expected == bounds[0])
+            assert (got == "infeasible") == (expected == "infeasible")
+        # which of the three a case is does not depend on the tolerance
+        if expected == "infeasible":
+            kinds["infeasible"] += 1
+        elif expected == bounds[0]:
+            kinds["lower bound"] += 1
+        else:
+            kinds["interior"] += 1
+    assert kinds["interior"] >= 100 and kinds["lower bound"] >= 100 and kinds["infeasible"] >= 30
