@@ -61,8 +61,8 @@ def main() -> int:
     base = projected_redemption(truth, X, myopic_assign(truth, X, 1.0, discounts), args.basket)
     config = BudgetConfig(basket_value=args.basket, budget=0.5 * base)
     lam = tune_lambda(truth, X, config, discounts)
-    spent = projected_redemption(truth, X, myopic_assign(truth, X, lam, discounts), args.basket)
     assignments = myopic_assign(truth, X, lam, discounts)
+    spent = projected_redemption(truth, X, assignments, args.basket)
     shares = {v: float(np.mean(assignments == v)) for v in discounts}
     print(f"\nunconstrained redemption {base:,.0f}; budget {0.5 * base:,.0f}")
     print(f"tuned shadow price {lam:.4f}, redemption {spent:,.0f}")

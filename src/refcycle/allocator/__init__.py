@@ -17,7 +17,6 @@ from .fitting import (
 )
 from .model import (
     AllocationModel,
-    CustomerRecord,
     DiscountSet,
     feature_matrix,
     myopic_assign,
@@ -43,7 +42,6 @@ __all__ = [
     "ConstantPolicy",
     "CorrelationRow",
     "CouponDataset",
-    "CustomerRecord",
     "DiscountSet",
     "EmptyCellError",
     "FitConvergenceError",

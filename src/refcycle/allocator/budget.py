@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .model import (
     AllocationModel,
-    CustomerRecord,
     DiscountSet,
     _best_discount,
     feature_matrix,
@@ -63,7 +61,7 @@ class BudgetConfig:
 
 def tune_lambda(
     model: AllocationModel,
-    customers: Sequence[CustomerRecord] | np.ndarray,
+    X: np.ndarray,
     config: BudgetConfig,
     discounts: DiscountSet | None = None,
 ) -> float:
@@ -82,7 +80,7 @@ def tune_lambda(
     :class:`InfeasibleBudgetError` instead of being returned.
     """
     discounts = discounts or DiscountSet()
-    X = feature_matrix(customers)
+    X = feature_matrix(X)
     negative = float(np.mean(model.sensitivity(X) < 0)) if X.shape[0] else 0.0
     if negative > 0:
         logger.warning(

@@ -10,19 +10,21 @@ sensitivity beta' x is nonnegative.  The myopic rule sends each customer the
 discount maximizing (1 - shadow_price * v) * q(x, v); raising the shadow
 price conserves budget and, under nonnegative sensitivity, can only move
 every customer to a weakly smaller discount.
+
+Customers are rows of a 2-D feature matrix, one row per customer.  A
+customer's intertemporal state is already one of its features (the peak-end
+reference ``max_coupon_{memory}d``), so the latest row is all the rule needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DiscountSet",
     "AllocationModel",
-    "CustomerRecord",
     "feature_matrix",
     "purchase_prob",
     "purchase_prob_table",
@@ -102,44 +104,38 @@ class AllocationModel:
         return features @ self.beta_weights
 
 
-@dataclass
-class CustomerRecord:
-    """One customer: current features plus (discount, purchased) history."""
-
-    customer_id: int
-    features: np.ndarray
-    history: list[tuple[float, int]] = field(default_factory=list)
+def feature_matrix(X: np.ndarray) -> np.ndarray:
+    """``X`` as a 2-D float array, one row per customer."""
+    return np.atleast_2d(np.asarray(X, dtype=float))
 
 
-def feature_matrix(customers: Sequence[CustomerRecord] | np.ndarray) -> np.ndarray:
-    if isinstance(customers, np.ndarray):
-        return np.atleast_2d(np.asarray(customers, dtype=float))
-    return np.vstack([np.asarray(c.features, dtype=float) for c in customers])
+def _purchase_prob(alpha, beta, v, pivot: float) -> np.ndarray:
+    """q = sigmoid(alpha + (v - pivot) * beta), with alpha and beta the baseline
+    logit and sensitivity of each customer.  The one place the logit is formed,
+    so every caller's probabilities agree bit for bit."""
+    return np.asarray(sigmoid(alpha + (v - pivot) * beta))
 
 
 def purchase_prob(model: AllocationModel, features: np.ndarray, discount: float) -> float:
     """q(x, v) for a single customer; strictly increasing in v iff beta' x > 0."""
     x = np.asarray(features, dtype=float).reshape(1, -1)
-    logit = model.alpha_values(x)[0] + (discount - model.pivot) * model.sensitivity(x)[0]
-    return float(sigmoid(logit))
+    return float(_purchase_prob(model.alpha_values(x)[0], model.sensitivity(x)[0],
+                                discount, model.pivot))
 
 
 def purchase_prob_table(
-    model: AllocationModel,
-    customers: Sequence[CustomerRecord] | np.ndarray,
-    discounts: DiscountSet,
+    model: AllocationModel, X: np.ndarray, discounts: DiscountSet
 ) -> np.ndarray:
     """Matrix of q(x_i, v) for every customer and discount."""
-    X = feature_matrix(customers)
-    alpha = model.alpha_values(X)[:, None]
-    beta = model.sensitivity(X)[:, None]
+    X = feature_matrix(X)
     v = np.asarray(discounts.values)[None, :]
-    return np.asarray(sigmoid(alpha + (v - model.pivot) * beta))
+    return _purchase_prob(model.alpha_values(X)[:, None], model.sensitivity(X)[:, None],
+                          v, model.pivot)
 
 
 def myopic_assign(
     model: AllocationModel,
-    customers: Sequence[CustomerRecord] | np.ndarray,
+    X: np.ndarray,
     shadow_price: float,
     discounts: DiscountSet | None = None,
 ) -> np.ndarray:
@@ -148,7 +144,7 @@ def myopic_assign(
     Ties go to the smallest discount.  Returns the chosen discount values.
     """
     discounts = discounts or DiscountSet()
-    q = purchase_prob_table(model, customers, discounts)
+    q = purchase_prob_table(model, X, discounts)
     v = np.asarray(discounts.values)
     return v[_best_discount(q, v, shadow_price)]
 
@@ -167,17 +163,16 @@ def _best_discount(q: np.ndarray, v: np.ndarray, shadow_price: float) -> np.ndar
 
 def projected_redemption(
     model: AllocationModel,
-    customers: Sequence[CustomerRecord] | np.ndarray,
+    X: np.ndarray,
     assignments: np.ndarray,
     basket_value: float,
 ) -> float:
     """Expected discount paid out: sum_i v_i * basket_value * q(x_i, v_i)."""
-    X = feature_matrix(customers)
+    X = feature_matrix(X)
     assignments = np.asarray(assignments, dtype=float)
     if assignments.shape != (X.shape[0],):
         raise ValueError("one assignment per customer required")
     if X.shape[0] == 0:
         return 0.0
-    logits = model.alpha_values(X) + (assignments - model.pivot) * model.sensitivity(X)
-    q = np.asarray(sigmoid(logits))
+    q = _purchase_prob(model.alpha_values(X), model.sensitivity(X), assignments, model.pivot)
     return float(np.sum(assignments * basket_value * q))

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import AllocationModel, DiscountSet, myopic_assign, sigmoid
+from .model import AllocationModel, DiscountSet, _purchase_prob, myopic_assign
 
 __all__ = [
     "STATIC_FEATURES",
@@ -212,9 +212,8 @@ def simulate_population(
         else:
             raise TypeError(f"unsupported policy {policy!r}")
 
-        logits = model.alpha_values(day_features) \
-            + (offered - model.pivot) * model.sensitivity(day_features)
-        q = np.asarray(sigmoid(logits))
+        q = _purchase_prob(model.alpha_values(day_features), model.sensitivity(day_features),
+                           offered, model.pivot)
         purchases[:, t] = rng.random(n) < q
         coupon_history[:, t] = offered
         features[:, t, :] = day_features

@@ -32,7 +32,6 @@ from .allocator import (
     MyopicPolicy,
     PopulationSpec,
     default_ground_truth,
-    feature_matrix,
     monotonicity_table,
     myopic_assign,
     projected_redemption,
@@ -51,6 +50,7 @@ from .fileio import (
     load_gain_table,
     load_model,
     load_simulation_spec,
+    model_from_dict,
     parse_cycle_text,
     parse_price_list,
     save_dataset,
@@ -231,17 +231,16 @@ def _cmd_tightness(args) -> int:
 def _cmd_allocate(args) -> int:
     model, discounts = load_model(args.model)
     dataset = load_dataset(args.customers)
-    customers = customers_from_dataset(dataset)
+    ids, X = customers_from_dataset(dataset)
     manifest = _manifest(args, [args.model, args.customers])
     start = time.perf_counter()
     config = BudgetConfig(basket_value=args.W, budget=args.budget)
-    lam = tune_lambda(model, customers, config, discounts)
-    X = feature_matrix(customers)
+    lam = tune_lambda(model, X, config, discounts)
     assignments = myopic_assign(model, X, lam, discounts)
     redemption = projected_redemption(model, X, assignments, args.W)
     q = purchase_prob_table(model, X, discounts)
     chosen = np.searchsorted(np.asarray(discounts.values), assignments)
-    chosen_q = q[np.arange(len(customers)), chosen]
+    chosen_q = q[np.arange(len(ids)), chosen]
     revenue = float(np.sum((1.0 - assignments) * args.W * chosen_q))
     manifest["wall_time_s"] = time.perf_counter() - start
 
@@ -251,15 +250,15 @@ def _cmd_allocate(args) -> int:
         csv_path = Path("assignments.csv")
     with csv_path.open("w", newline="") as handle:
         handle.write("customer_id,discount,purchase_prob\n")
-        for record, v, prob in zip(customers, assignments, chosen_q):
-            handle.write(f"{record.customer_id},{repr(float(v))},{repr(float(prob))}\n")
+        for cid, v, prob in zip(ids.tolist(), assignments, chosen_q):
+            handle.write(f"{cid},{repr(float(v))},{repr(float(prob))}\n")
     manifest["outputs"].append(str(csv_path))
 
     payload = {
         "lambda": lam,
         "redemption": redemption,
         "expected_revenue": revenue,
-        "customers": len(customers),
+        "customers": len(ids),
         "assignments_csv": str(csv_path),
     }
     _emit(payload, args.out, manifest)
@@ -288,15 +287,7 @@ def _cmd_simulate(args) -> int:
         discounts=tuple(raw.get("discounts", (0.10, 0.12, 0.15, 0.17, 0.20))),
     )
     if "ground_truth" in raw:
-        truth_raw = raw["ground_truth"]
-        from .allocator import AllocationModel
-
-        truth = AllocationModel(
-            feature_names=spec.feature_names,
-            alpha_weights=np.asarray(truth_raw["alpha_weights"], dtype=float),
-            beta_weights=np.asarray(truth_raw["beta_weights"], dtype=float),
-            pivot=float(truth_raw.get("pivot", 0.15)),
-        )
+        truth = model_from_dict(raw["ground_truth"], spec.feature_names)
     else:
         truth = default_ground_truth(spec.memory)
     policy = _parse_policy(raw.get("policy"), truth)
@@ -314,9 +305,7 @@ def _cmd_simulate(args) -> int:
         "dataset": str(out_path),
         "sidecar": str(sidecar),
     }
-    text = dumps_result(payload)
-    sys.stdout.write(text)
-    print(json.dumps(manifest, sort_keys=True), file=sys.stderr)
+    _emit(payload, None, manifest)
     return 0
 
 

@@ -256,7 +256,8 @@ def cycle_objective(cycle: PriceCycle, table: GainTable) -> float:
 
 def expansion_count(memory: int, previous_index: int, value_index: int) -> int:
     """Number of consecutive offers of a generator value: memory when the price
-    moves up from its predecessor, otherwise one."""
+    moves up from its predecessor, otherwise one.  This is also the step count
+    k(r, p) of offering price p from reference r in the reduced process."""
     return memory if value_index > previous_index else 1
 
 

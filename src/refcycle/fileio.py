@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocator import AllocationModel, CouponDataset, CustomerRecord, DiscountSet
+from .allocator import AllocationModel, CouponDataset, DiscountSet
 from .core import GainTable, GeneratorCycle, PriceCycle, PriceGrid, as_price
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "load_gain_table",
     "save_gain_table",
     "load_model",
+    "model_from_dict",
     "load_simulation_spec",
     "save_model",
     "save_dataset",
@@ -163,15 +164,23 @@ def save_gain_table(table: GainTable, path: str | Path) -> None:
     path.write_text(json.dumps(gain_table_to_dict(table), indent=2) + "\n")
 
 
-def load_model(path: str | Path) -> tuple[AllocationModel, DiscountSet]:
-    payload = _checked(json.loads(Path(path).read_text()), "an allocation model",
-                       **_MODEL_FIELDS)
-    model = AllocationModel(
-        feature_names=tuple(payload["feature_names"]),
+def model_from_dict(
+    payload: dict, feature_names: list[str] | tuple[str, ...]
+) -> AllocationModel:
+    """The model a checked model object gives over ``feature_names``: float
+    weights, and pivot 0.15 when the object has none."""
+    return AllocationModel(
+        feature_names=tuple(feature_names),
         alpha_weights=np.asarray(payload["alpha_weights"], dtype=float),
         beta_weights=np.asarray(payload["beta_weights"], dtype=float),
         pivot=float(payload.get("pivot", 0.15)),
     )
+
+
+def load_model(path: str | Path) -> tuple[AllocationModel, DiscountSet]:
+    payload = _checked(json.loads(Path(path).read_text()), "an allocation model",
+                       **_MODEL_FIELDS)
+    model = model_from_dict(payload, payload["feature_names"])
     discounts = DiscountSet(tuple(payload["discounts"])) if "discounts" in payload else DiscountSet()
     return model, discounts
 
@@ -270,20 +279,16 @@ def load_dataset(path: str | Path) -> CouponDataset:
     )
 
 
-def customers_from_dataset(dataset: CouponDataset) -> list[CustomerRecord]:
-    """One record per customer: latest-day features, full coupon history."""
-    records: dict[int, CustomerRecord] = {}
-    latest_day: dict[int, int] = {}
+def customers_from_dataset(dataset: CouponDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Customer ids, ascending, and each customer's latest-day feature row.
+
+    The allocator reads nothing else: a customer's coupon history is already
+    folded into the reference feature.  Of two rows with the same customer and
+    day, the later one in the panel wins.
+    """
     order = np.lexsort((dataset.days, dataset.customer_ids))
-    for i in order:
-        cid = int(dataset.customer_ids[i])
-        day = int(dataset.days[i])
-        if cid not in records:
-            records[cid] = CustomerRecord(cid, dataset.features[i], [])
-            latest_day[cid] = day
-        record = records[cid]
-        record.history.append((float(dataset.coupons[i]), int(dataset.purchases[i])))
-        if day >= latest_day[cid]:
-            record.features = dataset.features[i]
-            latest_day[cid] = day
-    return [records[cid] for cid in sorted(records)]
+    ids = dataset.customer_ids[order]
+    # lexsort is stable: each id group ends with its latest day's last row in the panel
+    last = np.ones(len(ids), dtype=bool)
+    last[:-1] = ids[1:] != ids[:-1]
+    return ids[last], dataset.features[order[last]]

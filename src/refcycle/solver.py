@@ -21,15 +21,10 @@ from .kernel import Edge, least_tight_cycle, max_ratio_cycle, tight_successors
 
 __all__ = [
     "SolveResult",
-    "transition_steps",
     "generator_objective",
     "solve",
     "bellman_residual",
 ]
-
-def transition_steps(memory: int, reference_index: int, price_index: int) -> int:
-    """Steps k(r, p) consumed by offering price p from reference r."""
-    return expansion_count(memory, reference_index, price_index)
 
 
 def generator_objective(generator: GeneratorCycle, table: GainTable) -> float:
@@ -53,7 +48,7 @@ def _generator_objective_exact(generator: GeneratorCycle, table: GainTable) -> F
     steps = 0
     for t, v in enumerate(values):
         prev = values[(t - 1) % d]
-        k = transition_steps(memory, prev, v)
+        k = expansion_count(memory, prev, v)
         total += Fraction(table.gains[prev][v]) * k
         steps += k
     return total / steps
@@ -89,8 +84,8 @@ def _ratio_edges(table: GainTable) -> list[list[Edge]]:
     n = len(table.grid)
     memory = table.grid.memory
     return [
-        [(p, Fraction(table.gains[r][p]) * transition_steps(memory, r, p),
-          transition_steps(memory, r, p)) for p in range(n)]
+        [(p, Fraction(table.gains[r][p]) * expansion_count(memory, r, p),
+          expansion_count(memory, r, p)) for p in range(n)]
         for r in range(n)
     ]
 
@@ -135,7 +130,7 @@ def bellman_residual(result: SolveResult, table: GainTable) -> float:
     worst = 0.0
     for r in range(n):
         best = max(
-            (table.gains[r][p] - result.opt) * transition_steps(memory, r, p)
+            (table.gains[r][p] - result.opt) * expansion_count(memory, r, p)
             + result.bias[p]
             for p in range(n)
         )

@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GainTable, GeneratorCycle, PriceGrid, expand
+from .core import GainTable, GeneratorCycle, PriceGrid, expand, expansion_count
 from .oracle import StateGraph, optimal_cycles_unique
-from .solver import transition_steps
 
 __all__ = ["TightnessInstance", "build", "verify_uniqueness"]
 
@@ -88,7 +87,7 @@ def build(
         column_gain = {}
         for t, v in enumerate(target.values):
             prev = target.values[(t - 1) % d]
-            k = transition_steps(grid.memory, prev, v)
+            k = expansion_count(grid.memory, prev, v)
             gain = (bias[rank[prev]] - bias[rank[v]]) / k + value
             column_gain[v] = (gain, prev)
         top = max(float(gain) for gain, _ in column_gain.values())

@@ -7,7 +7,6 @@ import pytest
 
 from refcycle.allocator import (
     AllocationModel,
-    CustomerRecord,
     DiscountSet,
     feature_matrix,
     myopic_assign,
@@ -132,19 +131,8 @@ def test_redemption_weakly_decreasing_in_shadow_price(rng):
         assert np.all(np.diff(redemptions) <= 1e-9)
 
 
-def test_feature_matrix_accepts_records_and_arrays():
-    records = [
-        CustomerRecord(1, np.array([1.0, 2.0])),
-        CustomerRecord(2, np.array([3.0, 4.0])),
-    ]
-    stacked = feature_matrix(records)
-    assert stacked.shape == (2, 2)
+def test_feature_matrix_coerces_arrays():
+    stacked = feature_matrix([[1, 2], [3, 4]])
+    assert stacked.dtype == float and stacked.shape == (2, 2)
     assert np.array_equal(stacked, feature_matrix(stacked))
-
-
-def test_record_path_matches_array_path(rng):
-    X, model = random_population(rng, size=6)
-    records = [CustomerRecord(i, X[i]) for i in range(len(X))]
-    assert np.array_equal(
-        myopic_assign(model, records, 1.5), myopic_assign(model, X, 1.5)
-    )
+    assert feature_matrix(np.array([1.0, 2.0])).shape == (1, 2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from refcycle.allocator import (
+    CouponDataset,
     DiscountSet,
     PopulationSpec,
     default_ground_truth,
@@ -116,18 +117,67 @@ def test_dataset_round_trip(tmp_path):
 def test_customers_from_dataset(tmp_path):
     spec = PopulationSpec(size=10, horizon=5, memory=3)
     dataset = simulate_population(spec, default_ground_truth(3), seed=22)
-    records = customers_from_dataset(dataset)
-    assert [r.customer_id for r in records] == list(range(10))
-    for record in records:
-        assert len(record.history) == spec.horizon
+    ids, X = customers_from_dataset(dataset)
+    assert ids.tolist() == list(range(10))
     # features are the latest-day row
-    last_rows = dataset.features.reshape(10, 5, -1)[:, -1, :]
-    for record, row in zip(records, last_rows):
-        assert np.array_equal(record.features, row)
-    # history preserves the coupon sequence in day order
-    coupons = dataset.coupons.reshape(10, 5)
-    for record, row in zip(records, coupons):
-        assert [v for v, _ in record.history] == list(row)
+    assert np.array_equal(X, dataset.features.reshape(10, 5, -1)[:, -1, :])
+
+
+def per_row_latest(dataset: CouponDataset) -> tuple[list[int], np.ndarray]:
+    """Row-by-row reference for ``customers_from_dataset``: walk the rows in
+    (customer, day) order and keep a row whenever its day is at least the
+    customer's latest so far."""
+    features: dict[int, np.ndarray] = {}
+    latest_day: dict[int, int] = {}
+    for i in np.lexsort((dataset.days, dataset.customer_ids)):
+        cid = int(dataset.customer_ids[i])
+        day = int(dataset.days[i])
+        if cid not in features:
+            features[cid] = dataset.features[i]
+            latest_day[cid] = day
+        if day >= latest_day[cid]:
+            features[cid] = dataset.features[i]
+            latest_day[cid] = day
+    ids = sorted(features)
+    return ids, np.vstack([np.asarray(features[cid], dtype=float) for cid in ids])
+
+
+def messy_panel(rng: np.random.Generator) -> CouponDataset:
+    """Customers with different day counts, repeated (customer, day) rows
+    carrying different features, and every row shuffled."""
+    ids, days = [], []
+    for cid in rng.choice(1000, size=int(rng.integers(1, 15)), replace=False):
+        span = rng.choice(np.arange(1, 11), size=int(rng.integers(1, 9)), replace=False)
+        repeats = rng.choice(span, size=int(rng.integers(0, 4)))
+        for day in (*span, *repeats):
+            ids.append(int(cid))
+            days.append(int(day))
+    order = rng.permutation(len(ids))
+    rows = len(ids)
+    return CouponDataset(
+        feature_names=("a", "b", "max_coupon_3d"),
+        reference_feature="max_coupon_3d",
+        discounts=(0.1, 0.2),
+        memory=3,
+        customer_ids=np.asarray(ids)[order],
+        days=np.asarray(days)[order],
+        features=rng.normal(size=(rows, 3)),
+        coupons=rng.choice([0.1, 0.2], size=rows),
+        purchases=rng.integers(0, 2, size=rows),
+    )
+
+
+def test_customers_from_dataset_matches_per_row_walk():
+    repeated = 0
+    for seed in range(60):
+        dataset = messy_panel(np.random.default_rng(seed))
+        pairs = set(zip(dataset.customer_ids.tolist(), dataset.days.tolist()))
+        repeated += len(pairs) < dataset.num_rows
+        ids, X = customers_from_dataset(dataset)
+        expected_ids, expected_X = per_row_latest(dataset)
+        assert ids.tolist() == expected_ids
+        assert np.array_equal(X, expected_X)
+    assert repeated > 10
 
 
 def test_demo_cycle_objective_from_files(tmp_path, demo_table):

@@ -7,16 +7,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from refcycle.core import GainTable, GeneratorCycle, PriceCycle, cycle_objective, expand
+from refcycle.core import (
+    GainTable,
+    GeneratorCycle,
+    PriceCycle,
+    cycle_objective,
+    expand,
+    expansion_count,
+)
 from refcycle.instances import integer_grid, random_monotone_table, random_table
 from refcycle.kernel import least_tight_cycle, max_ratio_cycle, tight_successors
 from refcycle.oracle import StateGraph, exhaustive_generators, max_mean_cycle
-from refcycle.solver import (
-    bellman_residual,
-    generator_objective,
-    solve,
-    transition_steps,
-)
+from refcycle.solver import bellman_residual, generator_objective, solve
 
 
 def two_price_unique_table() -> GainTable:
@@ -35,10 +37,11 @@ def lattice_table(rng, n, memory, denominator=64) -> GainTable:
 
 
 def test_transition_steps():
-    assert transition_steps(3, 0, 2) == 3
-    assert transition_steps(3, 2, 0) == 1
-    assert transition_steps(3, 1, 1) == 1
-    assert transition_steps(1, 0, 2) == 1
+    # k(r, p): memory steps for an increase over the reference, else one
+    assert expansion_count(3, 0, 2) == 3
+    assert expansion_count(3, 2, 0) == 1
+    assert expansion_count(3, 1, 1) == 1
+    assert expansion_count(1, 0, 2) == 1
 
 
 def test_generator_objective_examples(demo_table):

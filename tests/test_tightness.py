@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from refcycle.core import GainTable, GeneratorCycle
+from refcycle.core import GainTable, GeneratorCycle, expansion_count
 from refcycle.instances import integer_grid
 from refcycle.oracle import StateGraph, max_mean_cycle
-from refcycle.solver import solve, transition_steps
+from refcycle.solver import solve
 from refcycle.tightness import TightnessInstance, build, verify_uniqueness
 
 
@@ -128,7 +128,7 @@ def test_optimality_equation_equality_pattern():
             value = float(inst.optimal_value)
             for r in target.values:
                 for p in target.values:
-                    lhs = (inst.table.gains[r][p] - value) * transition_steps(
+                    lhs = (inst.table.gains[r][p] - value) * expansion_count(
                         memory, r, p
                     ) + float(inst.bias_of(p))
                     rhs = float(inst.bias_of(r))
