@@ -14,8 +14,9 @@ import time
 
 import numpy as np
 
+from refcycle.core import exact_objective
 from refcycle.instances import random_monotone_table
-from refcycle.oracle import StateGraph, exact_objective, max_mean_cycle
+from refcycle.oracle import StateGraph, max_mean_cycle
 from refcycle.reduce import reduce_to_l_up_1_down
 from refcycle.solver import bellman_residual, solve
 

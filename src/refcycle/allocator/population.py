@@ -189,6 +189,11 @@ def simulate_population(
     static = _draw_static(rng, n)
     discounts = DiscountSet(spec.discounts)
     values = np.asarray(discounts.values)
+    if isinstance(policy, ConstantPolicy):
+        if policy.value not in discounts.values:
+            raise ValueError("constant policy value must be a feasible discount")
+    elif not isinstance(policy, (UniformPolicy, MyopicPolicy)):
+        raise TypeError(f"unsupported policy {policy!r}")
 
     coupon_history = np.empty((n, horizon))
     features = np.empty((n, horizon, len(spec.feature_names)))
@@ -205,12 +210,8 @@ def simulate_population(
             offered = values[rng.integers(0, len(values), size=n)]
         elif isinstance(policy, MyopicPolicy):
             offered = myopic_assign(policy.model, day_features, policy.shadow_price, discounts)
-        elif isinstance(policy, ConstantPolicy):
-            if policy.value not in discounts.values:
-                raise ValueError("constant policy value must be a feasible discount")
+        else:  # ConstantPolicy, its value checked above
             offered = np.full(n, policy.value)
-        else:
-            raise TypeError(f"unsupported policy {policy!r}")
 
         q = _purchase_prob(model.alpha_values(day_features), model.sensitivity(day_features),
                            offered, model.pivot)

@@ -1,15 +1,18 @@
 """Domain types for price grids, gain tables, and price cycles.
 
 A customer's *reference* at time t is the best (lowest) price they saw in the
-previous ``memory`` periods.  A pricing policy over a finite price set settles
-into a cycle, and the quantity of interest is the long-run average gain
+previous ``memory`` periods; :func:`reference_indices` walks a cycle once and
+returns every position's reference.  A pricing policy over a finite price set
+settles into a cycle, and the quantity of interest is the long-run average gain
 
     (1/c) * sum_t g(reference_at(t), price_t)
 
-over that cycle.  Cycles of a special shape — each price increase held for
-``memory`` consecutive periods, each decrease offered once — are generated by
-a short cycle of distinct prices; those are the "l-up-1-down" cycles handled
-by :func:`expand` and :func:`is_l_up_1_down`.
+over that cycle: :func:`cycle_objective` in floats, :func:`exact_objective` in
+rationals, both from the same walk over the canonical cycle's offers.  Cycles
+of a special shape — each price increase held for ``memory`` consecutive
+periods, each decrease offered once — are generated by a short cycle of
+distinct prices; those are the "l-up-1-down" cycles handled by
+:func:`expand` and :func:`is_l_up_1_down`.
 
 Prices are exact rationals so that cycle canonicalisation and equality are
 exact; gains are plain floats.  Everything here is immutable and pure, so all
@@ -28,9 +31,11 @@ __all__ = [
     "PriceCycle",
     "GeneratorCycle",
     "as_price",
+    "reference_indices",
     "reference_index_at",
     "reference_at",
     "cycle_objective",
+    "exact_objective",
     "expand",
     "is_l_up_1_down",
 ]
@@ -110,9 +115,6 @@ class GainTable:
     @classmethod
     def from_rows(cls, grid: PriceGrid, rows: Sequence[Sequence[float]]) -> "GainTable":
         return cls(grid, tuple(tuple(float(v) for v in row) for row in rows))
-
-    def gain(self, reference_index: int, price_index: int) -> float:
-        return self.gains[reference_index][price_index]
 
     def reference_monotone(self) -> bool:
         """True iff every column is weakly increasing in the reference index.
@@ -219,17 +221,26 @@ class GeneratorCycle:
         return tuple(grid.prices[v] for v in self.values)
 
 
-def reference_index_at(cycle: PriceCycle, grid: PriceGrid, t: int) -> int:
-    """Index of the best price in the memory window preceding position t.
+def reference_indices(cycle: PriceCycle, grid: PriceGrid) -> list[int]:
+    """Index of the best price in the memory window preceding each position.
 
     The window wraps around the cycle; when the cycle is shorter than the
-    memory it covers the whole cycle.
+    memory it covers the whole cycle.  Position t reads the slice
+    ``history[t:t + w]`` of the cycle prefixed by its last w tokens.
     """
+    tokens = cycle.tokens
+    c = len(tokens)
+    window = min(grid.memory, c)
+    history = tokens[c - window:] + tokens
+    return [min(history[t:t + window]) for t in range(c)]
+
+
+def reference_index_at(cycle: PriceCycle, grid: PriceGrid, t: int) -> int:
+    """Index of the best price in the memory window preceding position t."""
     c = len(cycle)
     if not 0 <= t < c:
         raise IndexError(f"position {t} outside cycle of length {c}")
-    window = min(grid.memory, c)
-    return min(cycle.tokens[(t - 1 - j) % c] for j in range(window))
+    return reference_indices(cycle, grid)[t]
 
 
 def reference_at(cycle: PriceCycle, grid: PriceGrid, t: int) -> Fraction:
@@ -238,20 +249,31 @@ def reference_at(cycle: PriceCycle, grid: PriceGrid, t: int) -> Fraction:
     return grid.prices[reference_index_at(cycle, grid, t)]
 
 
+def _offer_gains(cycle: PriceCycle, table: GainTable) -> list[float]:
+    """Gains of the canonical cycle's offers, in order."""
+    cycle.validate_for(table.grid)
+    canon = cycle.canonical()
+    refs = reference_indices(canon, table.grid)
+    return [table.gains[ref][tok] for ref, tok in zip(refs, canon.tokens)]
+
+
 def cycle_objective(cycle: PriceCycle, table: GainTable) -> float:
     """Long-run average gain of a price cycle.
 
     Evaluated on the canonical form, so the result is exactly invariant under
     rotation and under repeating the cycle.
     """
-    cycle.validate_for(table.grid)
-    canon = cycle.canonical()
-    c = len(canon)
+    gains = _offer_gains(cycle, table)
     total = 0.0
-    for t in range(c):
-        ref = reference_index_at(canon, table.grid, t)
-        total += table.gains[ref][canon.tokens[t]]
-    return total / c
+    for gain in gains:
+        total += gain
+    return total / len(gains)
+
+
+def exact_objective(cycle: PriceCycle, table: GainTable) -> Fraction:
+    """Rational-arithmetic version of :func:`cycle_objective`."""
+    gains = _offer_gains(cycle, table)
+    return sum(map(Fraction, gains), Fraction(0)) / len(gains)
 
 
 def expansion_count(memory: int, previous_index: int, value_index: int) -> int:

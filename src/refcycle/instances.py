@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GainTable, PriceCycle, PriceGrid
+from .core import GainTable, PriceGrid
 
 __all__ = [
     "integer_grid",
     "random_monotone_table",
     "random_table",
-    "random_cycle",
     "nonmonotone_demo_grid",
     "nonmonotone_demo_table",
 ]
@@ -42,12 +41,6 @@ def random_table(rng: np.random.Generator, num_prices: int, memory: int,
     draws = rng.uniform(low, high, size=(num_prices, num_prices))
     grid = integer_grid(num_prices, memory)
     return GainTable.from_rows(grid, draws.tolist())
-
-
-def random_cycle(rng: np.random.Generator, num_prices: int, max_length: int) -> PriceCycle:
-    length = int(rng.integers(1, max_length + 1))
-    tokens = tuple(int(t) for t in rng.integers(0, num_prices, size=length))
-    return PriceCycle(tokens)
 
 
 def nonmonotone_demo_grid() -> PriceGrid:

@@ -10,8 +10,8 @@ policies equals the maximum mean cycle of this graph, which
 iteration (:mod:`refcycle.kernel`, unit times); the witness is the least
 optimal cycle of states, the solver's tie-break.  :func:`exhaustive_generators`
 independently enumerates every cycle of distinct prices and scores its
-expansion directly, and :func:`simulate` replays a plan step by step from the
-all-top-price start state.
+expansion with :func:`refcycle.core.exact_objective`, and :func:`simulate`
+replays a plan step by step from the all-top-price start state.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .core import (
     GainTable,
     GeneratorCycle,
     PriceCycle,
+    exact_objective,
     expand,
-    reference_index_at,
 )
 from .kernel import Edge, least_tight_cycle, max_ratio_cycle, tight_successors
 
@@ -40,7 +40,6 @@ __all__ = [
     "max_mean_cycle",
     "optimal_cycles_unique",
     "exhaustive_generators",
-    "exact_objective",
     "simulate",
 ]
 
@@ -183,17 +182,6 @@ def optimal_cycles_unique(graph: StateGraph) -> tuple[Fraction, PriceCycle | Non
 # ---------------------------------------------------------------------------
 # exhaustive generator-cycle search
 # ---------------------------------------------------------------------------
-
-
-def exact_objective(cycle: PriceCycle, table: GainTable) -> Fraction:
-    """Rational-arithmetic version of :func:`refcycle.core.cycle_objective`."""
-    cycle.validate_for(table.grid)
-    canon = cycle.canonical()
-    total = Fraction(0)
-    for t in range(len(canon)):
-        ref = reference_index_at(canon, table.grid, t)
-        total += Fraction(table.gains[ref][canon.tokens[t]])
-    return total / len(canon)
 
 
 def _distinct_cycles(n: int, length: int):

@@ -31,7 +31,7 @@ from .core import (
     PriceGrid,
     cycle_objective,
     is_l_up_1_down,
-    reference_index_at,
+    reference_indices,
 )
 
 __all__ = [
@@ -71,23 +71,18 @@ def low_points(cycle: PriceCycle, grid: PriceGrid) -> set[int]:
     """Positions priced at or below their reference; never empty (the global
     minimum always qualifies)."""
     cycle.validate_for(grid)
-    return {
-        t for t in range(len(cycle))
-        if cycle.tokens[t] <= reference_index_at(cycle, grid, t)
-    }
+    refs = reference_indices(cycle, grid)
+    return {t for t, tok in enumerate(cycle.tokens) if tok <= refs[t]}
 
 
 def reset_points(cycle: PriceCycle, grid: PriceGrid) -> set[int]:
     """Positions whose price equals the minimum of the memory window ending
-    there (the window includes the position itself)."""
+    there (the window includes the position itself, so it is the window
+    preceding the next position)."""
     cycle.validate_for(grid)
+    refs = reference_indices(cycle, grid)
     c = len(cycle)
-    window = min(grid.memory, c)
-    out = set()
-    for t in range(c):
-        if cycle.tokens[t] <= min(cycle.tokens[(t - j) % c] for j in range(window)):
-            out.add(t)
-    return out
+    return {t for t, tok in enumerate(cycle.tokens) if tok <= refs[(t + 1) % c]}
 
 
 def _strided_replacements(gap: list[int], memory: int) -> list[tuple[int, ...]]:

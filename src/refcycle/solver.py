@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GainTable, GeneratorCycle, PriceCycle, expand, expansion_count
+from .core import GainTable, GeneratorCycle, PriceCycle, exact_objective, expand, expansion_count
 from .kernel import Edge, least_tight_cycle, max_ratio_cycle, tight_successors
 
 __all__ = [
@@ -28,30 +28,13 @@ __all__ = [
 
 
 def generator_objective(generator: GeneratorCycle, table: GainTable) -> float:
-    """Per-step average gain of a distinct-price cycle.
+    """Per-step average gain of a distinct-price cycle: the exact mean of its
+    expansion, :func:`refcycle.core.exact_objective`, rounded once to float.
 
-    Equals sum_t g(v[t-1], v[t]) * k_t / sum_t k_t, which matches
-    :func:`refcycle.core.cycle_objective` of the expansion because the
-    reference while offering v[t] is always the previous value.
+    It equals sum_t g(v[t-1], v[t]) * k_t / sum_t k_t, because the reference
+    while offering v[t] is always the previous value.
     """
-    return float(_generator_objective_exact(generator, table))
-
-
-def _generator_objective_exact(generator: GeneratorCycle, table: GainTable) -> Fraction:
-    n = len(table.grid)
-    if any(v >= n for v in generator.values):
-        raise ValueError("generator value out of range for grid")
-    memory = table.grid.memory
-    values = generator.values
-    d = len(values)
-    total = Fraction(0)
-    steps = 0
-    for t, v in enumerate(values):
-        prev = values[(t - 1) % d]
-        k = expansion_count(memory, prev, v)
-        total += Fraction(table.gains[prev][v]) * k
-        steps += k
-    return total / steps
+    return float(exact_objective(expand(generator, table.grid), table))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Cycle rewriting: low points, reset points, gap candidates, the full pipeline."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from refcycle.core import GainTable, GeneratorCycle, PriceCycle, cycle_objective, expand, is_l_up_1_down
 from refcycle.instances import integer_grid, random_monotone_table
@@ -30,6 +32,21 @@ def random_monotone_and_cycle(rng, max_len=12):
     length = int(rng.integers(1, max_len + 1))
     cycle = PriceCycle(tuple(int(x) for x in rng.integers(0, n, size=length)))
     return table, cycle
+
+
+@st.composite
+def grid_and_cycle(draw):
+    """Cycles both shorter and longer than the memory."""
+    grid = integer_grid(draw(st.integers(1, 5)), draw(st.integers(1, 6)))
+    length = draw(st.integers(1, 12))
+    tokens = tuple(draw(st.integers(0, len(grid) - 1)) for _ in range(length))
+    return grid, PriceCycle(tokens)
+
+
+def naive_window_min(tokens, memory, t, offsets):
+    """Literal window formula: min over positions t - j for j in ``offsets``."""
+    c = len(tokens)
+    return min(tokens[(t - j) % c] for j in offsets)
 
 
 def parses_into_blocks(cycle: PriceCycle, memory: int) -> bool:
@@ -85,6 +102,28 @@ def test_reset_points_of_expansion():
     cycle = expand(GeneratorCycle((0, 1)), grid)
     assert cycle.tokens == (0, 1, 1, 1)
     assert reset_points(cycle, grid) == {0, 3}
+
+
+@given(grid_and_cycle())
+def test_low_points_match_naive_window(case):
+    grid, cycle = case
+    tokens = cycle.tokens
+    expected = {
+        t for t in range(len(tokens))
+        if tokens[t] <= naive_window_min(tokens, grid.memory, t, range(1, grid.memory + 1))
+    }
+    assert low_points(cycle, grid) == expected
+
+
+@given(grid_and_cycle())
+def test_reset_points_match_naive_window(case):
+    grid, cycle = case
+    tokens = cycle.tokens
+    expected = {
+        t for t in range(len(tokens))
+        if tokens[t] <= naive_window_min(tokens, grid.memory, t, range(grid.memory))
+    }
+    assert reset_points(cycle, grid) == expected
 
 
 # --- gap candidates ---------------------------------------------------------------

@@ -12,6 +12,7 @@ from refcycle.core import (
     GeneratorCycle,
     PriceCycle,
     cycle_objective,
+    exact_objective,
     expand,
     expansion_count,
 )
@@ -64,6 +65,15 @@ def test_generator_objective_matches_expansion(rng):
         direct = generator_objective(gen, table)
         expanded = cycle_objective(expand(gen, table.grid), table)
         assert direct == pytest.approx(expanded, abs=1e-12)
+        # ratio formula: offering v[t] from reference v[t-1] for k_t steps
+        steps = [
+            (values[t - 1], v, expansion_count(memory, values[t - 1], v))
+            for t, v in enumerate(values)
+        ]
+        ratio = (sum(Fraction(table.gains[prev][v]) * k for prev, v, k in steps)
+                 / sum(k for _, _, k in steps))
+        assert exact_objective(expand(gen, table.grid), table) == ratio
+        assert direct == float(ratio)
 
 
 # --- exact max-ratio kernel ----------------------------------------------------
