@@ -460,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ReductionViolationError, InfeasibleBudgetError, EmptyCellError) as exc:
         print(f"refcycle: assumption violated: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, NodeBudgetError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, NodeBudgetError, OSError, MemoryError, json.JSONDecodeError) as exc:
         print(f"refcycle: error: {exc}", file=sys.stderr)
         return 2
 

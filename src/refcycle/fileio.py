@@ -52,15 +52,23 @@ def format_price(price: Fraction) -> str:
     return f"{price.numerator}/{price.denominator}"
 
 
-def parse_price_list(text: str) -> list[Fraction]:
+def _price_tokens(text: str) -> list[str]:
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise ValueError("empty price list")
-    return [as_price(token) for token in tokens]
+    return tokens
+
+
+def parse_price_list(text: str) -> list[Fraction]:
+    return [as_price(token) for token in _price_tokens(text)]
 
 
 def parse_cycle_text(text: str, grid: PriceGrid) -> PriceCycle:
-    return PriceCycle.from_prices(grid, parse_price_list(text))
+    """Each distinct token text is parsed, then looked up in the grid, once."""
+    tokens = _price_tokens(text)
+    prices = {token: as_price(token) for token in dict.fromkeys(tokens)}
+    index = {token: grid.index_of(price) for token, price in prices.items()}
+    return PriceCycle(tuple(index[token] for token in tokens))
 
 
 def format_cycle(cycle: PriceCycle | GeneratorCycle, grid: PriceGrid) -> str:

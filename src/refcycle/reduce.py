@@ -1,7 +1,7 @@
 """Constructive rewriting of any price cycle into an l-up-1-down cycle.
 
 For reference-monotone gain tables, any cycle can be rewritten without
-lowering its long-run average gain.  The pipeline works in two phases:
+lowering its long-run average gain.  The rewriting works in two phases:
 
 1. :func:`normalize_runs` — between consecutive *low points* (positions
    priced at or below their reference), each stretch is replaced by one of a
@@ -14,11 +14,15 @@ lowering its long-run average gain.  The pipeline works in two phases:
    price, the cycle splits there into two shorter cycles, the better of which
    is kept.
 
-Each candidate is scored by the actual full-cycle objective, so every step of
-the returned trace is a checked certificate: the objective never decreases
-(beyond float noise) and the final cycle parses as a distinct-price
-expansion.  On tables that are not reference-monotone a step with no
-non-decreasing choice raises :class:`ReductionViolationError`.
+Candidates are scored by the actual full-cycle objective
+(:func:`~refcycle.core.cycle_objective`), and each cycle is scored once: its
+objective is carried through both phases.  A step's two objectives are
+therefore the float objectives of its ``before`` and ``after`` cycles (a
+constant collapse records the diagonal gain g(t, t)), and every step is a
+checked certificate: the objective never decreases (beyond float noise) and
+the final cycle parses as a distinct-price expansion.  On tables that are not
+reference-monotone a step with no non-decreasing choice raises
+:class:`ReductionViolationError`.
 """
 
 from __future__ import annotations
@@ -85,91 +89,74 @@ def reset_points(cycle: PriceCycle, grid: PriceGrid) -> set[int]:
     return {t for t, tok in enumerate(cycle.tokens) if tok <= refs[(t + 1) % c]}
 
 
-def _strided_replacements(gap: list[int], memory: int) -> list[tuple[int, ...]]:
-    """The ``memory`` candidate substrings for a long stretch: take every
-    ``memory``-th price starting at offset j and hold each for ``memory``
-    periods."""
-    out = []
-    for j in range(memory):
-        replacement: list[int] = []
-        for m in range(j, len(gap), memory):
-            replacement.extend([gap[m]] * memory)
-        out.append(tuple(replacement))
-    return out
+def _strided_replacements(gap: tuple[int, ...], memory: int) -> list[tuple[int, ...]]:
+    """The distinct candidate substrings for a long stretch, by offset: for
+    each offset j < ``memory``, take every ``memory``-th price from j and hold
+    each for ``memory`` periods."""
+    return list(dict.fromkeys(
+        tuple(tok for tok in gap[j::memory] for _ in range(memory)) for j in range(memory)
+    ))
 
 
-def _assemble(anchors: list[int], gaps: list[list[int]]) -> PriceCycle:
-    tokens: list[int] = []
-    for anchor, gap in zip(anchors, gaps):
-        tokens.append(anchor)
-        tokens.extend(gap)
-    return PriceCycle(tuple(tokens))
+def _assemble(anchors: list[int], gaps: list[tuple[int, ...]]) -> PriceCycle:
+    return PriceCycle(tuple(tok for anchor, gap in zip(anchors, gaps) for tok in (anchor, *gap)))
 
 
-def _normalize_runs_steps(
-    cycle: PriceCycle, table: GainTable
-) -> tuple[PriceCycle, list[ReductionStep]]:
-    grid = table.grid
-    work = cycle.canonical()
-    lows = sorted(low_points(work, grid))
-    assert lows, "every cycle has a low point"
-    c = len(work)
+def _check_kept(kind: str, before: float, after: float) -> None:
+    """The non-decrease rule: a ``kind`` rewrite may lower the objective by
+    float noise only."""
+    if after < before - 1e-12 * (1.0 + abs(before)):
+        raise ReductionViolationError(
+            "neither subcycle preserves the objective" if kind == "reset-split"
+            else "no candidate preserves the objective; the gain table is not reference-monotone"
+        )
+
+
+def _record(steps: list[ReductionStep], kind: str, before: PriceCycle, before_obj: float,
+            after: PriceCycle, after_obj: float) -> tuple[PriceCycle, float]:
+    """Check one rewrite, append it to ``steps`` and return its result with the
+    result's objective."""
+    _check_kept(kind, before_obj, after_obj)
+    steps.append(ReductionStep(kind, before, after, before_obj, after_obj))
+    return after, after_obj
+
+
+def _normalize(
+    work: PriceCycle, objective: float, table: GainTable, steps: list[ReductionStep]
+) -> tuple[PriceCycle, float]:
+    """Normalize the canonical cycle ``work`` of objective ``objective``,
+    recording each rewrite; returns the canonical result and its objective."""
+    memory = table.grid.memory
+    # a canonical cycle starts at its minimum price, which is always a low point
+    lows = sorted(low_points(work, table.grid))
     anchors = [work.tokens[a] for a in lows]
-    gaps: list[list[int]] = []
-    for idx, a in enumerate(lows):
-        nxt = lows[(idx + 1) % len(lows)]
-        span = (nxt - a - 1) % c
-        gaps.append([work.tokens[(a + 1 + m) % c] for m in range(span)])
-
-    steps: list[ReductionStep] = []
-    current = _assemble(anchors, gaps)
-    current_obj = cycle_objective(current, table)
+    gaps = [work.tokens[a + 1:b] for a, b in zip(lows, lows[1:] + [len(work)])]
     for i, gap in enumerate(gaps):
         if not gap:
             continue
-        if len(gap) < grid.memory:
-            candidates: list[tuple[str, tuple[int, ...]]] = [("gap", ())]
-            candidates += [("constant", (tok,)) for tok in sorted(set(gap))]
+        if len(gap) < memory:
+            candidates = [("gap-rewrite", ())]
+            candidates += [("constant-collapse", (tok,)) for tok in sorted(set(gap))]
         else:
-            candidates = [("gap", repl) for repl in _strided_replacements(gap, grid.memory)]
-
-        best_obj = None
+            candidates = [("gap-rewrite", repl) for repl in _strided_replacements(gap, memory)]
         best = None
-        for kind, payload in candidates:
-            if kind == "constant":
-                obj = table.gains[payload[0]][payload[0]]
+        for kind, repl in candidates:
+            if kind == "constant-collapse":
+                obj = table.gains[repl[0]][repl[0]]
+            elif repl == gap:
+                obj = objective
             else:
-                trial_gaps = gaps[:i] + [list(payload)] + gaps[i + 1:]
-                obj = cycle_objective(_assemble(anchors, trial_gaps), table)
-            if best_obj is None or obj > best_obj:
-                best_obj = obj
-                best = (kind, payload)
-        assert best is not None and best_obj is not None
-        tolerance = 1e-12 * (1.0 + abs(current_obj))
-        if best_obj < current_obj - tolerance:
-            raise ReductionViolationError(
-                "no candidate preserves the objective; "
-                "the gain table is not reference-monotone"
-            )
-        kind, payload = best
-        if kind == "constant":
-            after = PriceCycle((payload[0],))
-            steps.append(ReductionStep(
-                "constant-collapse", current.canonical(), after,
-                current_obj, best_obj,
-            ))
-            return after, steps
-        if list(payload) == gap:
-            continue
-        gaps[i] = list(payload)
-        after = _assemble(anchors, gaps)
-        steps.append(ReductionStep(
-            "gap-rewrite", current.canonical(), after.canonical(),
-            current_obj, best_obj,
-        ))
-        current = after
-        current_obj = best_obj
-    return current, steps
+                obj = cycle_objective(_assemble(anchors, gaps[:i] + [repl] + gaps[i + 1:]), table)
+            if best is None or obj > best[0]:
+                best = (obj, kind, repl)
+        obj, kind, repl = best
+        if kind == "constant-collapse":
+            return _record(steps, kind, work, objective, PriceCycle(repl), obj)
+        if repl != gap:
+            gaps[i] = repl
+            work, objective = _record(steps, kind, work, objective,
+                                      _assemble(anchors, gaps).canonical(), obj)
+    return work, objective
 
 
 def normalize_runs(cycle: PriceCycle, table: GainTable) -> PriceCycle:
@@ -178,8 +165,27 @@ def normalize_runs(cycle: PriceCycle, table: GainTable) -> PriceCycle:
     predecessor.  Output objective is at least the input objective; the result
     is returned in canonical form (a constant cycle when a diagonal gain
     dominates)."""
-    final, _ = _normalize_runs_steps(cycle, table)
-    return final.canonical()
+    start = cycle.canonical()
+    final, _ = _normalize(start, cycle_objective(start, table), table, [])
+    return final
+
+
+def _split(
+    cycle: PriceCycle, table: GainTable, i: int, j: int
+) -> tuple[PriceCycle, PriceCycle, PriceCycle, float]:
+    """The subcycles ending at positions i and j, then the better of the two
+    (higher objective, then shorter, then smaller canonical form) and its
+    objective."""
+    c = len(cycle)
+    span = (j - i) % c
+    doubled = cycle.tokens * 2
+    first = PriceCycle(doubled[i + 1:i + 1 + span])
+    second = PriceCycle(doubled[j + 1:j + 1 + c - span])
+    better, objective = min(
+        ((piece, cycle_objective(piece, table)) for piece in (first, second)),
+        key=lambda item: (-item[1], len(item[0]), item[0].canonical().tokens),
+    )
+    return first, second, better, objective
 
 
 def split_at_resets(
@@ -202,18 +208,8 @@ def split_at_resets(
     resets = reset_points(cycle, table.grid)
     if i not in resets or j not in resets:
         raise ValueError("positions are not both reset points")
-
-    span = (j - i) % c
-    first = PriceCycle(tuple(cycle.tokens[(i + 1 + m) % c] for m in range(span)))
-    second = PriceCycle(tuple(cycle.tokens[(j + 1 + m) % c] for m in range(c - span)))
-    original = cycle_objective(cycle, table)
-    scored = sorted(
-        ((piece, cycle_objective(piece, table)) for piece in (first, second)),
-        key=lambda item: (-item[1], len(item[0]), item[0].canonical().tokens),
-    )
-    better, best_obj = scored[0]
-    if best_obj < original - 1e-12 * (1.0 + abs(original)):
-        raise ReductionViolationError("neither subcycle preserves the objective")
+    first, second, better, objective = _split(cycle, table, i, j)
+    _check_kept("reset-split", cycle_objective(cycle, table), objective)
     return first, second, better
 
 
@@ -223,15 +219,10 @@ def _duplicate_reset_pair(cycle: PriceCycle, grid: PriceGrid) -> tuple[int, int]
     by_price: dict[int, list[int]] = {}
     for t in sorted(reset_points(cycle, grid)):
         by_price.setdefault(cycle.tokens[t], []).append(t)
-    best: tuple[int, tuple[int, int]] | None = None
-    for positions in by_price.values():
-        for a_idx, i in enumerate(positions):
-            for j in positions[a_idx + 1:]:
-                span = (j - i) % c
-                longer = max(span, c - span)
-                if best is None or (longer, (i, j)) < best:
-                    best = (longer, (i, j))
-    return best[1] if best is not None else None
+    pairs = [(max((j - i) % c, (i - j) % c), (i, j))
+             for positions in by_price.values()
+             for a, i in enumerate(positions) for j in positions[a + 1:]]
+    return min(pairs)[1] if pairs else None
 
 
 def reduce_to_l_up_1_down(
@@ -240,27 +231,15 @@ def reduce_to_l_up_1_down(
     """Full pipeline: run normalization, then split at duplicate-price reset
     points until none remain.  The final cycle is l-up-1-down, its objective
     is at least the input's, and every intermediate inequality is recorded in
-    the trace.  Splitting strictly shortens the cycle, so the number of
-    splits is bounded by the input length."""
-    cycle.validate_for(table.grid)
+    the trace.  Each split strictly shortens the cycle, so the loop ends."""
     grid = table.grid
-    current, steps = _normalize_runs_steps(cycle.canonical(), table)
-    current = current.canonical()
-    for _ in range(len(cycle.tokens) + 1):
-        pair = _duplicate_reset_pair(current, grid)
-        if pair is None:
-            break
-        before_obj = cycle_objective(current, table)
-        _, _, better = split_at_resets(current, table, *pair)
-        after = better.canonical()
-        steps.append(ReductionStep(
-            "reset-split", current, after,
-            before_obj, cycle_objective(after, table),
-        ))
-        current = after
-    ok, _ = is_l_up_1_down(current, grid)
-    if not ok:
-        raise ReductionViolationError(
-            "reduction terminated on a cycle that is not l-up-1-down"
-        )
+    start = cycle.canonical()
+    steps: list[ReductionStep] = []
+    current, objective = _normalize(start, cycle_objective(start, table), table, steps)
+    while (pair := _duplicate_reset_pair(current, grid)) is not None:
+        _, _, better, better_obj = _split(current, table, *pair)
+        current, objective = _record(steps, "reset-split", current, objective,
+                                     better.canonical(), better_obj)
+    if not is_l_up_1_down(current, grid)[0]:
+        raise ReductionViolationError("reduction terminated on a cycle that is not l-up-1-down")
     return current, ReductionTrace(tuple(steps))

@@ -283,6 +283,16 @@ def test_malformed_spec_exit_code(capsys, tmp_path, name):
     assert name == "valid" or "error" in err
 
 
+def test_oversized_population_is_a_validation_error(capsys, tmp_path):
+    # 2**56 customers need 2**59 bytes per int64 column, more than any address
+    # space holds, so the allocation fails at once without touching memory
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"population": 2**56, "horizon": 30}))
+    code, _, err = run(capsys, "simulate", "--spec", path, "--out", tmp_path / "panel.csv")
+    assert code == 2
+    assert "refcycle: error:" in err
+
+
 JSON_SCALARS = (st.none() | st.booleans() | st.integers(0, 5)
                 | st.floats(-5, 5, allow_nan=False) | st.text(max_size=3))
 JSON_VALUES = st.recursive(

@@ -50,6 +50,18 @@ def test_cycle_text_round_trip(demo_table):
     assert format_cycle(cycle, grid) == "4 1 4 2 4 3"
 
 
+def test_parse_cycle_text_repeated_tokens_and_first_error(demo_table):
+    grid = demo_table.grid
+    assert parse_cycle_text("2, 2.0 4/2 1 2", grid).tokens == (1, 1, 1, 0, 1)
+    # a token that is not a price is reported before any price missing from the grid
+    with pytest.raises(ValueError, match="abc"):
+        parse_cycle_text("1 9 abc 8", grid)
+    with pytest.raises(ValueError, match=r"Fraction\(9, 1\)"):
+        parse_cycle_text("1 9 2 8 9", grid)
+    with pytest.raises(ValueError, match="empty price list"):
+        parse_cycle_text(" , ", grid)
+
+
 def test_gain_table_json_round_trip(tmp_path, demo_table):
     path = tmp_path / "table.json"
     save_gain_table(demo_table, path)

@@ -1,5 +1,6 @@
 """Cycle rewriting: low points, reset points, gap candidates, the full pipeline."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -294,3 +295,37 @@ def test_pipeline_trace_kinds_are_known(rng):
         table, cycle = random_monotone_and_cycle(rng)
         _, trace = reduce_to_l_up_1_down(cycle, table)
         assert {step.kind for step in trace.steps} <= known
+
+
+def test_trace_objectives_are_those_of_the_recorded_cycles(rng):
+    """Each step carries the float objectives of its own two cycles, bit for
+    bit, and the steps chain in canonical tokens from the canonical input to the
+    returned cycle.  A constant collapse records the diagonal gain g(t, t),
+    which equals the one-token cycle's objective up to the sign of a zero."""
+    kinds = set()
+    for case in range(96):
+        n = int(rng.integers(2, 6))
+        memory = int(rng.integers(1, 5))
+        if case % 2:  # tie-heavy: a few integer levels, columns sorted
+            levels = np.sort(rng.integers(0, 4, (n, n)), axis=0)
+            table = GainTable.from_rows(integer_grid(n, memory), levels.tolist())
+        else:
+            table = random_monotone_table(rng, n, memory)
+        length = int(rng.integers(40, 121)) if case % 4 >= 2 else int(rng.integers(1, 13))
+        cycle = PriceCycle(tuple(int(x) for x in rng.integers(0, n, size=length)))
+        final, trace = reduce_to_l_up_1_down(cycle, table)
+        current = cycle.canonical()
+        for step in trace.steps:
+            assert step.before.tokens == current.tokens
+            assert step.after.tokens == step.after.canonical().tokens
+            assert step.objective_before.hex() == cycle_objective(step.before, table).hex()
+            if step.kind == "constant-collapse":
+                (t,) = step.after.tokens
+                assert step.objective_after.hex() == table.gains[t][t].hex()
+                assert step.objective_after == cycle_objective(step.after, table)
+            else:
+                assert step.objective_after.hex() == cycle_objective(step.after, table).hex()
+            current = step.after
+            kinds.add(step.kind)
+        assert final.tokens == current.tokens
+    assert kinds == {"gap-rewrite", "constant-collapse", "reset-split"}
