@@ -8,8 +8,9 @@ exceeded.
 
 The table of purchase probabilities q(x, v) is computed once per call and
 every probe is answered from it; each probe's redemption is bit-identical to
-``projected_redemption`` of the ``myopic_assign`` choice, and the returned
-shadow price is certified with those two public functions.
+``projected_redemption`` of the ``myopic_assign`` choice.  The returned
+shadow price's choice, read off the same table, is certified with
+``projected_redemption``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .model import (
     DiscountSet,
     _best_discount,
     feature_matrix,
-    myopic_assign,
+    myopic_assign,  # noqa: F401 -- perfbench/tracing.py wraps this name here
     projected_redemption,
     purchase_prob_table,
 )
@@ -75,10 +76,25 @@ def tune_lambda(
     The purchase-probability table is built once per call, and every probe
     is scored from it with the arithmetic of :func:`myopic_assign` and
     :func:`projected_redemption`, so each probe's redemption equals theirs
-    exactly.  The returned shadow price is certified once with those two
-    functions; a result that fails that check raises
-    :class:`InfeasibleBudgetError` instead of being returned.
+    exactly.  The returned shadow price is certified once: the choice it
+    makes is scored with :func:`projected_redemption`, and a result that
+    fails that check raises :class:`InfeasibleBudgetError` instead of being
+    returned.
     """
+    return _tuned_choice(model, X, config, discounts)[0]
+
+
+def _tuned_choice(
+    model: AllocationModel,
+    X: np.ndarray,
+    config: BudgetConfig,
+    discounts: DiscountSet | None = None,
+) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """:func:`tune_lambda` with the choice it certified: the shadow price,
+    each customer's discount, the purchase probability at that discount, and
+    the projected redemption.  The discounts equal ``myopic_assign`` at the
+    shadow price, and the probabilities the entries of ``purchase_prob_table``
+    at them, bit for bit: they come from the same table."""
     discounts = discounts or DiscountSet()
     X = feature_matrix(X)
     negative = float(np.mean(model.sensitivity(X) < 0)) if X.shape[0] else 0.0
@@ -88,26 +104,24 @@ def tune_lambda(
             "redemption may not be monotone in the shadow price",
             100.0 * negative,
         )
-    lam = _bisect(model, X, config, discounts)
-    spent = projected_redemption(
-        model, X, myopic_assign(model, X, lam, discounts), config.basket_value
-    )
+    q = purchase_prob_table(model, X, discounts)
+    v = np.asarray(discounts.values)
+    lam = _bisect(q, v, config)
+    chosen = _best_discount(q, v, lam)
+    chosen_q = q[np.arange(q.shape[0]), chosen]
+    assignments = v[chosen]
+    spent = projected_redemption(model, X, assignments, config.basket_value)
     if not spent <= config.budget:
         raise InfeasibleBudgetError(
             f"redemption {spent:.6g} at the returned shadow price {lam} "
             f"does not meet budget {config.budget:.6g}"
         )
-    return lam
+    return lam, assignments, chosen_q, spent
 
 
-def _bisect(
-    model: AllocationModel, X: np.ndarray, config: BudgetConfig, discounts: DiscountSet
-) -> float:
-    """The bisection of :func:`tune_lambda`, every probe scored off one table
-    of q(x, v).  The table dies with this call, before the certifying pass
-    builds its own, so the two never coexist."""
-    q = purchase_prob_table(model, X, discounts)
-    v = np.asarray(discounts.values)
+def _bisect(q: np.ndarray, v: np.ndarray, config: BudgetConfig) -> float:
+    """The bisection of :func:`tune_lambda`, every probe scored off the table
+    q of q(x, v) over the discounts v."""
 
     def redemption(lam: float) -> float:
         return _probe(q, v, lam, config.basket_value)

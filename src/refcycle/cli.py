@@ -33,11 +33,15 @@ from .allocator import (
     PopulationSpec,
     default_ground_truth,
     monotonicity_table,
+    reference_correlations,
+    simulate_population,
+)
+from .allocator.budget import _tuned_choice
+# perfbench/tracing.py wraps these names in this module
+from .allocator import (  # noqa: F401
     myopic_assign,
     projected_redemption,
     purchase_prob_table,
-    reference_correlations,
-    simulate_population,
     tune_lambda,
 )
 from .core import GeneratorCycle, PriceCycle, PriceGrid, cycle_objective, expand, is_l_up_1_down
@@ -54,6 +58,7 @@ from .fileio import (
     parse_cycle_text,
     parse_price_list,
     save_dataset,
+    write_csv_rows,
 )
 from .instances import integer_grid, nonmonotone_demo_table, random_monotone_table
 from .oracle import NodeBudgetError, StateGraph, max_mean_cycle, optimal_cycles_unique, simulate
@@ -235,12 +240,7 @@ def _cmd_allocate(args) -> int:
     manifest = _manifest(args, [args.model, args.customers])
     start = time.perf_counter()
     config = BudgetConfig(basket_value=args.W, budget=args.budget)
-    lam = tune_lambda(model, X, config, discounts)
-    assignments = myopic_assign(model, X, lam, discounts)
-    redemption = projected_redemption(model, X, assignments, args.W)
-    q = purchase_prob_table(model, X, discounts)
-    chosen = np.searchsorted(np.asarray(discounts.values), assignments)
-    chosen_q = q[np.arange(len(ids)), chosen]
+    lam, assignments, chosen_q, redemption = _tuned_choice(model, X, config, discounts)
     revenue = float(np.sum((1.0 - assignments) * args.W * chosen_q))
     manifest["wall_time_s"] = time.perf_counter() - start
 
@@ -250,8 +250,7 @@ def _cmd_allocate(args) -> int:
         csv_path = Path("assignments.csv")
     with csv_path.open("w", newline="") as handle:
         handle.write("customer_id,discount,purchase_prob\n")
-        for cid, v, prob in zip(ids.tolist(), assignments, chosen_q):
-            handle.write(f"{cid},{repr(float(v))},{repr(float(prob))}\n")
+        write_csv_rows(handle, [(ids, str), (assignments, float), (chosen_q, float)], "\n")
     manifest["outputs"].append(str(csv_path))
 
     payload = {

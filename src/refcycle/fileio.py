@@ -5,6 +5,11 @@ Gain tables travel as JSON objects ``{"prices": [...], "memory": m,
 row of prices (memory supplied out of band).  Cycles are whitespace-separated
 price values.  Datasets are CSV panels with a JSON sidecar naming the
 reference feature column and the discount set.
+
+The panel dialect: comma-separated, ``\r\n`` line ends, no quoting in the
+rows (the header is quoted as ``csv.writer`` quotes it), integers as
+``str``, floats as their shortest ``repr``.  On reading, blank lines are
+skipped and every other row must have the header's width.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +42,7 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "customers_from_dataset",
+    "write_csv_rows",
 ]
 
 
@@ -220,22 +227,38 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
+# rows per written block: enough to amortize the per-block work, few enough
+# that a block's cell strings stay small next to the panel's arrays
+_BLOCK_ROWS = 4096
+
+
+def write_csv_rows(handle, columns, newline: str) -> None:
+    """Write the rows of ``columns``, pairs of a 1-D array and a type
+    ``kind`` (``int``, ``float`` or ``str``), as CSV lines ended by ``newline``.
+
+    The cell of an element ``x`` is ``str(kind(x))``, the text ``csv.writer``
+    gives that value; a number needs no quoting.  Rows go out a block at a
+    time, so the cell strings of the whole file never exist at once.
+    """
+    rows = len(columns[0][0])
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        cells = [map(str, map(kind, column[block].tolist())) for column, kind in columns]
+        handle.write(newline.join(map(",".join, zip(*cells))) + newline)
+
+
 def save_dataset(dataset: CouponDataset, path: str | Path) -> Path:
     """Write the CSV panel plus its JSON sidecar; returns the sidecar path."""
     path = Path(path)
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["customer_id", "day", *dataset.feature_names, "coupon_value", "purchased"]
-        )
-        for i in range(dataset.num_rows):
-            writer.writerow([
-                int(dataset.customer_ids[i]),
-                int(dataset.days[i]),
-                *[repr(float(x)) for x in dataset.features[i]],
-                repr(float(dataset.coupons[i])),
-                int(dataset.purchases[i]),
-            ])
+        csv.writer(handle).writerow(_dataset_header(dataset.feature_names))
+        write_csv_rows(handle, [
+            (dataset.customer_ids, int),
+            (dataset.days, int),
+            *((column, float) for column in dataset.features.T),
+            (dataset.coupons, float),
+            (dataset.purchases, int),
+        ], "\r\n")
     sidecar = _sidecar_path(path)
     sidecar.write_text(json.dumps({
         "feature_columns": list(dataset.feature_names),
@@ -248,17 +271,75 @@ def save_dataset(dataset: CouponDataset, path: str | Path) -> Path:
 
 def load_dataset(path: str | Path) -> CouponDataset:
     """Read a panel and its sidecar.  A malformed file raises ``ValueError``,
-    a sidecar without a field ``KeyError``; both exit 2 from the CLI."""
+    a sidecar without a field ``KeyError``; both exit 2 from the CLI.
+
+    The rows are parsed by one ``np.loadtxt`` pass where numpy reads the file
+    as the row loop :func:`_read_panel_rows` would, else by that loop, which
+    then also gives every error."""
     path = Path(path)
     meta = _checked(json.loads(_sidecar_path(path).read_text()), "a dataset sidecar",
                     feature_columns=_is_string_list, reference_feature=lambda v: isinstance(v, str),
                     discounts=_is_number_list, memory=_is_integer)
     feature_names = tuple(meta["feature_columns"])
+    with path.open(newline="") as handle:
+        columns = _loadtxt_columns(handle, feature_names)
+    if columns is None:
+        columns = _read_panel_rows(path, feature_names)
+    ids, days, features, coupons, purchases = columns
+    return CouponDataset(
+        feature_names=feature_names,
+        reference_feature=meta["reference_feature"],
+        discounts=tuple(float(v) for v in meta["discounts"]),
+        memory=int(meta["memory"]),
+        customer_ids=ids,
+        days=days,
+        features=features,
+        coupons=coupons,
+        purchases=purchases,
+    )
+
+
+def _dataset_header(feature_names) -> list[str]:
+    return ["customer_id", "day", *feature_names, "coupon_value", "purchased"]
+
+
+def _loadtxt_columns(handle, feature_names: tuple[str, ...]) -> tuple[np.ndarray, ...] | None:
+    """The panel's columns parsed by ``np.loadtxt`` after the header, or
+    ``None`` where numpy's reading could differ from ``int`` and ``float``.
+
+    Integer columns are parsed as int64, so ``1.0`` or an id of 2**63 is
+    refused, not rounded; ``comments=None``, so a ``#`` row is refused, not
+    skipped.  A warning (a panel with no rows) refuses too.  numpy strips
+    the separators U+001C..U+001F around a number as whitespace, which
+    ``int`` and ``float`` reject, so a file holding one is left to the loop.
+    """
+    while chunk := handle.read(1 << 20):
+        if any(sep in chunk for sep in "\x1c\x1d\x1e\x1f"):
+            return None
+    handle.seek(0)
+    if next(csv.reader(handle), None) != _dataset_header(feature_names):
+        return None
+    row = np.dtype([("id", np.int64), ("day", np.int64),
+                    ("features", np.float64, (len(feature_names),)),
+                    ("coupon", np.float64), ("purchased", np.int64)])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(handle, delimiter=",", comments=None, dtype=row, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    return tuple(np.ascontiguousarray(rows[name]) for name in row.names)
+
+
+def _read_panel_rows(path: Path, feature_names: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+    """The row-by-row reader behind :func:`load_dataset`: blank rows are
+    skipped, any other row must have the header's width and parse with
+    ``int`` and ``float``, or ``ValueError`` names it."""
     ids, days, coupons, purchases = [], [], [], []
     features = []
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
-        expected = ["customer_id", "day", *feature_names, "coupon_value", "purchased"]
+        expected = _dataset_header(feature_names)
         header = next(reader, None)
         if header != expected:
             raise ValueError(f"unexpected dataset header {header!r}")
@@ -274,17 +355,8 @@ def load_dataset(path: str | Path) -> CouponDataset:
             features.append([float(cell) for cell in row[2:-2]])
             coupons.append(float(row[-2]))
             purchases.append(int(row[-1]))
-    return CouponDataset(
-        feature_names=feature_names,
-        reference_feature=meta["reference_feature"],
-        discounts=tuple(float(v) for v in meta["discounts"]),
-        memory=int(meta["memory"]),
-        customer_ids=np.asarray(ids),
-        days=np.asarray(days),
-        features=np.asarray(features, dtype=float),
-        coupons=np.asarray(coupons, dtype=float),
-        purchases=np.asarray(purchases, dtype=int),
-    )
+    return (np.asarray(ids), np.asarray(days), np.asarray(features, dtype=float),
+            np.asarray(coupons, dtype=float), np.asarray(purchases, dtype=int))
 
 
 def customers_from_dataset(dataset: CouponDataset) -> tuple[np.ndarray, np.ndarray]:

@@ -179,6 +179,16 @@ def test_same_lambda_as_reference_bisection():
             assert got == expected
             assert (got == bounds[0]) == (expected == bounds[0])
             assert (got == "infeasible") == (expected == "infeasible")
+            if got != "infeasible":
+                # the choice certified with the shadow price is the public functions' choice
+                lam, assignments, chosen_q, spent = budget._tuned_choice(
+                    model, X, config, discounts)
+                assert lam == got
+                assert np.array_equal(assignments, myopic_assign(model, X, lam, discounts))
+                q = purchase_prob_table(model, X, discounts)
+                chosen = np.searchsorted(np.asarray(discounts.values), assignments)
+                assert chosen_q.tobytes() == q[np.arange(len(X)), chosen].tobytes()
+                assert spent == projected_redemption(model, X, assignments, basket)
         # which of the three a case is does not depend on the tolerance
         if expected == "infeasible":
             kinds["infeasible"] += 1

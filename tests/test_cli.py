@@ -237,12 +237,16 @@ DATASET_DEFECTS = {
     "empty-panel": lambda panel, sidecar: ("", sidecar),
     "short-row": lambda panel, sidecar: (panel + "0\n", sidecar),
     "long-row": lambda panel, sidecar: (panel + "0,1" + ",0" * len(FEATURES) + ",0.1,0,9\n", sidecar),
+    "header-only": lambda panel, sidecar: (panel.splitlines(keepends=True)[0], sidecar),
+    "hash-row": lambda panel, sidecar: (panel + "#" + panel.splitlines()[1] + "\n", sidecar),
+    "whitespace-row": lambda panel, sidecar: (panel + "   \n", sidecar),
+    "float-customer-id": lambda panel, sidecar: (panel.replace("\n0,", "\n1.0,", 1), sidecar),
 }
 
 
 @pytest.mark.parametrize("command", ["analyze", "allocate"])
 @pytest.mark.parametrize("name", list(DATASET_DEFECTS))
-def test_malformed_dataset_exit_code(capsys, tmp_path, panel, command, name):
+def test_malformed_dataset_exit_code(capsys, recwarn, tmp_path, panel, command, name):
     text, sidecar = DATASET_DEFECTS[name](panel.read_text(),
                                           Path(f"{panel}.meta.json").read_text())
     path = tmp_path / "panel.csv"
@@ -257,6 +261,8 @@ def test_malformed_dataset_exit_code(capsys, tmp_path, panel, command, name):
     }[command])
     assert code == (0 if name == "valid" else 2)
     assert name == "valid" or "error" in err
+    # the panel reader's numpy pass warns about nothing, a panel without rows included
+    assert "Warning" not in err and not recwarn.list
 
 
 VALID_SPEC = {"population": 2, "horizon": 3}
