@@ -49,10 +49,10 @@ class BudgetConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.basket_value <= 0:
-            raise ValueError("basket value must be positive")
-        if self.budget < 0:
-            raise ValueError("budget cannot be negative")
+        if not 0 < self.basket_value < float("inf"):
+            raise ValueError("basket value must be positive and finite")
+        if not self.budget >= 0:
+            raise ValueError("budget must be a nonnegative number")
         lo, hi = self.lambda_bounds
         if not lo <= hi:
             raise ValueError("lambda bounds must be ordered")

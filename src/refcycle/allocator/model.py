@@ -155,8 +155,8 @@ def _best_discount(q: np.ndarray, v: np.ndarray, shadow_price: float) -> np.ndar
     The one place the myopic rule and its tie rule live: ``myopic_assign`` and
     the shadow-price search both call it, so their choices agree bit for bit.
     """
-    if shadow_price < 0:
-        raise ValueError("shadow price must be nonnegative")
+    if not shadow_price >= 0:
+        raise ValueError("shadow price must be a nonnegative number")
     # argmax keeps the first (= smallest) discount on ties
     return np.argmax((1.0 - shadow_price * v)[None, :] * q, axis=1)
 

@@ -333,8 +333,9 @@ def _loadtxt_columns(handle, feature_names: tuple[str, ...]) -> tuple[np.ndarray
 
 def _read_panel_rows(path: Path, feature_names: tuple[str, ...]) -> tuple[np.ndarray, ...]:
     """The row-by-row reader behind :func:`load_dataset`: blank rows are
-    skipped, any other row must have the header's width and parse with
-    ``int`` and ``float``, or ``ValueError`` names it."""
+    skipped, any other row must have the header's width, parse with ``int``
+    and ``float`` and keep its integers within int64, or ``ValueError``
+    names it."""
     ids, days, coupons, purchases = [], [], [], []
     features = []
     with path.open(newline="") as handle:
@@ -355,8 +356,11 @@ def _read_panel_rows(path: Path, feature_names: tuple[str, ...]) -> tuple[np.nda
             features.append([float(cell) for cell in row[2:-2]])
             coupons.append(float(row[-2]))
             purchases.append(int(row[-1]))
-    return (np.asarray(ids), np.asarray(days), np.asarray(features, dtype=float),
-            np.asarray(coupons, dtype=float), np.asarray(purchases, dtype=int))
+            if not all(-2**63 <= v < 2**63 for v in (ids[-1], days[-1], purchases[-1])):
+                raise ValueError(f"dataset line {reader.line_num} has an integer outside int64")
+    return (np.asarray(ids, dtype=np.int64), np.asarray(days, dtype=np.int64),
+            np.asarray(features, dtype=float), np.asarray(coupons, dtype=float),
+            np.asarray(purchases, dtype=np.int64))
 
 
 def customers_from_dataset(dataset: CouponDataset) -> tuple[np.ndarray, np.ndarray]:

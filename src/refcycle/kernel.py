@@ -4,16 +4,17 @@ A graph is given as, per node, a list of edges ``(successor, weight, time)``
 with positive times.  :func:`max_ratio_cycle` runs the multichain form of
 Howard's policy iteration (Howard 1960; Cochet-Terrasson et al. 1998) in
 rational arithmetic and returns, per node, the best ratio ``value`` of a cycle
-reachable from it, a ``bias`` and an optimal ``policy`` (one edge index per
-node).  At the fixed point no edge leads to a higher value, and every edge
-(u, v) with ``value[v] == value[u]`` satisfies
-``bias[u] >= weight - value[u] * time + bias[v]`` with equality on the policy
-edge, exactly; on a strongly connected graph the value is uniform and the bias
-solves the optimality equations with zero residual.
+reachable from it, a ``bias`` and its ``tight`` successors.  At the fixed
+point no edge leads to a higher value, and every edge (u, v) with
+``value[v] == value[u]`` satisfies
+``bias[u] >= weight - value[u] * time + bias[v]``, exactly; on a strongly
+connected graph the value is uniform and the bias solves the optimality
+equations with zero residual.
 
-The edges that meet these equations with equality (:func:`tight_successors`)
-form the critical graph: on a strongly connected graph its cycles are exactly
-the optimal cycles, whichever bias the iteration returned.  :func:`least_tight_cycle` picks the
+The edges that meet these equations with equality are read off the final
+bias pass, the one that switches no edge; they form the critical graph: on a
+strongly connected graph its cycles are exactly the optimal cycles, whichever
+bias the iteration returned.  :func:`least_tight_cycle` picks the
 lexicographically least of them, the tie-break shared by the solver and the
 oracle.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-__all__ = ["Edge", "max_ratio_cycle", "tight_successors", "least_tight_cycle"]
+__all__ = ["Edge", "max_ratio_cycle", "least_tight_cycle"]
 
 Edge = tuple[int, Fraction, int]
 
@@ -68,16 +69,19 @@ def _evaluate(edges: Sequence[Sequence[Edge]], policy: list[int],
 
 
 def max_ratio_cycle(edges: Sequence[Sequence[Edge]], policy: Sequence[int] | None = None
-                    ) -> tuple[list[Fraction], list[Fraction], list[int]]:
-    """Per-node optimal cycle ratio, bias and policy; see the module docstring.
+                    ) -> tuple[list[Fraction], list[Fraction], list[list[int]]]:
+    """Per-node optimal cycle ratio, bias and tight successors; see the module
+    docstring.
 
     ``policy`` optionally gives the starting edge index per node; by default
     each node starts on its edge of best weight-to-time ratio.  A node switches
     edge only on a strict improvement, first of value and then of bias.
+    ``tight[u]`` lists, in edge order, the successors v of equal value with
+    ``bias[u] == weight - value[u] * time + bias[v]``; the final policy edge
+    is among them, so no list is empty.
     """
     if policy is None:
-        policy = [max(range(len(row)), key=lambda k: Fraction(row[k][1]) / row[k][2])
-                  for row in edges]
+        policy = [max(range(len(row)), key=lambda k: row[k][1] / row[k][2]) for row in edges]
     policy = list(policy)
     bias = [Fraction(0)] * len(edges)
     while True:
@@ -90,21 +94,19 @@ def max_ratio_cycle(edges: Sequence[Sequence[Edge]], policy: Sequence[int] | Non
                     best, policy[u], switched = value[v], k, True
         if switched:
             continue
+        tight: list[list[int]] = []
         for u, row in enumerate(edges):
-            best = bias[u]
+            best, successors = bias[u], []
             for k, (v, weight, time) in enumerate(row):
-                if value[v] == value[u] and weight - value[u] * time + bias[v] > best:
-                    best, policy[u], switched = weight - value[u] * time + bias[v], k, True
+                if value[v] == value[u]:
+                    slack = weight - value[u] * time + bias[v]
+                    if slack > best:
+                        best, policy[u], switched = slack, k, True
+                    elif slack == best:
+                        successors.append(v)
+            tight.append(successors)
         if not switched:
-            return value, bias, policy
-
-
-def tight_successors(edges: Sequence[Sequence[Edge]], value: Sequence[Fraction],
-                     bias: Sequence[Fraction]) -> list[list[int]]:
-    """Per node, the successors whose edge meets the optimality equations with equality."""
-    return [[v for v, weight, time in row
-             if bias[u] == weight - value[u] * time + bias[v] and value[v] == value[u]]
-            for u, row in enumerate(edges)]
+            return value, bias, tight
 
 
 def least_tight_cycle(tight: Sequence[Sequence[int]]) -> tuple[int, ...]:

@@ -29,7 +29,7 @@ from .core import (
     exact_objective,
     expand,
 )
-from .kernel import Edge, least_tight_cycle, max_ratio_cycle, tight_successors
+from .kernel import least_tight_cycle, max_ratio_cycle
 
 __all__ = [
     "NodeBudgetError",
@@ -55,11 +55,12 @@ class StateGraph:
     ``nodes[i]`` is a nondecreasing tuple of price indices (sm, ..., s1):
     entry -j is the lowest of the last j prices, so ``nodes[i][-1]`` is the
     action that entered the state and ``nodes[i][0]`` its reference.  Nodes
-    are listed in lexicographic order.  The edge for action p goes to
-    ``successor(nodes[i], p)`` and carries weight ``gains[nodes[i][0]][p]``.
+    are listed in lexicographic order.  Offering price p drops the reference,
+    lowers every remaining entry above p to p and appends p; the edge carries
+    weight ``gains[nodes[i][0]][p]``.
 
-    The states are closed under :meth:`successor` and strongly connected:
-    ``memory`` offers of the top price reach the all-top state, and offering
+    The states are closed under this rule and strongly connected: ``memory``
+    offers of the top price reach the all-top state, and offering
     a1 <= ... <= am from there reaches (a1, ..., am).  The gains ahead of a
     history depend only on its suffix minima, so the history graph and this
     one have the same action cycles, with the same means.
@@ -85,15 +86,6 @@ class StateGraph:
     @property
     def num_actions(self) -> int:
         return len(self.table.grid)
-
-    def node_index(self) -> dict[tuple[int, ...], int]:
-        return {node: i for i, node in enumerate(self.nodes)}
-
-    def successor(self, node: tuple[int, ...], action: int) -> tuple[int, ...]:
-        return tuple(min(action, x) for x in node[1:]) + (action,)
-
-    def edge_weight(self, node: tuple[int, ...], action: int) -> Fraction:
-        return Fraction(self.table.gains[node[0]][action])
 
 
 @dataclass(frozen=True)
@@ -124,14 +116,13 @@ def _tight_graph(graph: StateGraph) -> tuple[Fraction, list[list[int]]]:
     attain equality; every cycle of tight edges is optimal and every optimal
     cycle is tight, whichever valid bias is used.
     """
-    index = graph.node_index()
-    edges: list[list[Edge]] = [
-        [(index[graph.successor(node, p)], graph.edge_weight(node, p), 1)
-         for p in range(graph.num_actions)]
-        for node in graph.nodes
-    ]
-    value, bias, _ = max_ratio_cycle(edges)
-    return value[0], tight_successors(edges, value, bias)
+    gains = [[Fraction(g) for g in row] for row in graph.table.gains]
+    index = {node: i for i, node in enumerate(graph.nodes)}
+    edges = [[(index[tuple(min(p, x) for x in node[1:]) + (p,)], gains[node[0]][p], 1)
+              for p in range(graph.num_actions)]
+             for node in graph.nodes]
+    value, _, tight = max_ratio_cycle(edges)
+    return value[0], tight
 
 
 def _action_cycle(graph: StateGraph, states: tuple[int, ...]) -> PriceCycle:

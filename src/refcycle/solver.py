@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import GainTable, GeneratorCycle, PriceCycle, exact_objective, expand, expansion_count
-from .kernel import Edge, least_tight_cycle, max_ratio_cycle, tight_successors
+from .kernel import Edge, least_tight_cycle, max_ratio_cycle
 
 __all__ = [
     "SolveResult",
@@ -82,9 +82,9 @@ def solve(table: GainTable) -> SolveResult:
     """
     n = len(table.grid)
     edges = _ratio_edges(table)
-    value, bias, _ = max_ratio_cycle(edges)
+    value, _, tight = max_ratio_cycle(edges)
     opt = value[0]
-    generator = GeneratorCycle(least_tight_cycle(tight_successors(edges, value, bias)))
+    generator = GeneratorCycle(least_tight_cycle(tight))
     values = generator.values
     following = {u: values[(i + 1) % len(values)] for i, u in enumerate(values)}
     anchored = [[edges[u][following[u]]] if u in following else edges[u] for u in range(n)]

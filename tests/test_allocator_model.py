@@ -94,8 +94,9 @@ def test_myopic_assign_zero_sensitivity_takes_smallest():
 
 def test_myopic_assign_rejects_negative_shadow_price():
     model = scalar_model(0.0, 1.0)
-    with pytest.raises(ValueError):
-        myopic_assign(model, np.ones((1, 1)), -0.5)
+    for shadow_price in (-0.5, float("nan")):
+        with pytest.raises(ValueError):
+            myopic_assign(model, np.ones((1, 1)), shadow_price)
 
 
 def test_assignments_nonincreasing_in_shadow_price(rng):

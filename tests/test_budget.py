@@ -35,6 +35,10 @@ def test_config_validation():
         BudgetConfig(basket_value=0.0, budget=1.0)
     with pytest.raises(ValueError):
         BudgetConfig(basket_value=1.0, budget=-1.0)
+    for basket, budget in ((float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("nan"))):
+        with pytest.raises(ValueError):
+            BudgetConfig(basket_value=basket, budget=budget)
+    assert BudgetConfig(basket_value=1.0, budget=float("inf")).budget == float("inf")
     with pytest.raises(ValueError):
         BudgetConfig(basket_value=1.0, budget=1.0, lambda_bounds=(2.0, 1.0))
     with pytest.raises(ValueError):

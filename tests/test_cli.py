@@ -241,6 +241,9 @@ DATASET_DEFECTS = {
     "hash-row": lambda panel, sidecar: (panel + "#" + panel.splitlines()[1] + "\n", sidecar),
     "whitespace-row": lambda panel, sidecar: (panel + "   \n", sidecar),
     "float-customer-id": lambda panel, sidecar: (panel.replace("\n0,", "\n1.0,", 1), sidecar),
+    # numpy's pass refuses it as int64; the row loop must not turn the ids into floats
+    "customer-id-2**63": lambda panel, sidecar: (
+        panel.replace("\n0,", f"\n{2**63},", 1), sidecar),
 }
 
 
@@ -277,6 +280,7 @@ SPECS = {
     "ground-truth-list": {**VALID_SPEC, "ground_truth": [1]},
     "ground-truth-weights-scalar": {**VALID_SPEC, "ground_truth": {"alpha_weights": 5}},
     "policy-value-list": {**VALID_SPEC, "policy": {"type": "constant", "value": [0.1]}},
+    "shadow-price-nan": {**VALID_SPEC, "policy": {"type": "myopic", "shadow_price": float("nan")}},
 }
 
 
@@ -287,6 +291,23 @@ def test_malformed_spec_exit_code(capsys, tmp_path, name):
     code, _, err = run(capsys, "simulate", "--spec", path, "--out", tmp_path / "panel.csv")
     assert code == (0 if name == "valid" else 2)
     assert name == "valid" or "error" in err
+
+
+@pytest.mark.parametrize("budget, basket, expected", [
+    ("nan", "100", 2), ("1e9", "nan", 2), ("1e9", "inf", 2),
+    ("-1", "100", 2), ("inf", "100", 0),
+])
+def test_non_finite_allocate_inputs(capsys, tmp_path, panel, budget, basket, expected):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(VALID_MODEL))
+    out = tmp_path / "out.json"
+    code, _, err = run(capsys, "allocate", "--model", model, "--customers", panel,
+                       "--budget", budget, "--W", basket, "--out", out)
+    assert code == expected
+    if expected:
+        assert "refcycle: error:" in err
+    else:
+        assert json.loads(out.read_text())["lambda"] == 1.0  # an unbounded budget is met at once
 
 
 def test_oversized_population_is_a_validation_error(capsys, tmp_path):

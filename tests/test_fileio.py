@@ -215,9 +215,9 @@ def test_demo_cycle_objective_from_files(tmp_path, demo_table):
 
 
 def reference_read_panel(path):
-    """The dataset reader before the numpy pass, one ``csv`` row at a time:
-    the reference ``load_dataset`` must agree with, value for value and
-    error for error."""
+    """The dataset reader without the numpy pass, one ``csv`` row at a time,
+    integer cells held to int64: the reference ``load_dataset`` must agree
+    with, value for value and error for error."""
     ids, days, coupons, purchases = [], [], [], []
     features = []
     with path.open(newline="") as handle:
@@ -238,8 +238,11 @@ def reference_read_panel(path):
             features.append([float(cell) for cell in row[2:-2]])
             coupons.append(float(row[-2]))
             purchases.append(int(row[-1]))
-    return (np.asarray(ids), np.asarray(days), np.asarray(features, dtype=float),
-            np.asarray(coupons, dtype=float), np.asarray(purchases, dtype=int))
+            if not all(-2**63 <= v < 2**63 for v in (ids[-1], days[-1], purchases[-1])):
+                raise ValueError(f"dataset line {reader.line_num} has an integer outside int64")
+    return (np.asarray(ids, dtype=np.int64), np.asarray(days, dtype=np.int64),
+            np.asarray(features, dtype=float), np.asarray(coupons, dtype=float),
+            np.asarray(purchases, dtype=np.int64))
 
 
 def reference_save_dataset(dataset, path):
@@ -286,8 +289,7 @@ def reference_loaded_panel(path):
 def same_arrays(got, expected):
     """Equal dtypes, shapes and values; floats bit for bit, so nan and -0.0 count."""
     return len(got) == len(expected) and all(
-        a.dtype == b.dtype and a.shape == b.shape
-        and (a.tolist() == b.tolist() if a.dtype == object else a.tobytes() == b.tobytes())
+        a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         for a, b in zip(got, expected))
 
 
@@ -304,6 +306,7 @@ def assert_loads_like_reference(tmp_path, text):
     else:
         assert not isinstance(got[0], type), got
         assert same_arrays(got, expected)
+        assert {got[0].dtype, got[1].dtype, got[4].dtype} == {np.dtype(np.int64)}
     return expected
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from refcycle.core import GainTable, PriceCycle
 from refcycle.instances import integer_grid, random_monotone_table, random_table
-from refcycle.kernel import max_ratio_cycle, tight_successors
+from refcycle.kernel import max_ratio_cycle
 from refcycle.oracle import StateGraph, exact_objective, max_mean_cycle, optimal_cycles_unique
 
 
@@ -61,8 +61,7 @@ def history_graph_optimum(table: GainTable) -> tuple[Fraction, PriceCycle | None
     index = {h: i for i, h in enumerate(histories)}
     edges = [[(index[h[1:] + (p,)], Fraction(table.gains[min(h)][p]), 1) for p in range(n)]
              for h in histories]
-    value, bias, _ = max_ratio_cycle(edges)
-    tight = tight_successors(edges, value, bias)
+    value, _, tight = max_ratio_cycle(edges)
     label = components(tight)
     # a tight edge lies on a tight (= optimal) cycle iff its ends share a component
     on_cycles = {u: v for u, row in enumerate(tight) for v in row if label[u] == label[v]}

@@ -17,14 +17,24 @@ from refcycle.oracle import (
 )
 
 
-def brute_force_max_mean(graph: StateGraph) -> Fraction:
-    """Independent oracle: enumerate every simple cycle of the state graph."""
-    index = graph.node_index()
-    succ = [
-        [(index[graph.successor(node, a)], graph.edge_weight(node, a))
+def successor(node: tuple[int, ...], action: int) -> tuple[int, ...]:
+    """The state after offering ``action`` from ``node``: suffix minima by definition."""
+    return tuple(min(action, x) for x in node[1:]) + (action,)
+
+
+def state_edges(graph: StateGraph) -> list[list[tuple[int, Fraction]]]:
+    """Per state, one ``(successor index, gain)`` pair per action, one step at a time."""
+    index = {node: i for i, node in enumerate(graph.nodes)}
+    return [
+        [(index[successor(node, a)], Fraction(graph.table.gains[node[0]][a]))
          for a in range(graph.num_actions)]
         for node in graph.nodes
     ]
+
+
+def brute_force_max_mean(graph: StateGraph) -> Fraction:
+    """Independent oracle: enumerate every simple cycle of the state graph."""
+    succ = state_edges(graph)
     n = len(succ)
     best: list[Fraction | None] = [None]
 
@@ -63,9 +73,11 @@ def test_state_graph_shape(demo_table):
     graph = StateGraph.build(demo_table)
     assert graph.num_nodes == 10  # C(4 + 2 - 1, 2) suffix-minimum states
     assert graph.num_actions == 4
-    assert graph.successor((0, 2), 3) == (2, 3)
-    assert graph.successor((0, 2), 1) == (1, 1)
-    assert graph.edge_weight((0, 2), 3) == Fraction(1)  # reference 1, price 4
+    assert successor((0, 2), 3) == (2, 3)
+    assert successor((0, 2), 1) == (1, 1)
+    assert set(graph.nodes) == {successor(node, a) for node in graph.nodes for a in range(4)}
+    assert state_edges(graph)[graph.nodes.index((0, 2))][3] == (
+        graph.nodes.index((2, 3)), Fraction(1))  # reference 1, price 4
 
 
 def test_node_budget(demo_table):
@@ -220,12 +232,7 @@ def test_unique_cycle_reported(demo_table):
 def optimal_state_cycles(graph: StateGraph) -> tuple[Fraction, list[tuple[int, ...]]]:
     """Brute force: the optimal mean and every optimal simple state cycle,
     each written from its least state."""
-    index = graph.node_index()
-    succ = [
-        [(index[graph.successor(node, a)], graph.edge_weight(node, a))
-         for a in range(graph.num_actions)]
-        for node in graph.nodes
-    ]
+    succ = state_edges(graph)
     cycles: list[tuple[Fraction, tuple[int, ...]]] = []
 
     def extend(path: list[int], weight: Fraction):

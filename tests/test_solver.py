@@ -17,7 +17,7 @@ from refcycle.core import (
     expansion_count,
 )
 from refcycle.instances import integer_grid, random_monotone_table, random_table
-from refcycle.kernel import least_tight_cycle, max_ratio_cycle, tight_successors
+from refcycle.kernel import least_tight_cycle, max_ratio_cycle
 from refcycle.oracle import StateGraph, exhaustive_generators, max_mean_cycle
 from refcycle.solver import bellman_residual, generator_objective, solve
 
@@ -99,37 +99,49 @@ def brute_force_best_ratio(edges, nodes):
     return best
 
 
-def test_kernel_ratio_matches_brute_force(rng):
-    # times come from their own generator, so the seeded weight matrices do
-    # not depend on them
+def complete_graphs(rng, count=60):
+    """Complete graphs on 1-4 nodes with weights in sixteenths; times come from
+    their own generator, so the seeded weight matrices do not depend on them."""
     time_rng = np.random.default_rng(7)
-    for _ in range(60):
+    for _ in range(count):
         n = int(rng.integers(1, 5))
         weights = [
             [Fraction(int(x), 16) for x in rng.integers(-20, 21, size=n)]
             for _ in range(n)
         ]
         times = [[int(t) for t in time_rng.integers(1, 5, size=n)] for _ in range(n)]
-        edges = [[(v, weights[u][v], times[u][v]) for v in range(n)] for u in range(n)]
-        value, bias, policy = max_ratio_cycle(edges)
-        best = brute_force_best_ratio(edges, set(range(n)))
-        assert value == [best] * n
-        for u in range(n):
-            right = [weights[u][v] - best * times[u][v] + bias[v] for v in range(n)]
-            assert bias[u] - max(right) == 0
-            assert bias[u] - right[policy[u]] == 0
+        yield [[(v, weights[u][v], times[u][v]) for v in range(n)] for u in range(n)]
 
 
-def test_kernel_multichain_values(rng):
-    # sparse graphs: each node's value is the best ratio of a cycle it can reach
-    for _ in range(40):
+def multichain_graphs(rng, count=40):
+    """Sparse graphs on 1-6 nodes, one or two edges each, often with several
+    closed classes of different values."""
+    for _ in range(count):
         n = int(rng.integers(1, 7))
-        edges = [
+        yield [
             [(v, Fraction(int(rng.integers(-8, 9)), 4), int(rng.integers(1, 4)))
              for v in sorted({int(v) for v in rng.integers(0, n, size=int(rng.integers(1, 3)))})]
             for _ in range(n)
         ]
-        value, bias, policy = max_ratio_cycle(edges)
+
+
+def test_kernel_ratio_matches_brute_force(rng):
+    for edges in complete_graphs(rng):
+        n = len(edges)
+        value, bias, tight = max_ratio_cycle(edges)
+        best = brute_force_best_ratio(edges, set(range(n)))
+        assert value == [best] * n
+        for u in range(n):
+            right = [w - best * t + bias[v] for v, w, t in edges[u]]
+            assert bias[u] - max(right) == 0
+            assert tight[u] and all(bias[u] - right[v] == 0 for v in tight[u])
+
+
+def test_kernel_multichain_values(rng):
+    # each node's value is the best ratio of a cycle it can reach
+    for edges in multichain_graphs(rng):
+        n = len(edges)
+        value, bias, tight = max_ratio_cycle(edges)
         for u in range(n):
             reach, frontier = {u}, [u]
             while frontier:
@@ -140,8 +152,32 @@ def test_kernel_multichain_values(rng):
             assert value[u] == brute_force_best_ratio(edges, reach)
             for v, w, t in edges[u]:
                 assert value[v] < value[u] or bias[u] >= w - value[u] * t + bias[v]
-            v, w, t = edges[u][policy[u]]
-            assert value[v] == value[u] and bias[u] == w - value[u] * t + bias[v]
+            assert tight[u]
+            for v in tight[u]:
+                _, w, t = next(edge for edge in edges[u] if edge[0] == v)
+                assert value[v] == value[u] and bias[u] == w - value[u] * t + bias[v]
+
+
+def reference_tight_successors(edges, value, bias):
+    """Per node, the successors whose edge meets the optimality equations with
+    equality, recomputed from the returned value and bias."""
+    return [[v for v, weight, time in row
+             if bias[u] == weight - value[u] * time + bias[v] and value[v] == value[u]]
+            for u, row in enumerate(edges)]
+
+
+def test_kernel_tight_graph_is_read_off_the_fixed_point(rng):
+    # the returned tight lists are those of the returned value and bias, and
+    # those are a fixed point: no edge leads to a higher value or a larger bias
+    graphs = [*complete_graphs(rng), *multichain_graphs(rng)]
+    for edges in graphs:
+        value, bias, tight = max_ratio_cycle(edges)
+        assert tight == reference_tight_successors(edges, value, bias)
+        assert all(tight)
+        for u, row in enumerate(edges):
+            for v, w, t in row:
+                assert value[v] < value[u] or (
+                    value[v] == value[u] and bias[u] >= w - value[u] * t + bias[v])
 
 
 def brute_force_least_cycle(successors):
@@ -180,9 +216,9 @@ def test_tight_successors_skip_edges_to_lower_values():
     # node 0 loops at ratio 1, node 1 at ratio 0; the edge 0 -> 1 meets the
     # bias equation by coincidence but leads to a lower value
     edges = [[(0, Fraction(1), 1), (1, Fraction(1), 1)], [(1, Fraction(0), 1)]]
-    value, bias, _ = max_ratio_cycle(edges)
+    value, bias, tight = max_ratio_cycle(edges)
     assert value == [1, 0] and bias[0] == 1 - 1 + bias[1]
-    assert tight_successors(edges, value, bias) == [[0], [1]]
+    assert tight == [[0], [1]]
 
 
 def test_least_tight_cycle_rejects_acyclic_graph():

@@ -149,3 +149,18 @@ def test_desk_scale_certification_small():
                 result = solve(inst.table)
                 assert result.generator == target.canonical()
                 assert result.opt_exact == pytest.approx(float(inst.optimal_value), abs=1e-12)
+
+
+def test_large_bias_certification_allows_float_rounding():
+    # gains of order B / memory are stored as floats, so the optimal mean can
+    # sit off the constructed C by rounding; each case is still uniquely optimal
+    moved = 0
+    for memory in (2, 3, 5, 7):
+        grid = integer_grid(3, memory)
+        for bias_range in (10**e + k for e in range(6, 13) for k in range(3)):
+            inst = build(GeneratorCycle((0, 2, 1)), grid,
+                         bias=(0, Fraction(bias_range, 7), bias_range))
+            assert verify_uniqueness(inst), (memory, bias_range)
+            found = max_mean_cycle(StateGraph.build(inst.table)).value_exact
+            moved += found != inst.optimal_value
+    assert moved >= 60
