@@ -3,16 +3,21 @@
 
 Draws gain tables of three kinds in turn (monotone, non-monotone, and
 tie-heavy with gains in {0, 1, 2}), with 1-12 prices and memory 1-7, and
-runs ``solve``, ``oracle`` (with and without ``--horizon``), ``tightness``
-and ``reduce`` on each through ``refcycle.cli.main``.  ``oracle`` and
-``tightness`` run only where the state graph has at most 20 000 edges.
+runs ``solve``, ``oracle`` (with and without ``--horizon``, which is 1-24,
+600 or 1001), ``tightness`` and ``reduce`` on each through
+``refcycle.cli.main``.  ``oracle`` and ``tightness`` run only where the state
+graph has at most 20 000 edges.  Every tenth table also runs one seeded
+``simulate -> analyze -> allocate`` chain on a small memory-3 panel, with
+``allocate`` at an unbounded, a drawn and an infeasible (zero) budget.
 Prints the number of runs, a histogram of exit codes and one sha256 over
-each run's command, exit code, stdout and ``refcycle:`` stderr lines; the
-run manifests, which hold timings, are left out.
+each run's command, exit code, stdout and ``refcycle:`` stderr lines, and
+over the bytes of the files the chain writes (the panel CSV, its sidecar and
+the assignments CSV); the run manifests, which hold timings, are left out.
 
-Tables are drawn with numpy and written as JSON here, so the inputs do not
-depend on the tree under test.  To compare two trees, run the script once
-with each tree's ``src`` first on ``PYTHONPATH``:
+Tables, specs and the allocation model are drawn with numpy and written as
+JSON here, so the inputs do not depend on the tree under test.  To compare
+two trees, run the script once with each tree's ``src`` first on
+``PYTHONPATH``:
 
     PYTHONPATH=<checkout>/src python3 scripts/output_digest.py --tables 250 --seed 0
 """
@@ -33,6 +38,19 @@ from refcycle.cli import main as cli_main
 
 MAX_EDGES = 20_000
 KINDS = ("monotone", "non-monotone", "tie-heavy")
+CHAIN_EVERY = 10
+DISCOUNTS = [0.12, 0.15, 0.17, 0.20]
+# the planted memory-3 allocation model: baseline and sensitivity fall with the reference
+MODEL = {
+    "feature_names": ["emails_clicked_28d", "cart_views_3d", "cart_views_7d",
+                      "avg_sale_discount_cart", "coupon_order_rate_hist", "coupon_order_rate_30d",
+                      "coupon_order_rate_all", "avg_coupon_clicked_7d", "avg_coupon_clicked_30d",
+                      "max_coupon_3d"],
+    "alpha_weights": [2.0, 0.15, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -25.0],
+    "beta_weights": [3.0, 4.0, 4.0, 25.0, 20.0, 20.0, 20.0, 40.0, 40.0, -120.0],
+    "pivot": 0.15,
+    "discounts": DISCOUNTS,
+}
 
 
 def gain_rows(rng: np.random.Generator, kind: str, n: int) -> list[list[float]]:
@@ -44,8 +62,9 @@ def gain_rows(rng: np.random.Generator, kind: str, n: int) -> list[list[float]]:
     return draws.tolist()
 
 
-def commands(rng: np.random.Generator, kind: str) -> tuple[dict, list[list[str]]]:
-    """One table and the argument lists run on it."""
+def commands(rng: np.random.Generator, kind: str) -> tuple[dict, list]:
+    """One table, and the argument lists run on it, each paired with the files it
+    writes: none."""
     n, memory = int(rng.integers(1, 13)), int(rng.integers(1, 8))
     prices = list(range(1, n + 1))
     table = {"prices": prices, "memory": memory, "gains": gain_rows(rng, kind, n)}
@@ -54,11 +73,29 @@ def commands(rng: np.random.Generator, kind: str) -> tuple[dict, list[list[str]]
             ["reduce", "--gains", "table.json", "--cycle", " ".join(map(str, cycle))]]
     if math.comb(n + memory - 1, memory) * n <= MAX_EDGES:
         target = rng.permutation(prices)[:int(rng.integers(1, n + 1))].tolist()
+        horizon = int(rng.choice([rng.integers(1, 25), 600, 1001]))
         argv += [["oracle", "--gains", "table.json"],
-                 ["oracle", "--gains", "table.json", "--horizon", str(int(rng.integers(1, 25)))],
+                 ["oracle", "--gains", "table.json", "--horizon", str(horizon)],
                  ["tightness", "--prices", " ".join(map(str, prices)), "--memory", str(memory),
                   "--target", " ".join(map(str, target))]]
-    return table, argv
+    return {"table.json": table}, [(command, ()) for command in argv]
+
+
+def chain(rng: np.random.Generator) -> tuple[dict, list]:
+    """A seeded simulate -> analyze -> allocate chain: its input files, and
+    the argument lists run, each with the files it writes."""
+    size = int(rng.integers(20, 80))
+    spec = {"population": size, "horizon": int(rng.integers(6, 15)), "memory": 3,
+            "discounts": DISCOUNTS}
+    allocate = ["allocate", "--model", "model.json", "--customers", "panel.csv", "--W", "10",
+                "--budget"]
+    seed, budget = str(int(rng.integers(1000))), repr(size * float(rng.uniform(0.15, 0.8)))
+    return {"spec.json": spec, "model.json": MODEL}, [
+        (["simulate", "--spec", "spec.json", "--seed", seed, "--out", "panel.csv"],
+         ("panel.csv", "panel.csv.meta.json")),
+        (["analyze", "--dataset", "panel.csv", "--memory", "3,5"], ()),
+        *[(allocate + [b], ("assignments.csv",)) for b in ("1e9", budget, "0")],
+    ]
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -69,6 +106,15 @@ def run(argv: list[str]) -> tuple[int, str, str]:
         except SystemExit as exc:  # argparse refusals
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def file_bytes(name: str) -> bytes:
+    """The file's bytes, or b"missing" when there is none."""
+    try:
+        with open(name, "rb") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        return b"missing"
 
 
 def main() -> int:
@@ -85,14 +131,23 @@ def main() -> int:
         os.chdir(tmp)  # relative input names keep the outputs free of the temp path
         try:
             for i in range(args.tables):
-                table, argv = commands(rng, KINDS[i % len(KINDS)])
-                with open("table.json", "w") as handle:
-                    json.dump(table, handle)
-                for command in argv:
-                    code, out, err = run(command)
-                    codes[code] += 1
-                    notes = [line for line in err.splitlines() if line.startswith("refcycle:")]
-                    digest.update(json.dumps([command, code, out, notes]).encode())
+                batches = [commands(rng, KINDS[i % len(KINDS)])]
+                if i % CHAIN_EVERY == 0:
+                    batches.append(chain(rng))
+                for inputs, runs in batches:
+                    for name, payload in inputs.items():
+                        with open(name, "w") as handle:
+                            json.dump(payload, handle)
+                    for command, written in runs:
+                        for name in written:  # a refused run must not leave an older file
+                            with contextlib.suppress(FileNotFoundError):
+                                os.remove(name)
+                        code, out, err = run(command)
+                        codes[code] += 1
+                        notes = [line for line in err.splitlines() if line.startswith("refcycle:")]
+                        digest.update(json.dumps([command, code, out, notes]).encode())
+                        for name in written:
+                            digest.update(file_bytes(name))
         finally:
             os.chdir(home)
     print(f"runs {sum(codes.values())}")

@@ -27,6 +27,10 @@ __all__ = [
     "monotonicity_table",
 ]
 
+# coupon groups that monotonicity_table compares
+SMALL_COUPONS = (0.12, 0.15)
+LARGE_COUPONS = (0.17, 0.20)
+
 
 class EmptyCellError(RuntimeError):
     """A conditioning cell has no rows or no purchases."""
@@ -92,14 +96,10 @@ def _group_mask(values: np.ndarray, group: Sequence[float]) -> np.ndarray:
     return mask
 
 
-def monotonicity_table(
-    dataset: CouponDataset,
-    memory_lengths: Sequence[int],
-    small: Sequence[float] = (0.12, 0.15),
-    large: Sequence[float] = (0.17, 0.20),
-) -> list[MonotonicityRow]:
+def monotonicity_table(dataset: CouponDataset, memory_lengths: Sequence[int]) -> list[MonotonicityRow]:
     """Percent purchase-rate lift from a small-group reference, per memory
-    length and per current-coupon group.
+    length and per current-coupon group (:data:`SMALL_COUPONS` against
+    :data:`LARGE_COUPONS`).
 
     Entry = 100 * (rate | reference in small) / (rate | reference in large)
     - 100, computed separately for rows whose current coupon is small/large.
@@ -115,10 +115,10 @@ def monotonicity_table(
         reference = _windows(coupons, memory).max(axis=2).ravel()
         current = coupons[:, memory:].ravel()
         bought = purchases[:, memory:].ravel()
-        ref_small = _group_mask(reference, small)
-        ref_large = _group_mask(reference, large)
+        ref_small = _group_mask(reference, SMALL_COUPONS)
+        ref_large = _group_mask(reference, LARGE_COUPONS)
         pcts = []
-        for group in (small, large):
+        for group in (SMALL_COUPONS, LARGE_COUPONS):
             in_group = _group_mask(current, group)
             cells = []
             for ref_mask in (ref_small, ref_large):

@@ -170,11 +170,10 @@ def _cmd_oracle(args) -> int:
         "cycle": format_cycle(result.cycle, table.grid),
         "nodes": result.nodes,
     }
-    if args.horizon:
-        steps = simulate(result.cycle, table, args.horizon)
+    if args.horizon is not None:
         payload["simulation"] = {
             "horizon": args.horizon,
-            "running_average": sum(s.gain for s in steps) / len(steps),
+            "running_average": simulate(result.cycle, table, args.horizon),
         }
     manifest["wall_time_s"] = time.perf_counter() - start
     _emit(payload, args.out, manifest)

@@ -26,19 +26,17 @@ def integer_grid(num_prices: int, memory: int) -> PriceGrid:
     return PriceGrid.from_values(range(1, num_prices + 1), memory)
 
 
-def random_monotone_table(rng: np.random.Generator, num_prices: int, memory: int,
-                          low: float = 0.0, high: float = 1.0) -> GainTable:
-    """Random gain table with every column weakly increasing in the reference."""
-    draws = rng.uniform(low, high, size=(num_prices, num_prices))
+def random_monotone_table(rng: np.random.Generator, num_prices: int, memory: int) -> GainTable:
+    """Random gains in [0, 1) with every column weakly increasing in the reference."""
+    draws = rng.uniform(0.0, 1.0, size=(num_prices, num_prices))
     draws.sort(axis=0)
     grid = integer_grid(num_prices, memory)
     return GainTable.from_rows(grid, draws.tolist())
 
 
-def random_table(rng: np.random.Generator, num_prices: int, memory: int,
-                 low: float = 0.0, high: float = 1.0) -> GainTable:
-    """Random gain table with no monotonicity constraint."""
-    draws = rng.uniform(low, high, size=(num_prices, num_prices))
+def random_table(rng: np.random.Generator, num_prices: int, memory: int) -> GainTable:
+    """Random gains in [0, 1) with no monotonicity constraint."""
+    draws = rng.uniform(0.0, 1.0, size=(num_prices, num_prices))
     grid = integer_grid(num_prices, memory)
     return GainTable.from_rows(grid, draws.tolist())
 

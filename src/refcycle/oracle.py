@@ -11,7 +11,8 @@ iteration (:mod:`refcycle.kernel`, unit times); the witness is the least
 optimal cycle of states, the solver's tie-break.  :func:`exhaustive_generators`
 independently enumerates every cycle of distinct prices and scores its
 expansion with :func:`refcycle.core.exact_objective`, and :func:`simulate`
-replays a plan step by step from the all-top-price start state.
+replays a price cycle from the all-top-price start state for a bounded
+horizon, in constant memory, returning its average gain.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .core import (
     GainTable,
@@ -36,10 +36,10 @@ __all__ = [
     "StateGraph",
     "MeanCycleResult",
     "GeneratorSearchResult",
-    "SimulationStep",
     "max_mean_cycle",
     "optimal_cycles_unique",
     "exhaustive_generators",
+    "MAX_HORIZON",
     "simulate",
 ]
 
@@ -176,7 +176,8 @@ def optimal_cycles_unique(graph: StateGraph) -> tuple[Fraction, PriceCycle | Non
 
 
 def _distinct_cycles(n: int, length: int):
-    """All cycles of ``length`` distinct values from range(n), one rotation each."""
+    """All cycles of ``length`` distinct values from range(n), each written
+    from its least value, which is its canonical rotation."""
     for combo in itertools.combinations(range(n), length):
         first = combo[0]
         for rest in itertools.permutations(combo[1:]):
@@ -199,59 +200,42 @@ def exhaustive_generators(table: GainTable, max_prices: int = 9) -> GeneratorSea
         for values in _distinct_cycles(n, length):
             generator = GeneratorCycle(values)
             value = exact_objective(expand(generator, table.grid), table)
-            key = generator.canonical().values
             if (best_value is None or value > best_value
-                    or (value == best_value and key < best_gen.values)):
-                best_value = value
-                best_gen = GeneratorCycle(key)
+                    or (value == best_value and values < best_gen.values)):
+                best_value, best_gen = value, generator
     assert best_value is not None and best_gen is not None
     return GeneratorSearchResult(float(best_value), best_value, best_gen)
 
 
 # ---------------------------------------------------------------------------
-# trajectory replay
+# witness replay
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class SimulationStep:
-    state: tuple[Fraction, ...]
-    reference: Fraction
-    price: Fraction
-    gain: float
+MAX_HORIZON = 10**7
 
 
-def simulate(plan: PriceCycle | Callable[[tuple[int, ...]], int],
-             table: GainTable, horizon: int) -> list[SimulationStep]:
-    """Replay a price plan from the all-top-price start state.
+def simulate(cycle: PriceCycle, table: GainTable, horizon: int) -> float:
+    """Average gain over ``horizon`` steps of a price cycle, offered in order
+    and repeated from the all-top-price start state.
 
-    ``plan`` is either a price cycle, offered in order and repeated, or a
-    policy mapping the state (previous price indices, most recent last) to
-    the next price index.  For cyclic plans the running average gain
-    converges to :func:`refcycle.core.cycle_objective`.
+    Only the last ``memory`` price indices are kept, so the replay runs in
+    constant memory; ``horizon`` is bounded by :data:`MAX_HORIZON`.  The
+    average converges to :func:`refcycle.core.cycle_objective`.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    grid = table.grid
-    n = len(grid)
-    state = (n - 1,) * grid.memory
-    if isinstance(plan, PriceCycle):
-        plan.validate_for(grid)
-        tokens = plan.tokens
-        choose = lambda t, s: tokens[t % len(tokens)]
-    else:
-        choose = lambda t, s: plan(s)
-    steps: list[SimulationStep] = []
-    for t in range(horizon):
-        action = choose(t, state)
-        if not 0 <= action < n:
-            raise ValueError(f"plan chose invalid price index {action}")
-        ref = min(state)
-        steps.append(SimulationStep(
-            state=tuple(grid.prices[i] for i in state),
-            reference=grid.prices[ref],
-            price=grid.prices[action],
-            gain=table.gains[ref][action],
-        ))
-        state = state[1:] + (action,)
-    return steps
+    if horizon > MAX_HORIZON:
+        raise ValueError(f"horizon {horizon} exceeds the replay bound {MAX_HORIZON}")
+    grid, gains = table.grid, table.gains
+    cycle.validate_for(grid)
+    tokens = cycle.tokens
+
+    def step_gains():
+        history = (len(grid) - 1,) * grid.memory
+        for t in range(horizon):
+            price = tokens[t % len(tokens)]
+            yield gains[min(history)][price]
+            history = history[1:] + (price,)
+
+    # the builtin sum, in step order, fixes the last bits of the float the CLI prints
+    return sum(step_gains()) / horizon

@@ -320,6 +320,13 @@ def test_oversized_population_is_a_validation_error(capsys, tmp_path):
     assert "refcycle: error:" in err
 
 
+@pytest.mark.parametrize("horizon", [0, -1, 10**7 + 1])
+def test_oracle_horizon_out_of_range_is_a_validation_error(demo_file, capsys, horizon):
+    code, out, err = run(capsys, "oracle", "--gains", demo_file, "--horizon", horizon)
+    assert (code, out) == (2, "")
+    assert "refcycle: error: horizon" in err
+
+
 JSON_SCALARS = (st.none() | st.booleans() | st.integers(0, 5)
                 | st.floats(-5, 5, allow_nan=False) | st.text(max_size=3))
 JSON_VALUES = st.recursive(

@@ -1,5 +1,6 @@
 """Exact verifiers: state graph, max-mean cycle, generator enumeration, replay."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from refcycle.core import GainTable, GeneratorCycle, PriceCycle, cycle_objective, expand
 from refcycle.instances import integer_grid, random_monotone_table, random_table
 from refcycle.oracle import (
+    MAX_HORIZON,
     NodeBudgetError,
     StateGraph,
     exact_objective,
@@ -284,47 +286,70 @@ def test_witness_and_uniqueness_match_brute_force(rng):
 # --- replay -------------------------------------------------------------------
 
 
-def test_simulate_constant(demo_table):
-    steps = simulate(PriceCycle.from_prices(demo_table.grid, [2]), demo_table, 10)
-    assert len(steps) == 10
-    # start state is all-top-price, so the first reference is the top price
-    assert steps[0].reference == Fraction(4)
-    assert all(s.price == Fraction(2) for s in steps)
-    assert steps[-1].reference == Fraction(2)
-    assert steps[-1].gain == demo_table.gains[1][1]
+def reference_replay(cycle: PriceCycle, table: GainTable, horizon: int) -> float:
+    """The per-step replay: one (reference, price, gain) record per step from
+    the all-top-price start, then the average of the recorded gains."""
+    grid = table.grid
+    state = (len(grid) - 1,) * grid.memory
+    steps = []
+    for t in range(horizon):
+        action = cycle.tokens[t % len(cycle.tokens)]
+        ref = min(state)
+        steps.append((grid.prices[ref], grid.prices[action], table.gains[ref][action]))
+        state = state[1:] + (action,)
+    return sum(gain for _, _, gain in steps) / len(steps)
+
+
+def tie_heavy_table(rng, n: int, memory: int) -> GainTable:
+    return GainTable.from_rows(integer_grid(n, memory),
+                               rng.integers(0, 3, size=(n, n)).astype(float).tolist())
+
+
+def test_simulate_constant():
+    # gains 10 * reference + price: from the all-top start the first offer of
+    # price 2 sees reference 4, every later one sees reference 2
+    grid = integer_grid(4, 3)
+    table = GainTable.from_rows(grid, [[10.0 * r + p for p in range(4)] for r in range(4)])
+    cycle = PriceCycle.from_prices(grid, [2])
+    assert simulate(cycle, table, 1) == table.gains[3][1] == 31.0
+    assert simulate(cycle, table, 10) == (31.0 + 9 * 11.0) / 10
 
 
 def test_simulate_running_average_converges(demo_table):
     cycle = PriceCycle.from_prices(demo_table.grid, [4, 1, 4, 2, 4, 3])
-    steps = simulate(cycle, demo_table, 600)
-    average = sum(s.gain for s in steps) / len(steps)
-    assert abs(average - 1.0) <= 0.01
+    assert abs(simulate(cycle, demo_table, 600) - 1.0) <= 0.01
 
 
-def test_simulate_expansion_reference_is_previous_value(rng):
-    grid = integer_grid(4, 3)
-    table = random_monotone_table(rng, 4, 3)
-    generator = GeneratorCycle((0, 2, 1))
-    cycle = expand(generator, grid)
-    steps = simulate(cycle, table, 3 * len(cycle) + len(cycle))
-    d = len(generator)
-    # after one full lap the reference while offering values[t] is values[t-1]
-    offsets = []
-    position = 0
-    for t, v in enumerate(generator.values):
-        count = 1 + (grid.memory - 1) * (v > generator.values[(t - 1) % d])
-        offsets.extend([generator.values[(t - 1) % d]] * count)
-        position += count
-    c = len(cycle)
-    for t in range(c, 3 * c):
-        expected_ref = grid.prices[offsets[t % c]]
-        assert steps[t].reference == expected_ref
+def test_simulate_matches_per_step_replay(rng):
+    makers = (random_monotone_table, random_table, tie_heavy_table)
+    cases = 0
+    for i in range(120):
+        n, memory = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        table = makers[i % len(makers)](rng, n, memory)
+        generator = GeneratorCycle(tuple(rng.permutation(n)[:int(rng.integers(1, n + 1))].tolist()))
+        for cycle in (max_mean_cycle(StateGraph.build(table)).cycle, expand(generator, table.grid)):
+            for horizon in {1, memory - 1, memory, len(cycle), 600, 1001} - {0}:
+                expected = reference_replay(cycle, table, horizon)
+                assert simulate(cycle, table, horizon).hex() == expected.hex()
+                cases += 1
+    assert cases >= 1000
 
 
-def test_simulate_policy_callable(demo_table):
-    steps = simulate(lambda state: min(state), demo_table, 5)
-    assert len(steps) == 5
+def test_simulate_memory_is_constant_in_horizon(demo_table):
+    cycle = max_mean_cycle(StateGraph.build(demo_table)).cycle
+    tracemalloc.start()
+    try:
+        simulate(cycle, demo_table, 100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_simulate_refuses_bad_horizon_and_cycle(demo_table):
+    cycle = PriceCycle((0,))
+    for horizon in (0, -1, MAX_HORIZON + 1):
+        with pytest.raises(ValueError, match="horizon"):
+            simulate(cycle, demo_table, horizon)
     with pytest.raises(ValueError):
-        simulate(lambda state: 9, demo_table, 2)
-    with pytest.raises(ValueError):
-        simulate(PriceCycle((0,)), demo_table, 0)
+        simulate(PriceCycle((9,)), demo_table, 2)

@@ -30,11 +30,16 @@ def test_script_loads_and_its_imports_resolve(name):
 def test_output_digest_is_reproducible_at_a_tiny_size(monkeypatch, capsys):
     digest = load("output_digest")
     monkeypatch.setattr(sys, "argv", ["output_digest.py", "--tables", "3", "--seed", "1"])
+    commands = []
+    cli_main = digest.cli_main
+    monkeypatch.setattr(digest, "cli_main", lambda argv: commands.append(argv[0]) or cli_main(argv))
     outputs = []
     for _ in range(2):
         assert digest.main() == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+    # the first table also runs one simulate -> analyze -> allocate chain
+    assert [commands.count(name) for name in ("simulate", "analyze", "allocate")] == [2, 2, 6]
     lines = outputs[0].splitlines()
     runs = int(lines[0].removeprefix("runs "))
     assert runs >= 6 and runs == sum(int(line.split(": ")[1]) for line in lines[1:-1])
