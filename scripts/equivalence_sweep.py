@@ -33,6 +33,8 @@ def main() -> int:
     # the allocator's data uses memory 7, so its cells join the small grid
     cells = [(n, memory) for n in (2, 3, 4) for memory in (1, 2, 3)]
     cells += [(2, 7), (3, 7), (4, 7), (5, 7), (6, 7), (8, 7)]
+    # appended last, so the draws of the cells above do not change
+    cells += [(10, 6), (10, 7)]
     failed = False
     for n, memory in cells:
         start = time.perf_counter()

@@ -36,6 +36,7 @@ __all__ = [
     "reference_at",
     "cycle_objective",
     "exact_objective",
+    "MAX_EXPANSION",
     "expand",
     "is_l_up_1_down",
 ]
@@ -283,22 +284,29 @@ def expansion_count(memory: int, previous_index: int, value_index: int) -> int:
     return memory if value_index > previous_index else 1
 
 
+MAX_EXPANSION = 10**7
+
+
 def expand(generator: GeneratorCycle, grid: PriceGrid) -> PriceCycle:
     """Price cycle generated by a cycle of distinct prices.
 
     Each value is repeated ``memory`` times when it is an increase over the
     previous value and offered once otherwise.  A single-value generator
-    expands to the constant one-token cycle.
+    expands to the constant one-token cycle.  The length is counted before
+    anything is built, and one over :data:`MAX_EXPANSION` tokens is refused.
     """
     values = generator.values
     if any(v >= len(grid) for v in values):
         raise ValueError("generator value out of range for grid")
     if len(values) == 1:
         return PriceCycle((values[0],))
-    tokens: list[int] = []
     d = len(values)
-    for t, v in enumerate(values):
-        tokens.extend([v] * expansion_count(grid.memory, values[(t - 1) % d], v))
+    counts = [expansion_count(grid.memory, values[(t - 1) % d], v) for t, v in enumerate(values)]
+    if sum(counts) > MAX_EXPANSION:
+        raise ValueError(f"expansion of {sum(counts)} tokens exceeds the bound {MAX_EXPANSION}")
+    tokens: list[int] = []
+    for v, count in zip(values, counts):
+        tokens.extend([v] * count)
     return PriceCycle(tuple(tokens))
 
 

@@ -1,12 +1,20 @@
 """Exact maximum cost-to-time ratio cycles by Howard policy iteration.
 
 A graph is given as, per node, a list of edges ``(successor, weight, time)``
-with positive times.  :func:`max_ratio_cycle` runs the multichain form of
-Howard's policy iteration (Howard 1960; Cochet-Terrasson et al. 1998) in
-rational arithmetic and returns, per node, the best ratio ``value`` of a cycle
-reachable from it, a ``bias`` and its ``tight`` successors.  At the fixed
-point no edge leads to a higher value, and every edge (u, v) with
-``value[v] == value[u]`` satisfies
+with rational weights and positive integer times.  :func:`max_ratio_cycle`
+runs the multichain form of Howard's policy iteration (Howard 1960;
+Cochet-Terrasson et al. 1998) and returns, per node, the best ratio ``value``
+of a cycle reachable from it, a ``bias`` and its ``tight`` successors.
+
+The iteration runs on Python integers only.  Every weight is put over one
+common denominator, the lcm of the weights' denominators (a power of two for
+float gains), and every value and bias over one common scale, a multiple of
+each cycle's reduced time seen so far; sums, products and comparisons are
+then exact integer operations, and ``Fraction``s are built only for the
+returned values and biases.
+
+At the fixed point no edge leads to a higher value, and every edge (u, v)
+with ``value[v] == value[u]`` satisfies
 ``bias[u] >= weight - value[u] * time + bias[v]``, exactly; on a strongly
 connected graph the value is uniform and the bias solves the optimality
 equations with zero residual.
@@ -21,6 +29,7 @@ oracle.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,43 +38,55 @@ __all__ = ["Edge", "max_ratio_cycle", "least_tight_cycle"]
 Edge = tuple[int, Fraction, int]
 
 
-def _evaluate(edges: Sequence[Sequence[Edge]], policy: list[int],
-              bias: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Value and bias of a fixed policy.
+def _evaluate(edges: Sequence[Sequence[tuple[int, int, int]]], policy: list[int],
+              bias: list[int], scale: int) -> tuple[list[int], list[int], int]:
+    """Value and bias of a fixed policy on integer weights, over ``scale``.
 
     Each node's policy path ends on a cycle whose ratio is the node's value.
     The least node of each cycle keeps its previous bias, so a cycle that
     survives an iteration keeps its biases; the rest follow the policy edges.
+    Values come back as levels, value times ``scale``, and biases as bias
+    times ``scale``.  When a cycle's ratio, in lowest terms, has a time that
+    does not divide ``scale``, the scale and every bias and level so far are
+    multiplied up to a common multiple.
     """
     n = len(edges)
-    value: list[Fraction | None] = [None] * n
+    level: list[int | None] = [None] * n
     bias = list(bias)
     on_walk = [False] * n
     for root in range(n):
         walk = []
         u = root
-        while value[u] is None and not on_walk[u]:
+        while level[u] is None and not on_walk[u]:
             on_walk[u] = True
             walk.append(u)
             u = edges[u][policy[u]][0]
-        if value[u] is None:  # the walk closed a new cycle at u
+        if level[u] is None:  # the walk closed a new cycle at u
             cycle = walk[walk.index(u):]
-            ratio = (Fraction(sum(edges[x][policy[x]][1] for x in cycle))
-                     / sum(edges[x][policy[x]][2] for x in cycle))
+            total = sum(edges[x][policy[x]][1] for x in cycle)
+            length = sum(edges[x][policy[x]][2] for x in cycle)
+            common = math.gcd(total, length)
+            total, length = total // common, length // common
+            if scale % length:
+                factor = length // math.gcd(scale, length)
+                scale *= factor
+                bias = [b * factor for b in bias]
+                level = [None if lv is None else lv * factor for lv in level]
+            ratio = total * (scale // length)
             anchor = cycle.index(min(cycle))
             for x in cycle:
-                value[x] = ratio
+                level[x] = ratio
             for i in range(len(cycle) - 1, 0, -1):
                 x = cycle[(anchor + i) % len(cycle)]
                 _, weight, time = edges[x][policy[x]]
-                bias[x] = weight - ratio * time + bias[cycle[(anchor + i + 1) % len(cycle)]]
+                bias[x] = weight * scale - ratio * time + bias[cycle[(anchor + i + 1) % len(cycle)]]
         for x in reversed(walk):
             on_walk[x] = False
-            if value[x] is None:
+            if level[x] is None:
                 v, weight, time = edges[x][policy[x]]
-                value[x] = value[v]
-                bias[x] = weight - value[v] * time + bias[v]
-    return value, bias  # type: ignore[return-value]
+                level[x] = level[v]
+                bias[x] = weight * scale - level[v] * time + bias[v]
+    return level, bias, scale  # type: ignore[return-value]
 
 
 def max_ratio_cycle(edges: Sequence[Sequence[Edge]], policy: Sequence[int] | None = None
@@ -74,39 +95,52 @@ def max_ratio_cycle(edges: Sequence[Sequence[Edge]], policy: Sequence[int] | Non
     docstring.
 
     ``policy`` optionally gives the starting edge index per node; by default
-    each node starts on its edge of best weight-to-time ratio.  A node switches
-    edge only on a strict improvement, first of value and then of bias.
-    ``tight[u]`` lists, in edge order, the successors v of equal value with
-    ``bias[u] == weight - value[u] * time + bias[v]``; the final policy edge
-    is among them, so no list is empty.
+    each node starts on its edge of best weight-to-time ratio, the first on
+    ties.  A node switches edge only on a strict improvement, first of value
+    and then of bias.  ``tight[u]`` lists, in edge order, the successors v of
+    equal value with ``bias[u] == weight - value[u] * time + bias[v]``; the
+    final policy edge is among them, so no list is empty.
     """
+    # weights over their common denominator ``unit``: integer numerators
+    ratios = [[(v, *weight.as_integer_ratio(), time) for v, weight, time in row] for row in edges]
+    unit = math.lcm(*{d for row in ratios for _, _, d, _ in row})
+    graph = [[(v, p * (unit // d), time) for v, p, d, time in row] for row in ratios]
     if policy is None:
-        policy = [max(range(len(row)), key=lambda k: row[k][1] / row[k][2]) for row in edges]
+        policy = []
+        for row in graph:
+            best = 0
+            for k in range(1, len(row)):
+                if row[k][1] * row[best][2] > row[best][1] * row[k][2]:
+                    best = k
+            policy.append(best)
     policy = list(policy)
-    bias = [Fraction(0)] * len(edges)
+    bias, scale = [0] * len(graph), 1
     while True:
-        value, bias = _evaluate(edges, policy, bias)
+        level, bias, scale = _evaluate(graph, policy, bias, scale)
         switched = False
-        for u, row in enumerate(edges):
-            best = value[u]
+        for u, row in enumerate(graph):
+            best = level[u]
             for k, (v, _, _) in enumerate(row):
-                if value[v] > best:
-                    best, policy[u], switched = value[v], k, True
+                if level[v] > best:
+                    best, policy[u], switched = level[v], k, True
         if switched:
             continue
         tight: list[list[int]] = []
-        for u, row in enumerate(edges):
-            best, successors = bias[u], []
+        for u, row in enumerate(graph):
+            own, best, successors = level[u], bias[u], []
             for k, (v, weight, time) in enumerate(row):
-                if value[v] == value[u]:
-                    slack = weight - value[u] * time + bias[v]
+                if level[v] == own:
+                    slack = weight * scale - own * time + bias[v]
                     if slack > best:
                         best, policy[u], switched = slack, k, True
                     elif slack == best:
                         successors.append(v)
             tight.append(successors)
         if not switched:
-            return value, bias, tight
+            denominator = unit * scale
+            values = {lv: Fraction(lv, denominator) for lv in set(level)}
+            return ([values[lv] for lv in level],
+                    [Fraction(b, denominator) for b in bias], tight)
 
 
 def least_tight_cycle(tight: Sequence[Sequence[int]]) -> tuple[int, ...]:

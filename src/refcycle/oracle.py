@@ -6,8 +6,8 @@ the last j prices): C(n+m-1, m) states for n prices and memory m, not n**m.
 Offering p from (s1, ..., sm) yields gain ``g(sm, p)`` and moves to
 (p, min(p, s1), ..., min(p, s(m-1))).  The best long-run average over all
 policies equals the maximum mean cycle of this graph, which
-:func:`max_mean_cycle` computes exactly (rational arithmetic) by policy
-iteration (:mod:`refcycle.kernel`, unit times); the witness is the least
+:func:`max_mean_cycle` computes exactly by policy iteration
+(:mod:`refcycle.kernel`, unit times); the witness is the least
 optimal cycle of states, the solver's tie-break.  :func:`exhaustive_generators`
 independently enumerates every cycle of distinct prices and scores its
 expansion with :func:`refcycle.core.exact_objective`, and :func:`simulate`

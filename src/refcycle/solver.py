@@ -66,11 +66,16 @@ def _ratio_edges(table: GainTable) -> list[list[Edge]]:
     """Per-price graph: offering p from r earns g(r, p) * k(r, p) in k(r, p) steps."""
     n = len(table.grid)
     memory = table.grid.memory
-    return [
-        [(p, Fraction(table.gains[r][p]) * expansion_count(memory, r, p),
-          expansion_count(memory, r, p)) for p in range(n)]
-        for r in range(n)
-    ]
+    edges = []
+    for r in range(n):
+        row = []
+        for p in range(n):
+            k = expansion_count(memory, r, p)
+            # equal to Fraction(g) * k, built in one normalization instead of two
+            numerator, denominator = table.gains[r][p].as_integer_ratio()
+            row.append((p, Fraction(numerator * k, denominator), k))
+        edges.append(row)
+    return edges
 
 
 def solve(table: GainTable) -> SolveResult:

@@ -327,6 +327,16 @@ def test_oracle_horizon_out_of_range_is_a_validation_error(demo_file, capsys, ho
     assert "refcycle: error: horizon" in err
 
 
+def test_solve_with_an_oversized_expansion_is_a_validation_error(capsys, tmp_path):
+    # the optimal generator (1, 2) expands to memory + 1 tokens; at memory 10**9
+    # the cycle is refused by its counted length instead of being built
+    path = tmp_path / "gains.json"
+    path.write_text(json.dumps({"prices": [1, 2], "memory": 10**9, "gains": [[0, 1], [1, 0]]}))
+    code, out, err = run(capsys, "solve", "--gains", path)
+    assert (code, out) == (2, "")
+    assert "refcycle: error: expansion of 1000000001 tokens exceeds the bound 10000000" in err
+
+
 JSON_SCALARS = (st.none() | st.booleans() | st.integers(0, 5)
                 | st.floats(-5, 5, allow_nan=False) | st.text(max_size=3))
 JSON_VALUES = st.recursive(

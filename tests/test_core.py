@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from refcycle import core
 from refcycle.core import (
     GainTable,
     GeneratorCycle,
@@ -217,6 +218,15 @@ def test_expand_length_formula():
                         for t in range(length)
                     )
                     assert len(expanded) == expected
+
+
+def test_expand_refuses_a_length_over_the_bound(monkeypatch):
+    # (0, 1, 2) at memory m expands to 2m + 1 tokens: 5 at m = 2, 7 at m = 3
+    monkeypatch.setattr(core, "MAX_EXPANSION", 5)
+    assert len(expand(GeneratorCycle((0, 1, 2)), integer_grid(3, 2))) == 5
+    with pytest.raises(ValueError, match="expansion of 7 tokens exceeds the bound 5"):
+        expand(GeneratorCycle((0, 1, 2)), integer_grid(3, 3))
+    assert expand(GeneratorCycle((2,)), integer_grid(3, 10**9)).tokens == (2,)
 
 
 def test_generator_validation():

@@ -1,6 +1,7 @@
 """Reduced-process solver: ratio objective, exact ratio kernel, optimality equations."""
 
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from refcycle.core import (
 from refcycle.instances import integer_grid, random_monotone_table, random_table
 from refcycle.kernel import least_tight_cycle, max_ratio_cycle
 from refcycle.oracle import StateGraph, exhaustive_generators, max_mean_cycle
+from refcycle import solver as solver_module
 from refcycle.solver import bellman_residual, generator_objective, solve
 
 
@@ -180,6 +182,146 @@ def test_kernel_tight_graph_is_read_off_the_fixed_point(rng):
                     value[v] == value[u] and bias[u] >= w - value[u] * t + bias[v])
 
 
+def reference_evaluate(edges, policy, bias):
+    """The rational kernel's policy evaluation, kept as a reference: value and
+    bias of a fixed policy in ``Fraction`` arithmetic, the least node of each
+    cycle keeping its previous bias."""
+    n = len(edges)
+    value = [None] * n
+    bias = list(bias)
+    on_walk = [False] * n
+    for root in range(n):
+        walk = []
+        u = root
+        while value[u] is None and not on_walk[u]:
+            on_walk[u] = True
+            walk.append(u)
+            u = edges[u][policy[u]][0]
+        if value[u] is None:
+            cycle = walk[walk.index(u):]
+            ratio = (Fraction(sum(edges[x][policy[x]][1] for x in cycle))
+                     / sum(edges[x][policy[x]][2] for x in cycle))
+            anchor = cycle.index(min(cycle))
+            for x in cycle:
+                value[x] = ratio
+            for i in range(len(cycle) - 1, 0, -1):
+                x = cycle[(anchor + i) % len(cycle)]
+                _, weight, time = edges[x][policy[x]]
+                bias[x] = weight - ratio * time + bias[cycle[(anchor + i + 1) % len(cycle)]]
+        for x in reversed(walk):
+            on_walk[x] = False
+            if value[x] is None:
+                v, weight, time = edges[x][policy[x]]
+                value[x] = value[v]
+                bias[x] = weight - value[v] * time + bias[v]
+    return value, bias
+
+
+def reference_max_ratio_cycle(edges, policy=None):
+    """The rational kernel's policy iteration, kept as a reference: the same
+    start policy, strict-improvement switches and tight lists as
+    :func:`refcycle.kernel.max_ratio_cycle`, every step in ``Fraction``s."""
+    if policy is None:
+        policy = [max(range(len(row)), key=lambda k: row[k][1] / row[k][2]) for row in edges]
+    policy = list(policy)
+    bias = [Fraction(0)] * len(edges)
+    while True:
+        value, bias = reference_evaluate(edges, policy, bias)
+        switched = False
+        for u, row in enumerate(edges):
+            best = value[u]
+            for k, (v, _, _) in enumerate(row):
+                if value[v] > best:
+                    best, policy[u], switched = value[v], k, True
+        if switched:
+            continue
+        tight = []
+        for u, row in enumerate(edges):
+            best, successors = bias[u], []
+            for k, (v, weight, time) in enumerate(row):
+                if value[v] == value[u]:
+                    slack = weight - value[u] * time + bias[v]
+                    if slack > best:
+                        best, policy[u], switched = slack, k, True
+                    elif slack == best:
+                        successors.append(v)
+            tight.append(successors)
+        if not switched:
+            return value, bias, tight
+
+
+WEIGHT_KINDS = {
+    "float": lambda rng: Fraction(float(rng.normal())),
+    "integer-tie": lambda rng: Fraction(int(rng.integers(0, 3))),
+    "non-dyadic": lambda rng: Fraction(int(rng.integers(-6, 7)), int(rng.choice([1, 3, 7, 21]))),
+    "extreme": lambda rng: Fraction(float(rng.choice(
+        [5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308, 0.1, 0.0]))),
+}
+
+
+def reference_graphs(rng):
+    """Complete, multichain and sparse graphs for every weight kind, times 1-7."""
+    for shape in ("complete", "multichain", "sparse"):
+        for kind, weight in WEIGHT_KINDS.items():
+            for _ in range(84):
+                n = int(rng.integers(1, 7 if shape == "complete" else 11))
+                rows = []
+                for u in range(n):
+                    if shape == "complete":
+                        successors = range(n)
+                    else:
+                        degree = int(rng.integers(1, 3 if shape == "multichain" else 5))
+                        successors = sorted({int(v) for v in rng.integers(0, n, size=degree)})
+                    rows.append([(v, weight(rng), int(rng.integers(1, 8))) for v in successors])
+                yield f"{shape}/{kind}", rows
+
+
+def test_kernel_matches_the_rational_reference(rng):
+    # the integer kernel takes the rational kernel's path, so value, bias and
+    # tight lists are equal, with and without a starting policy
+    compared = 0
+    for label, edges in reference_graphs(rng):
+        start = [int(rng.integers(len(row))) for row in edges]
+        for policy in (None, start):
+            assert max_ratio_cycle(edges, policy) == reference_max_ratio_cycle(edges, policy), label
+            compared += 1
+    assert compared == 2016
+
+
+def test_kernel_matches_the_rational_reference_inside_solve(rng, monkeypatch):
+    # both of solve's kernel runs, the anchored one with its starting policy
+    calls = []
+
+    def recorded(edges, policy=None):
+        result = max_ratio_cycle(edges, policy)
+        calls.append((edges, policy, result))
+        return result
+
+    monkeypatch.setattr(solver_module, "max_ratio_cycle", recorded)
+    for i in range(60):
+        n, memory = int(rng.integers(2, 13)), int(rng.integers(1, 8))
+        if i % 3 == 2:
+            rows = rng.integers(0, 3, size=(n, n)).tolist()
+            table = GainTable.from_rows(integer_grid(n, memory), rows)
+        else:
+            table = (random_monotone_table if i % 3 else random_table)(rng, n, memory)
+        solve(table)
+    assert len(calls) == 120 and all(policy is not None for _, policy, _ in calls[1::2])
+    for edges, policy, result in calls:
+        assert result == reference_max_ratio_cycle(edges, policy)
+
+
+def test_kernel_rescales_biases_for_each_new_cycle_time():
+    # six self-loops of prime times, each entered from one tree node: every
+    # cycle brings a new denominator, so the common bias scale grows six times
+    primes = (2, 3, 5, 7, 11, 13)
+    edges = [[(i, Fraction(1), p)] for i, p in enumerate(primes)]
+    edges += [[(i, Fraction(0), 1)] for i in range(6)]
+    value, bias, tight = max_ratio_cycle(edges)
+    assert (value, bias, tight) == reference_max_ratio_cycle(edges)
+    assert math.lcm(*(b.denominator for b in bias)) == math.prod(primes)
+
+
 def brute_force_least_cycle(successors):
     """Least of all simple cycles, each written from its least node, or None."""
     cycles = []
@@ -262,9 +404,9 @@ def test_solve_matches_oracle_on_monotone_instances(rng):
 
 
 def test_solve_matches_oracle_at_memory_seven(rng):
-    # the allocator's data uses memory 7; the state graph has 8, 36, 120, 330
-    # and 792 suffix-minimum states for 2 to 6 prices
-    for n, count in ((2, 3), (3, 2), (4, 2), (5, 1), (6, 1)):
+    # the allocator's data uses memory 7; the state graph has 8, 36, 120, 330,
+    # 792 and 3432 suffix-minimum states for 2 to 6 and 8 prices
+    for n, count in ((2, 3), (3, 2), (4, 2), (5, 1), (6, 1), (8, 1)):
         for _ in range(count):
             table = random_monotone_table(rng, n, 7)
             assert solve(table).opt_exact == max_mean_cycle(StateGraph.build(table)).value_exact
