@@ -18,9 +18,8 @@ from .core import (
     cycle_objective,
     expand,
     is_l_up_1_down,
-    reference_at,
 )
-from .solver import SolveResult, bellman_residual, generator_objective, solve
+from .solver import SolveResult, bellman_residual, solve
 
 __all__ = [
     "GainTable",
@@ -31,9 +30,7 @@ __all__ = [
     "bellman_residual",
     "cycle_objective",
     "expand",
-    "generator_objective",
     "is_l_up_1_down",
-    "reference_at",
     "solve",
     "__version__",
 ]

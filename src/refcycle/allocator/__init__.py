@@ -13,7 +13,6 @@ from .fitting import (
     FitConvergenceError,
     fit_beta,
     likelihood_gradient,
-    mean_log_likelihood,
 )
 from .model import (
     AllocationModel,
@@ -55,7 +54,6 @@ __all__ = [
     "feature_matrix",
     "fit_beta",
     "likelihood_gradient",
-    "mean_log_likelihood",
     "monotonicity_table",
     "myopic_assign",
     "projected_redemption",

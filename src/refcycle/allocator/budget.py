@@ -2,9 +2,9 @@
 
 Projected redemption is weakly decreasing in the shadow price whenever every
 customer's coupon sensitivity is nonnegative, so the smallest feasible
-shadow price can be found by bisection: start at the revenue-maximizing
-value (the lower bound, 1 by default), and only tighten when the budget is
-exceeded.
+shadow price can be found by bisection over :data:`LAMBDA_BOUNDS`: start at
+the revenue-maximizing value (the lower bound, 1), and only tighten when the
+budget is exceeded, until the interval is at most :data:`TOLERANCE` wide.
 
 The table of purchase probabilities q(x, v) is computed once per call and
 every probe is answered from it; each probe's redemption is bit-identical to
@@ -30,9 +30,12 @@ from .model import (
     purchase_prob_table,
 )
 
-__all__ = ["InfeasibleBudgetError", "BudgetConfig", "tune_lambda"]
+__all__ = ["InfeasibleBudgetError", "BudgetConfig", "LAMBDA_BOUNDS", "TOLERANCE", "tune_lambda"]
 
 logger = logging.getLogger(__name__)
+
+LAMBDA_BOUNDS = (1.0, 10.0)
+TOLERANCE = 1e-6
 
 
 class InfeasibleBudgetError(RuntimeError):
@@ -41,23 +44,16 @@ class InfeasibleBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class BudgetConfig:
-    """Budget inputs: average basket value, daily budget, search interval."""
+    """Budget inputs: average basket value and daily budget."""
 
     basket_value: float
     budget: float
-    lambda_bounds: tuple[float, float] = (1.0, 10.0)
-    tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
         if not 0 < self.basket_value < float("inf"):
             raise ValueError("basket value must be positive and finite")
         if not self.budget >= 0:
             raise ValueError("budget must be a nonnegative number")
-        lo, hi = self.lambda_bounds
-        if not lo <= hi:
-            raise ValueError("lambda bounds must be ordered")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
 
 
 def tune_lambda(
@@ -126,7 +122,7 @@ def _bisect(q: np.ndarray, v: np.ndarray, config: BudgetConfig) -> float:
     def redemption(lam: float) -> float:
         return _probe(q, v, lam, config.basket_value)
 
-    lo, hi = config.lambda_bounds
+    lo, hi = LAMBDA_BOUNDS
     if redemption(lo) <= config.budget:
         return lo
     top = redemption(hi)
@@ -135,7 +131,7 @@ def _bisect(q: np.ndarray, v: np.ndarray, config: BudgetConfig) -> float:
             f"redemption {top:.6g} exceeds budget {config.budget:.6g} "
             f"at the interval top {hi}"
         )
-    while hi - lo > config.tolerance:
+    while hi - lo > TOLERANCE:
         mid = 0.5 * (lo + hi)
         if redemption(mid) <= config.budget:
             hi = mid

@@ -15,10 +15,14 @@ from .model import sigmoid
 
 __all__ = [
     "FitConvergenceError",
+    "MAX_ITER",
+    "GRAD_TOL",
     "fit_beta",
-    "mean_log_likelihood",
     "likelihood_gradient",
 ]
+
+MAX_ITER = 500
+GRAD_TOL = 1e-8
 
 
 class FitConvergenceError(RuntimeError):
@@ -40,13 +44,6 @@ def _check_inputs(features, coupons, outcomes, alpha):
     return X, v, y, a
 
 
-def mean_log_likelihood(beta, features, coupons, outcomes, alpha, pivot: float = 0.15) -> float:
-    """Mean Bernoulli log-likelihood at sensitivity weights ``beta``."""
-    X, v, y, a = _check_inputs(features, coupons, outcomes, alpha)
-    logits = a + (v - pivot) * (X @ np.asarray(beta, dtype=float))
-    return float(np.mean(y * logits - np.logaddexp(0.0, logits)))
-
-
 def likelihood_gradient(beta, features, coupons, outcomes, alpha, pivot: float = 0.15) -> np.ndarray:
     """Gradient of the mean log-likelihood with respect to ``beta``."""
     X, v, y, a = _check_inputs(features, coupons, outcomes, alpha)
@@ -56,30 +53,22 @@ def likelihood_gradient(beta, features, coupons, outcomes, alpha, pivot: float =
     return z.T @ (y - p) / len(y)
 
 
-def fit_beta(
-    features,
-    coupons,
-    outcomes,
-    alpha,
-    pivot: float = 0.15,
-    max_iter: int = 500,
-    grad_tol: float = 1e-8,
-) -> np.ndarray:
+def fit_beta(features, coupons, outcomes, alpha, pivot: float = 0.15) -> np.ndarray:
     """Sensitivity weights maximizing the mean log-likelihood.
 
     Deterministic: zero start, full-batch Newton steps, stop when the
-    gradient max-norm falls below ``grad_tol``.  Raises
-    :class:`FitConvergenceError` after ``max_iter`` steps.
+    gradient max-norm falls below :data:`GRAD_TOL`.  Raises
+    :class:`FitConvergenceError` after :data:`MAX_ITER` steps.
     """
     X, v, y, a = _check_inputs(features, coupons, outcomes, alpha)
     n, d = X.shape
     z = (v - pivot)[:, None] * X
     beta = np.zeros(d)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         logits = a + z @ beta
         p = np.asarray(sigmoid(logits))
         grad = z.T @ (y - p) / n
-        if np.max(np.abs(grad)) <= grad_tol:
+        if np.max(np.abs(grad)) <= GRAD_TOL:
             return beta
         weights = p * (1.0 - p)
         hessian = (z * weights[:, None]).T @ z / n
@@ -90,4 +79,4 @@ def fit_beta(
         beta = beta + step
         if not np.all(np.isfinite(beta)):
             raise FitConvergenceError("Newton ascent diverged")
-    raise FitConvergenceError(f"gradient above {grad_tol} after {max_iter} iterations")
+    raise FitConvergenceError(f"gradient above {GRAD_TOL} after {MAX_ITER} iterations")

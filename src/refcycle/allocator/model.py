@@ -61,10 +61,6 @@ class DiscountSet:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def smallest(self) -> float:
-        return self.values[0]
-
 
 @dataclass(frozen=True)
 class AllocationModel:

@@ -185,7 +185,7 @@ def _cmd_reduce(args) -> int:
     cycle = parse_cycle_text(args.cycle, table.grid)
     manifest = _manifest(args, [args.gains])
     start = time.perf_counter()
-    final, trace = reduce_to_l_up_1_down(cycle, table)
+    final, steps = reduce_to_l_up_1_down(cycle, table)
     manifest["wall_time_s"] = time.perf_counter() - start
     _, generator = is_l_up_1_down(final, table.grid)
     payload = {
@@ -202,7 +202,7 @@ def _cmd_reduce(args) -> int:
                 "objective_before": step.objective_before,
                 "objective_after": step.objective_after,
             }
-            for step in trace.steps
+            for step in steps
         ],
     }
     _emit(payload, args.out, manifest)

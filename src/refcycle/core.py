@@ -5,14 +5,15 @@ previous ``memory`` periods; :func:`reference_indices` walks a cycle once and
 returns every position's reference.  A pricing policy over a finite price set
 settles into a cycle, and the quantity of interest is the long-run average gain
 
-    (1/c) * sum_t g(reference_at(t), price_t)
+    (1/c) * sum_t g(r_t, p_t)
 
-over that cycle: :func:`cycle_objective` in floats, :func:`exact_objective` in
-rationals, both from the same walk over the canonical cycle's offers.  Cycles
-of a special shape — each price increase held for ``memory`` consecutive
-periods, each decrease offered once — are generated by a short cycle of
-distinct prices; those are the "l-up-1-down" cycles handled by
-:func:`expand` and :func:`is_l_up_1_down`.
+over a cycle of price indices p_0, ..., p_(c-1), where r_t is
+``reference_indices(cycle, grid)[t]``: :func:`cycle_objective` in floats,
+:func:`exact_objective` in rationals, both from the same walk over the
+canonical cycle's offers.  Cycles of a special shape — each price increase
+held for ``memory`` consecutive periods, each decrease offered once — are
+generated by a short cycle of distinct prices; those are the "l-up-1-down"
+cycles handled by :func:`expand` and :func:`is_l_up_1_down`.
 
 Prices are exact rationals so that cycle canonicalisation and equality are
 exact; gains are plain floats.  Everything here is immutable and pure, so all
@@ -32,8 +33,6 @@ __all__ = [
     "GeneratorCycle",
     "as_price",
     "reference_indices",
-    "reference_index_at",
-    "reference_at",
     "cycle_objective",
     "exact_objective",
     "MAX_EXPANSION",
@@ -79,11 +78,6 @@ class PriceGrid:
 
     def __len__(self) -> int:
         return len(self.prices)
-
-    @property
-    def top(self) -> Fraction:
-        """Highest price in the grid (the initial reference of a customer)."""
-        return self.prices[-1]
 
     def index_of(self, price: int | float | str | Fraction) -> int:
         target = as_price(price)
@@ -165,16 +159,6 @@ class PriceCycle:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def rotate(self, shift: int) -> "PriceCycle":
-        c = len(self.tokens)
-        shift %= c
-        return PriceCycle(self.tokens[shift:] + self.tokens[:shift])
-
-    def repeat(self, copies: int) -> "PriceCycle":
-        if copies < 1:
-            raise ValueError("need at least one copy")
-        return PriceCycle(self.tokens * copies)
-
     def canonical(self) -> "PriceCycle":
         period = _primitive_period(self.tokens)
         base = self.tokens[:period]
@@ -183,9 +167,6 @@ class PriceCycle:
 
     def equivalent(self, other: "PriceCycle") -> bool:
         return self.canonical().tokens == other.canonical().tokens
-
-    def prices(self, grid: PriceGrid) -> tuple[Fraction, ...]:
-        return tuple(grid.prices[t] for t in self.tokens)
 
     def validate_for(self, grid: PriceGrid) -> None:
         if any(t >= len(grid) for t in self.tokens):
@@ -218,9 +199,6 @@ class GeneratorCycle:
         best = min(self.values[k:] + self.values[:k] for k in range(d))
         return GeneratorCycle(best)
 
-    def prices(self, grid: PriceGrid) -> tuple[Fraction, ...]:
-        return tuple(grid.prices[v] for v in self.values)
-
 
 def reference_indices(cycle: PriceCycle, grid: PriceGrid) -> list[int]:
     """Index of the best price in the memory window preceding each position.
@@ -234,20 +212,6 @@ def reference_indices(cycle: PriceCycle, grid: PriceGrid) -> list[int]:
     window = min(grid.memory, c)
     history = tokens[c - window:] + tokens
     return [min(history[t:t + window]) for t in range(c)]
-
-
-def reference_index_at(cycle: PriceCycle, grid: PriceGrid, t: int) -> int:
-    """Index of the best price in the memory window preceding position t."""
-    c = len(cycle)
-    if not 0 <= t < c:
-        raise IndexError(f"position {t} outside cycle of length {c}")
-    return reference_indices(cycle, grid)[t]
-
-
-def reference_at(cycle: PriceCycle, grid: PriceGrid, t: int) -> Fraction:
-    """Reference price at position t: min of the previous ``memory`` prices."""
-    cycle.validate_for(grid)
-    return grid.prices[reference_index_at(cycle, grid, t)]
 
 
 def _offer_gains(cycle: PriceCycle, table: GainTable) -> list[float]:

@@ -34,11 +34,9 @@ __all__ = [
     "gain_table_to_dict",
     "gain_table_from_dict",
     "load_gain_table",
-    "save_gain_table",
     "load_model",
     "model_from_dict",
     "load_simulation_spec",
-    "save_model",
     "save_dataset",
     "load_dataset",
     "customers_from_dataset",
@@ -168,17 +166,6 @@ def load_gain_table(path: str | Path, memory: int | None = None) -> GainTable:
     return table
 
 
-def save_gain_table(table: GainTable, path: str | Path) -> None:
-    path = Path(path)
-    if path.suffix.lower() == ".csv":
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow([format_price(p) for p in table.grid.prices])
-            writer.writerows([[repr(g) for g in row] for row in table.gains])
-        return
-    path.write_text(json.dumps(gain_table_to_dict(table), indent=2) + "\n")
-
-
 def model_from_dict(
     payload: dict, feature_names: list[str] | tuple[str, ...]
 ) -> AllocationModel:
@@ -210,17 +197,6 @@ def load_simulation_spec(path: str | Path) -> dict:
     if isinstance(spec.get("policy"), dict):
         _checked(spec["policy"], "policy", value=_is_number, shadow_price=_is_number)
     return spec
-
-
-def save_model(model: AllocationModel, discounts: DiscountSet, path: str | Path) -> None:
-    payload = {
-        "feature_names": list(model.feature_names),
-        "alpha_weights": [float(w) for w in model.alpha_weights],
-        "beta_weights": [float(w) for w in model.beta_weights],
-        "pivot": model.pivot,
-        "discounts": list(discounts.values),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _sidecar_path(path: Path) -> Path:
@@ -311,10 +287,12 @@ def _loadtxt_columns(handle, feature_names: tuple[str, ...]) -> tuple[np.ndarray
     refused, not rounded; ``comments=None``, so a ``#`` row is refused, not
     skipped.  A warning (a panel with no rows) refuses too.  numpy strips
     the separators U+001C..U+001F around a number as whitespace, which
-    ``int`` and ``float`` reject, so a file holding one is left to the loop.
+    ``int`` and ``float`` reject, and reads non-ASCII text its own way (the
+    id U+E86A as 59450; some such panels crash the process), so a file
+    holding either is left to the loop.
     """
     while chunk := handle.read(1 << 20):
-        if any(sep in chunk for sep in "\x1c\x1d\x1e\x1f"):
+        if not chunk.isascii() or any(sep in chunk for sep in "\x1c\x1d\x1e\x1f"):
             return None
     handle.seek(0)
     if next(csv.reader(handle), None) != _dataset_header(feature_names):

@@ -1,7 +1,7 @@
 """Instance generators and small bundled fixtures.
 
-Random gain tables drive the randomized equivalence sweeps; the fixed demo
-instance is a 4-price, memory-2 table that is deliberately not
+Random monotone gain tables drive the randomized equivalence sweeps; the
+fixed demo instance is a 4-price, memory-2 table that is deliberately not
 reference-monotone and whose optimal cycles interleave the top price with
 every lower price.
 """
@@ -15,7 +15,6 @@ from .core import GainTable, PriceGrid
 __all__ = [
     "integer_grid",
     "random_monotone_table",
-    "random_table",
     "nonmonotone_demo_grid",
     "nonmonotone_demo_table",
 ]
@@ -30,13 +29,6 @@ def random_monotone_table(rng: np.random.Generator, num_prices: int, memory: int
     """Random gains in [0, 1) with every column weakly increasing in the reference."""
     draws = rng.uniform(0.0, 1.0, size=(num_prices, num_prices))
     draws.sort(axis=0)
-    grid = integer_grid(num_prices, memory)
-    return GainTable.from_rows(grid, draws.tolist())
-
-
-def random_table(rng: np.random.Generator, num_prices: int, memory: int) -> GainTable:
-    """Random gains in [0, 1) with no monotonicity constraint."""
-    draws = rng.uniform(0.0, 1.0, size=(num_prices, num_prices))
     grid = integer_grid(num_prices, memory)
     return GainTable.from_rows(grid, draws.tolist())
 

@@ -33,11 +33,13 @@ from .kernel import least_tight_cycle, max_ratio_cycle
 
 __all__ = [
     "NodeBudgetError",
+    "NODE_BUDGET",
     "StateGraph",
     "MeanCycleResult",
     "GeneratorSearchResult",
     "max_mean_cycle",
     "optimal_cycles_unique",
+    "MAX_ENUMERATED_PRICES",
     "exhaustive_generators",
     "MAX_HORIZON",
     "simulate",
@@ -45,7 +47,10 @@ __all__ = [
 
 
 class NodeBudgetError(ValueError):
-    """State graph larger than the configured budget."""
+    """State graph larger than :data:`NODE_BUDGET`."""
+
+
+NODE_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -70,13 +75,16 @@ class StateGraph:
     nodes: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def build(cls, table: GainTable, node_budget: int = 10**6) -> "StateGraph":
-        """``node_budget`` bounds the edges built, states times prices,
-        checked before anything is materialized."""
+    def build(cls, table: GainTable) -> "StateGraph":
+        """:data:`NODE_BUDGET` bounds states times max(prices, memory),
+        checked before anything is materialized: every state is a
+        ``memory``-long tuple, and each of its ``prices`` edges builds one."""
         n, memory = len(table.grid), table.grid.memory
-        edges = math.comb(n + memory - 1, memory) * n
-        if edges > node_budget:
-            raise NodeBudgetError(f"state graph needs {edges} edges, budget is {node_budget}")
+        states = math.comb(n + memory - 1, memory)
+        size = states * max(n, memory)
+        if size > NODE_BUDGET:
+            raise NodeBudgetError(f"state graph needs {states} states x max({n} prices, "
+                                  f"memory {memory}) = {size}, budget is {NODE_BUDGET}")
         return cls(table, tuple(itertools.combinations_with_replacement(range(n), memory)))
 
     @property
@@ -184,16 +192,19 @@ def _distinct_cycles(n: int, length: int):
             yield (first,) + rest
 
 
-def exhaustive_generators(table: GainTable, max_prices: int = 9) -> GeneratorSearchResult:
+MAX_ENUMERATED_PRICES = 9
+
+
+def exhaustive_generators(table: GainTable) -> GeneratorSearchResult:
     """Best generator cycle by direct enumeration of all distinct-price cycles.
 
     Each candidate is scored through its expansion with the exact objective,
     independently of the polynomial solver.  Factorial cost, hence the size
-    guard.
+    guard :data:`MAX_ENUMERATED_PRICES`.
     """
     n = len(table.grid)
-    if n > max_prices:
-        raise ValueError(f"{n} prices exceeds the enumeration guard {max_prices}")
+    if n > MAX_ENUMERATED_PRICES:
+        raise ValueError(f"{n} prices exceeds the enumeration guard {MAX_ENUMERATED_PRICES}")
     best_value: Fraction | None = None
     best_gen: GeneratorCycle | None = None
     for length in range(1, n + 1):

@@ -1,18 +1,19 @@
 """Constructive rewriting of any price cycle into an l-up-1-down cycle.
 
 For reference-monotone gain tables, any cycle can be rewritten without
-lowering its long-run average gain.  The rewriting works in two phases:
+lowering its long-run average gain.  :func:`reduce_to_l_up_1_down` rewrites
+in two phases:
 
-1. :func:`normalize_runs` — between consecutive *low points* (positions
-   priced at or below their reference), each stretch is replaced by one of a
-   small family of candidates: for short stretches the empty string or a
-   single constant price (which, if best, bounds the whole cycle by a
-   constant cycle); for long stretches one of ``memory`` strided substrings
-   whose every price is held ``memory`` consecutive periods.
-2. :func:`split_at_resets` — while two distinct *reset points* (positions
-   whose price equals the minimum of the window ending there) carry the same
-   price, the cycle splits there into two shorter cycles, the better of which
-   is kept.
+1. Run normalization — between consecutive *low points* (positions priced
+   at or below their reference), each stretch is replaced by one of a small
+   family of candidates: for short stretches the empty string or a single
+   constant price (which, if best, bounds the whole cycle by a constant
+   cycle); for long stretches one of ``memory`` strided substrings whose
+   every price is held ``memory`` consecutive periods.
+2. Reset splitting — while two distinct *reset points* (positions whose
+   price equals the minimum of the window ending there) carry the same
+   price, the cycle splits at the pair whose longer subcycle is shortest
+   into two shorter cycles, the better of which is kept.
 
 Candidates are scored by the actual full-cycle objective
 (:func:`~refcycle.core.cycle_objective`), and each cycle is scored once: its
@@ -27,6 +28,7 @@ reference-monotone a step with no non-decreasing choice raises
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .core import (
@@ -41,11 +43,8 @@ from .core import (
 __all__ = [
     "ReductionViolationError",
     "ReductionStep",
-    "ReductionTrace",
     "low_points",
     "reset_points",
-    "normalize_runs",
-    "split_at_resets",
     "reduce_to_l_up_1_down",
 ]
 
@@ -61,14 +60,6 @@ class ReductionStep:
     after: PriceCycle
     objective_before: float
     objective_after: float
-
-
-@dataclass(frozen=True)
-class ReductionTrace:
-    steps: tuple[ReductionStep, ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 def low_points(cycle: PriceCycle, grid: PriceGrid) -> set[int]:
@@ -102,21 +93,16 @@ def _assemble(anchors: list[int], gaps: list[tuple[int, ...]]) -> PriceCycle:
     return PriceCycle(tuple(tok for anchor, gap in zip(anchors, gaps) for tok in (anchor, *gap)))
 
 
-def _check_kept(kind: str, before: float, after: float) -> None:
-    """The non-decrease rule: a ``kind`` rewrite may lower the objective by
-    float noise only."""
-    if after < before - 1e-12 * (1.0 + abs(before)):
+def _record(steps: list[ReductionStep], kind: str, before: PriceCycle, before_obj: float,
+            after: PriceCycle, after_obj: float) -> tuple[PriceCycle, float]:
+    """Check one rewrite against the non-decrease rule (it may lower the
+    objective by float noise only), append it to ``steps`` and return its
+    result with the result's objective."""
+    if after_obj < before_obj - 1e-12 * (1.0 + abs(before_obj)):
         raise ReductionViolationError(
             "neither subcycle preserves the objective" if kind == "reset-split"
             else "no candidate preserves the objective; the gain table is not reference-monotone"
         )
-
-
-def _record(steps: list[ReductionStep], kind: str, before: PriceCycle, before_obj: float,
-            after: PriceCycle, after_obj: float) -> tuple[PriceCycle, float]:
-    """Check one rewrite, append it to ``steps`` and return its result with the
-    result's objective."""
-    _check_kept(kind, before_obj, after_obj)
     steps.append(ReductionStep(kind, before, after, before_obj, after_obj))
     return after, after_obj
 
@@ -159,17 +145,6 @@ def _normalize(
     return work, objective
 
 
-def normalize_runs(cycle: PriceCycle, table: GainTable) -> PriceCycle:
-    """Rewrite the stretches between low points so every price either runs for
-    ``memory`` consecutive periods or is a single offer no higher than its
-    predecessor.  Output objective is at least the input objective; the result
-    is returned in canonical form (a constant cycle when a diagonal gain
-    dominates)."""
-    start = cycle.canonical()
-    final, _ = _normalize(start, cycle_objective(start, table), table, [])
-    return final
-
-
 def _split(
     cycle: PriceCycle, table: GainTable, i: int, j: int
 ) -> tuple[PriceCycle, PriceCycle, PriceCycle, float]:
@@ -188,50 +163,35 @@ def _split(
     return first, second, better, objective
 
 
-def split_at_resets(
-    cycle: PriceCycle, table: GainTable, i: int, j: int
-) -> tuple[PriceCycle, PriceCycle, PriceCycle]:
-    """Split a cycle at two same-price reset points into the two subcycles
-    ending at each point; returns (first, second, better).
-
-    The better subcycle's objective is never below the original's; a drop
-    beyond float noise means the preconditions were violated.
-    """
-    cycle.validate_for(table.grid)
-    c = len(cycle)
-    if i == j:
-        raise ValueError("need two distinct reset points")
-    if not (0 <= i < c and 0 <= j < c):
-        raise IndexError("reset positions outside the cycle")
-    if cycle.tokens[i] != cycle.tokens[j]:
-        raise ValueError("reset points must carry the same price")
-    resets = reset_points(cycle, table.grid)
-    if i not in resets or j not in resets:
-        raise ValueError("positions are not both reset points")
-    first, second, better, objective = _split(cycle, table, i, j)
-    _check_kept("reset-split", cycle_objective(cycle, table), objective)
-    return first, second, better
-
-
 def _duplicate_reset_pair(cycle: PriceCycle, grid: PriceGrid) -> tuple[int, int] | None:
-    """Same-price reset-point pair minimizing the longer subcycle, or None."""
+    """Same-price reset-point pair i < j minimizing the longer subcycle
+    max(j - i, c - j + i), then i, then j; or None.
+
+    For a fixed i the longer subcycle falls as j - i rises to c/2 and grows
+    after it, so only the two same-price positions beside i + c/2 can win;
+    bisection finds them, in O(c log c) time overall."""
     c = len(cycle)
     by_price: dict[int, list[int]] = {}
     for t in sorted(reset_points(cycle, grid)):
         by_price.setdefault(cycle.tokens[t], []).append(t)
-    pairs = [(max((j - i) % c, (i - j) % c), (i, j))
-             for positions in by_price.values()
-             for a, i in enumerate(positions) for j in positions[a + 1:]]
-    return min(pairs)[1] if pairs else None
+    best = None
+    for positions in by_price.values():
+        for a, i in enumerate(positions):
+            k = bisect_right(positions, i + c // 2, a + 1)
+            for j in positions[max(k - 1, a + 1):k + 1]:
+                pair = (max(j - i, c - j + i), i, j)
+                best = pair if best is None else min(best, pair)
+    return best[1:] if best else None
 
 
 def reduce_to_l_up_1_down(
     cycle: PriceCycle, table: GainTable
-) -> tuple[PriceCycle, ReductionTrace]:
+) -> tuple[PriceCycle, tuple[ReductionStep, ...]]:
     """Full pipeline: run normalization, then split at duplicate-price reset
-    points until none remain.  The final cycle is l-up-1-down, its objective
-    is at least the input's, and every intermediate inequality is recorded in
-    the trace.  Each split strictly shortens the cycle, so the loop ends."""
+    points until none remain.  Returns the final cycle, which is l-up-1-down
+    with objective at least the input's, and the steps, each recording one
+    checked inequality.  Each split strictly shortens the cycle, so the loop
+    ends."""
     grid = table.grid
     start = cycle.canonical()
     steps: list[ReductionStep] = []
@@ -242,4 +202,4 @@ def reduce_to_l_up_1_down(
                                      better.canonical(), better_obj)
     if not is_l_up_1_down(current, grid)[0]:
         raise ReductionViolationError("reduction terminated on a cycle that is not l-up-1-down")
-    return current, ReductionTrace(tuple(steps))
+    return current, tuple(steps)

@@ -16,25 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GainTable, GeneratorCycle, PriceCycle, exact_objective, expand, expansion_count
+from .core import GainTable, GeneratorCycle, PriceCycle, expand, expansion_count
 from .kernel import Edge, least_tight_cycle, max_ratio_cycle
 
 __all__ = [
     "SolveResult",
-    "generator_objective",
     "solve",
     "bellman_residual",
 ]
-
-
-def generator_objective(generator: GeneratorCycle, table: GainTable) -> float:
-    """Per-step average gain of a distinct-price cycle: the exact mean of its
-    expansion, :func:`refcycle.core.exact_objective`, rounded once to float.
-
-    It equals sum_t g(v[t-1], v[t]) * k_t / sum_t k_t, because the reference
-    while offering v[t] is always the previous value.
-    """
-    return float(exact_objective(expand(generator, table.grid), table))
 
 
 @dataclass(frozen=True)

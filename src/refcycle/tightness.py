@@ -40,10 +40,6 @@ class TightnessInstance:
     optimal_value: Fraction
     penalty: float
 
-    def bias_of(self, value_index: int) -> Fraction:
-        rank = sorted(self.target.values).index(value_index)
-        return self.bias[rank]
-
 
 def build(
     target: GeneratorCycle,

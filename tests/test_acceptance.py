@@ -14,6 +14,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from test_fitting import mean_log_likelihood
 
 from refcycle.allocator import (
     AllocationModel,
@@ -22,7 +23,6 @@ from refcycle.allocator import (
     default_ground_truth,
     fit_beta,
     likelihood_gradient,
-    mean_log_likelihood,
     monotonicity_table,
     myopic_assign,
     projected_redemption,
@@ -32,7 +32,9 @@ from refcycle.allocator import (
     tune_lambda,
     BudgetConfig,
 )
+from refcycle.allocator.budget import LAMBDA_BOUNDS, TOLERANCE
 from refcycle.core import GeneratorCycle, PriceCycle, cycle_objective, expand, is_l_up_1_down
+from refcycle.fileio import format_cycle
 from refcycle.instances import integer_grid, random_monotone_table
 from refcycle.oracle import (
     StateGraph,
@@ -42,7 +44,7 @@ from refcycle.oracle import (
     optimal_cycles_unique,
 )
 from refcycle.reduce import reduce_to_l_up_1_down
-from refcycle.solver import bellman_residual, generator_objective, solve
+from refcycle.solver import bellman_residual, solve
 from refcycle.tightness import build, verify_uniqueness
 
 
@@ -65,7 +67,7 @@ def all_generator_cycles(n: int):
 
 
 def price_string(cycle, grid) -> str:
-    return "".join(str(price) for price in cycle.prices(grid))
+    return format_cycle(cycle, grid).replace(" ", "")
 
 
 def test_criterion_1_demo_instance(demo_table):
@@ -238,7 +240,7 @@ def random_nonnegative_population(rng, size=120, dims=4):
 def test_criterion_5_redemption_monotonicity():
     rng = np.random.default_rng(5)
     discounts = DiscountSet()
-    lambdas = np.linspace(1.0, 1.0 / discounts.smallest, 20)
+    lambdas = np.linspace(1.0, 1.0 / discounts.values[0], 20)
     violations = 0
     for _ in range(50):
         X, model = random_nonnegative_population(rng)
@@ -289,19 +291,19 @@ def test_criterion_6_bisection_contract():
         X, model = random_nonnegative_population(rng, size=150)
         base = projected_redemption(model, X, myopic_assign(model, X, 1.0, discounts), basket)
         budget = 0.5 * base
-        config = BudgetConfig(basket_value=basket, budget=budget, tolerance=1e-6)
+        config = BudgetConfig(basket_value=basket, budget=budget)
         lam = tune_lambda(model, X, config, discounts)
 
         assert projected_redemption(model, X, myopic_assign(model, X, lam, discounts), basket) <= budget
-        shaved = lam - 10 * config.tolerance
+        shaved = lam - 10 * TOLERANCE
         assert projected_redemption(model, X, myopic_assign(model, X, shaved, discounts), basket) > budget
 
-        lambdas = np.linspace(1.0, config.lambda_bounds[1], 10_000)
+        lambdas = np.linspace(1.0, LAMBDA_BOUNDS[1], 10_000)
         redemptions = grid_redemptions(model, X, lambdas, basket, discounts)
         feasible = lambdas[redemptions <= budget]
         assert feasible.size, "grid oracle found no feasible point"
         spacing = lambdas[1] - lambdas[0]
-        assert abs(lam - feasible[0]) <= spacing + 10 * config.tolerance
+        assert abs(lam - feasible[0]) <= spacing + 10 * TOLERANCE
     ok = report("criterion 6: bisection matches the 10^4-point grid oracle", True,
                 "5 populations, budget = 50% of unconstrained redemption")
     assert ok
@@ -388,7 +390,7 @@ def test_criterion_9_identities():
         for memory in (1, 2, 3):
             table = random_monotone_table(rng, n, memory)
             for generator in all_generator_cycles(n):
-                direct = generator_objective(generator, table)
+                direct = float(exact_objective(expand(generator, table.grid), table))
                 roundabout = cycle_objective(expand(generator, table.grid), table)
                 worst_gap = max(worst_gap, abs(direct - roundabout))
     worst_residual = 0.0

@@ -101,7 +101,7 @@ def test_myopic_assign_rejects_negative_shadow_price():
 
 def test_assignments_nonincreasing_in_shadow_price(rng):
     discounts = DiscountSet()
-    lambdas = np.linspace(1.0, 1.0 / discounts.smallest, 20)
+    lambdas = np.linspace(1.0, 1.0 / discounts.values[0], 20)
     for _ in range(25):
         X, model = random_population(rng, size=40)
         previous = None
@@ -122,7 +122,7 @@ def test_projected_redemption_examples():
 
 def test_redemption_weakly_decreasing_in_shadow_price(rng):
     discounts = DiscountSet()
-    lambdas = np.linspace(1.0, 1.0 / discounts.smallest, 20)
+    lambdas = np.linspace(1.0, 1.0 / discounts.values[0], 20)
     for _ in range(25):
         X, model = random_population(rng, size=40)
         redemptions = [

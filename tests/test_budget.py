@@ -16,6 +16,7 @@ from refcycle.allocator import (
     purchase_prob_table,
     tune_lambda,
 )
+from refcycle.allocator.budget import LAMBDA_BOUNDS, TOLERANCE
 
 
 def population(rng, size=150, dims=4):
@@ -39,10 +40,6 @@ def test_config_validation():
         with pytest.raises(ValueError):
             BudgetConfig(basket_value=basket, budget=budget)
     assert BudgetConfig(basket_value=1.0, budget=float("inf")).budget == float("inf")
-    with pytest.raises(ValueError):
-        BudgetConfig(basket_value=1.0, budget=1.0, lambda_bounds=(2.0, 1.0))
-    with pytest.raises(ValueError):
-        BudgetConfig(basket_value=1.0, budget=1.0, tolerance=0.0)
 
 
 def test_loose_budget_returns_lower_bound(rng):
@@ -67,16 +64,16 @@ def test_bisection_contract_against_grid(rng):
         basket = 100.0
         base = redemption_at(model, X, 1.0, basket, discounts)
         budget = 0.5 * base
-        config = BudgetConfig(basket_value=basket, budget=budget, tolerance=1e-6)
+        config = BudgetConfig(basket_value=basket, budget=budget)
         lam = tune_lambda(model, X, config, discounts)
         assert redemption_at(model, X, lam, basket, discounts) <= budget
-        assert redemption_at(model, X, lam - 10 * config.tolerance, basket, discounts) > budget
+        assert redemption_at(model, X, lam - 10 * TOLERANCE, basket, discounts) > budget
         # 1000-point grid oracle (the acceptance suite uses 10^4 points)
-        grid = np.linspace(1.0, config.lambda_bounds[1], 1000)
+        grid = np.linspace(1.0, LAMBDA_BOUNDS[1], 1000)
         feasible = [g for g in grid if redemption_at(model, X, g, basket, discounts) <= budget]
         grid_opt = feasible[0]
         spacing = grid[1] - grid[0]
-        assert abs(lam - grid_opt) <= spacing + 10 * config.tolerance
+        assert abs(lam - grid_opt) <= spacing + 10 * TOLERANCE
 
 
 def test_negative_sensitivity_share_logged(rng, caplog):
@@ -124,7 +121,7 @@ def test_probe_matches_public_functions_exactly(size):
         q = purchase_prob_table(model, X, discounts)
         v = np.asarray(discounts.values)
         basket = float(rng.uniform(1.0, 200.0))
-        lambdas = [0.0, 1.0, 10.0, 1.0 / discounts.smallest, *rng.uniform(0.0, 12.0, 6)]
+        lambdas = [0.0, 1.0, 10.0, 1.0 / discounts.values[0], *rng.uniform(0.0, 12.0, 6)]
         for lam in lambdas:
             expected = redemption_at(model, X, lam, basket, discounts)
             assert budget._probe(q, v, lam, basket) == expected
@@ -132,19 +129,20 @@ def test_probe_matches_public_functions_exactly(size):
         assert negative_rows > 0
 
 
-def reference_tune_lambda(model, X, config, discounts):
-    """The bisection as it was before the table was shared: every probe calls
-    ``myopic_assign`` and ``projected_redemption``."""
+def reference_tune_lambda(model, X, config, discounts, bounds, tolerance):
+    """The bisection over ``bounds`` to ``tolerance`` as it was before the
+    table was shared: every probe calls ``myopic_assign`` and
+    ``projected_redemption``."""
 
     def redemption(lam):
         return redemption_at(model, X, lam, config.basket_value, discounts)
 
-    lo, hi = config.lambda_bounds
+    lo, hi = bounds
     if redemption(lo) <= config.budget:
         return lo
     if redemption(hi) > config.budget:
         raise InfeasibleBudgetError("infeasible")
-    while hi - lo > config.tolerance:
+    while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
         if redemption(mid) <= config.budget:
             hi = mid
@@ -153,14 +151,14 @@ def reference_tune_lambda(model, X, config, discounts):
     return hi
 
 
-def outcome(tune, model, X, config, discounts):
+def outcome(tune, *args):
     try:
-        return tune(model, X, config, discounts)
+        return tune(*args)
     except InfeasibleBudgetError:
         return "infeasible"
 
 
-def test_same_lambda_as_reference_bisection():
+def test_same_lambda_as_reference_bisection(monkeypatch):
     rng = np.random.default_rng(8)
     kinds = {"interior": 0, "lower bound": 0, "infeasible": 0}
     for case in range(330):
@@ -176,9 +174,12 @@ def test_same_lambda_as_reference_bisection():
             rng.uniform(low, high), rng.uniform(low, high), rng.uniform(low, high),
             high * rng.uniform(1.0, 1.5), low * rng.uniform(0.0, 1.0), high, low,
         ][case % 7]
+        config = BudgetConfig(basket, budget_value)
+        monkeypatch.setattr(budget, "LAMBDA_BOUNDS", bounds)
         for tolerance in (1e-3, 1e-6, 1e-9):
-            config = BudgetConfig(basket, budget_value, bounds, tolerance)
-            expected = outcome(reference_tune_lambda, model, X, config, discounts)
+            monkeypatch.setattr(budget, "TOLERANCE", tolerance)
+            expected = outcome(reference_tune_lambda, model, X, config, discounts,
+                               bounds, tolerance)
             got = outcome(tune_lambda, model, X, config, discounts)
             assert got == expected
             assert (got == bounds[0]) == (expected == bounds[0])

@@ -12,9 +12,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from refcycle.cli import main
-from refcycle.fileio import gain_table_from_dict, save_dataset, save_gain_table, save_model
+from refcycle.fileio import gain_table_from_dict, gain_table_to_dict, save_dataset
 from refcycle.allocator import DiscountSet, PopulationSpec, default_ground_truth, simulate_population
 from refcycle.instances import nonmonotone_demo_table
+
+
+def write_gain_table(table, path):
+    """A gain table in the JSON format ``--gains`` reads."""
+    Path(path).write_text(json.dumps(gain_table_to_dict(table)))
+
+
+def write_model(model, discounts, path):
+    """An allocation model in the JSON format ``--model`` reads."""
+    Path(path).write_text(json.dumps({
+        "feature_names": list(model.feature_names),
+        "alpha_weights": model.alpha_weights.tolist(),
+        "beta_weights": model.beta_weights.tolist(),
+        "pivot": model.pivot,
+        "discounts": list(discounts.values),
+    }))
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +45,7 @@ def panel(tmp_path_factory):
 @pytest.fixture
 def demo_file(tmp_path):
     path = tmp_path / "demo.json"
-    save_gain_table(nonmonotone_demo_table(), path)
+    write_gain_table(nonmonotone_demo_table(), path)
     return path
 
 
@@ -70,7 +86,7 @@ def test_oracle_and_solve_agree_on_monotone_fixture(tmp_path, capsys):
 
     inst = build(GeneratorCycle((0, 2, 1)), integer_grid(3, 2))
     path = tmp_path / "monotone.json"
-    save_gain_table(inst.table, path)
+    write_gain_table(inst.table, path)
     _, oracle_out, _ = run(capsys, "oracle", "--gains", path)
     _, solve_out, _ = run(capsys, "solve", "--gains", path)
     oracle_payload = json.loads(oracle_out)
@@ -137,7 +153,7 @@ def test_simulate_analyze_allocate_chain(tmp_path, capsys, monkeypatch):
     assert [row["memory"] for row in analysis["correlations"]] == [3, 4, 5, 7]
     assert len(analysis["monotonicity"]) == 4
 
-    save_model(default_ground_truth(3), DiscountSet((0.12, 0.15, 0.17, 0.20)),
+    write_model(default_ground_truth(3), DiscountSet((0.12, 0.15, 0.17, 0.20)),
                tmp_path / "model.json")
     code, out, _ = run(capsys, "allocate", "--model", "model.json",
                        "--customers", "panel.csv", "--budget", 1e9, "--W", 100)
@@ -463,7 +479,7 @@ CSV_FILES = {
 @pytest.mark.parametrize("command", list(CSV_FILES))
 def test_any_csv_file_keeps_exit_code_contract(command, tmp_path):
     model = tmp_path / "model.json"
-    save_model(TRUTH, DiscountSet((0.12, 0.2)), model)
+    write_model(TRUTH, DiscountSet((0.12, 0.2)), model)
 
     @given(CSV_FILES[command])
     def check(files):
@@ -492,7 +508,7 @@ def test_assumption_violation_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "spec.json").write_text(json.dumps({"population": 30, "horizon": 4}))
     run(capsys, "simulate", "--spec", "spec.json", "--out", "panel.csv")
-    save_model(default_ground_truth(7), DiscountSet(), tmp_path / "model.json")
+    write_model(default_ground_truth(7), DiscountSet(), tmp_path / "model.json")
     code, _, err = run(capsys, "allocate", "--model", "model.json",
                        "--customers", "panel.csv", "--budget", 0, "--W", 100)
     assert code == 3

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from refcycle.allocator import (
-    FitConvergenceError,
-    fit_beta,
-    likelihood_gradient,
-    mean_log_likelihood,
-)
+from refcycle.allocator import FitConvergenceError, fit_beta, likelihood_gradient
+from refcycle.allocator import fitting
 from refcycle.allocator.model import sigmoid
 
 PIVOT = 0.15
@@ -24,6 +20,14 @@ def synthetic_rows(rng, size, beta, alpha_level=-2.0):
     logits = alpha + (v - PIVOT) * (X @ beta)
     y = (rng.random(size) < sigmoid(logits)).astype(int)
     return X, v, y, alpha
+
+
+def mean_log_likelihood(beta, features, coupons, outcomes, alpha):
+    """Mean Bernoulli log-likelihood at sensitivity weights ``beta``, the
+    objective ``fit_beta`` ascends; the reference of the gradient checks."""
+    X, v, y = (np.asarray(a, dtype=float) for a in (features, coupons, outcomes))
+    logits = np.asarray(alpha, dtype=float) + (v - PIVOT) * (X @ np.asarray(beta, dtype=float))
+    return float(np.mean(y * logits - np.logaddexp(0.0, logits)))
 
 
 def observed_standard_errors(beta, X, v, y, alpha):
@@ -85,11 +89,12 @@ def test_likelihood_increases_from_zero(rng):
     )
 
 
-def test_iteration_cap_raises(rng):
+def test_iteration_cap_raises(rng, monkeypatch):
     beta_true = np.array([10.0, -10.0])
     X, v, y, alpha = synthetic_rows(rng, 5_000, beta_true)
+    monkeypatch.setattr(fitting, "MAX_ITER", 1)
     with pytest.raises(FitConvergenceError):
-        fit_beta(X, v, y, alpha, max_iter=1)
+        fit_beta(X, v, y, alpha)
 
 
 def test_input_validation(rng):

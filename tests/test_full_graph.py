@@ -12,8 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from conftest import random_table
+
 from refcycle.core import GainTable, PriceCycle
-from refcycle.instances import integer_grid, random_monotone_table, random_table
+from refcycle.instances import integer_grid, random_monotone_table
 from refcycle.kernel import max_ratio_cycle
 from refcycle.oracle import StateGraph, exact_objective, max_mean_cycle, optimal_cycles_unique
 

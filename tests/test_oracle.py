@@ -1,12 +1,17 @@
 """Exact verifiers: state graph, max-mean cycle, generator enumeration, replay."""
 
+import json
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from conftest import random_table
+
+from refcycle import oracle
+from refcycle.cli import main
 from refcycle.core import GainTable, GeneratorCycle, PriceCycle, cycle_objective, expand
-from refcycle.instances import integer_grid, random_monotone_table, random_table
+from refcycle.instances import integer_grid, random_monotone_table
 from refcycle.oracle import (
     MAX_HORIZON,
     NodeBudgetError,
@@ -82,20 +87,40 @@ def test_state_graph_shape(demo_table):
         graph.nodes.index((2, 3)), Fraction(1))  # reference 1, price 4
 
 
-def test_node_budget(demo_table):
+def test_node_budget(demo_table, monkeypatch):
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 15)
     with pytest.raises(NodeBudgetError):
-        StateGraph.build(demo_table, node_budget=15)
-    # the budget counts edges: 10 states times 4 prices
-    assert StateGraph.build(demo_table, node_budget=40).num_nodes == 10
+        StateGraph.build(demo_table)
+    # the budget counts 10 states times max(4 prices, memory 2)
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 40)
+    assert StateGraph.build(demo_table).num_nodes == 10
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 39)
     with pytest.raises(NodeBudgetError):
-        StateGraph.build(demo_table, node_budget=39)
+        StateGraph.build(demo_table)
 
 
 def test_node_budget_refuses_oversized_grid_before_building():
     # 40 prices at memory 7: C(46, 7) * 40 = 2.1e9 edges, refused without enumerating
     huge = GainTable.from_rows(integer_grid(40, 7), [[0.0] * 40] * 40)
-    with pytest.raises(NodeBudgetError, match="2140987200 edges"):
+    with pytest.raises(NodeBudgetError, match=r"max\(40 prices, memory 7\) = 2140987200,"):
         StateGraph.build(huge)
+
+
+@pytest.mark.parametrize("prices, memory", [(1, 10**9), (2, 3000)])
+def test_oracle_refuses_long_memory_before_building(prices, memory, tmp_path, monkeypatch,
+                                                    capsys):
+    # every state is a memory-long tuple: 1 state x 10^9 entries, or
+    # 3001 states x 3000 entries, is over the budget however few the edges
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"prices": list(range(1, prices + 1)), "memory": memory,
+                                "gains": [[0.5] * prices] * prices}))
+
+    def refuse(*args):
+        raise AssertionError("the state graph was built")
+
+    monkeypatch.setattr(oracle.itertools, "combinations_with_replacement", refuse)
+    assert main(["oracle", "--gains", str(path)]) == 2
+    assert "budget is 1000000" in capsys.readouterr().err
 
 
 def test_node_budget_admits_ten_prices_at_memory_six():
@@ -182,10 +207,11 @@ def test_exhaustive_agrees_with_expansion_objective(rng):
     )
 
 
-def test_exhaustive_size_guard(rng):
+def test_exhaustive_size_guard(rng, monkeypatch):
     table = random_monotone_table(rng, 4, 1)
+    monkeypatch.setattr(oracle, "MAX_ENUMERATED_PRICES", 3)
     with pytest.raises(ValueError):
-        exhaustive_generators(table, max_prices=3)
+        exhaustive_generators(table)
 
 
 def test_monotone_tables_need_no_repeated_prices(rng):

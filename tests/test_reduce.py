@@ -1,21 +1,26 @@
 """Cycle rewriting: low points, reset points, gap candidates, the full pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+
+from conftest import random_table
 
 from refcycle.core import GainTable, GeneratorCycle, PriceCycle, cycle_objective, expand, is_l_up_1_down
 from refcycle.instances import integer_grid, random_monotone_table
 from refcycle.oracle import StateGraph, max_mean_cycle
 from refcycle.reduce import (
     ReductionViolationError,
+    _duplicate_reset_pair,
+    _normalize,
+    _split,
     _strided_replacements,
     low_points,
-    normalize_runs,
     reduce_to_l_up_1_down,
     reset_points,
-    split_at_resets,
 )
 from refcycle.solver import solve
 
@@ -24,6 +29,45 @@ WORKED_RAW = PriceCycle.from_prices(GRID6, [1, 2, 3, 4, 5, 3, 4, 2, 6, 5, 3, 4, 
 WORKED_NORMALIZED = PriceCycle.from_prices(
     GRID6, [1, 2, 2, 2, 5, 5, 5, 3, 2, 6, 6, 6, 4, 4, 4, 3]
 )
+
+
+def normalize_runs(cycle, table):
+    """The reduction's first phase alone: rewrite the stretches between low
+    points of the canonical cycle; returns the canonical result."""
+    start = cycle.canonical()
+    return _normalize(start, cycle_objective(start, table), table, [])[0]
+
+
+def split_at_resets(cycle, table, i, j):
+    """The reset-split lemma's preconditions checked around ``reduce._split``:
+    i and j are distinct reset points of the cycle carrying the same price.
+    Returns the subcycles ending at i and at j, and the better of the two."""
+    cycle.validate_for(table.grid)
+    c = len(cycle)
+    if i == j:
+        raise ValueError("need two distinct reset points")
+    if not (0 <= i < c and 0 <= j < c):
+        raise IndexError("reset positions outside the cycle")
+    if cycle.tokens[i] != cycle.tokens[j]:
+        raise ValueError("reset points must carry the same price")
+    resets = reset_points(cycle, table.grid)
+    if i not in resets or j not in resets:
+        raise ValueError("positions are not both reset points")
+    first, second, better, _ = _split(cycle, table, i, j)
+    return first, second, better
+
+
+def quadratic_reset_pair(cycle, grid):
+    """The split pair by listing every same-price pair of reset points and
+    taking the least (longer subcycle, (i, j))."""
+    c = len(cycle)
+    by_price = {}
+    for t in sorted(reset_points(cycle, grid)):
+        by_price.setdefault(cycle.tokens[t], []).append(t)
+    pairs = [(max((j - i) % c, (i - j) % c), (i, j))
+             for positions in by_price.values()
+             for a, i in enumerate(positions) for j in positions[a + 1:]]
+    return min(pairs)[1] if pairs else None
 
 
 def random_monotone_and_cycle(rng, max_len=12):
@@ -171,10 +215,10 @@ def test_normalize_runs_constant_collapse():
     table = GainTable.from_rows(grid, [[0.0, 0.0], [1.0, 0.9]])
     cycle = PriceCycle((0, 1))
     assert normalize_runs(cycle, table).tokens == (1,)
-    final, trace = reduce_to_l_up_1_down(cycle, table)
+    final, steps = reduce_to_l_up_1_down(cycle, table)
     assert final.tokens == (1,)
-    assert [step.kind for step in trace.steps] == ["constant-collapse"]
-    assert trace.steps[0].objective_after == 0.9
+    assert [step.kind for step in steps] == ["constant-collapse"]
+    assert steps[0].objective_after == 0.9
 
 
 def test_normalize_runs_raises_without_monotonicity():
@@ -220,8 +264,6 @@ def test_split_validation(rng):
 
 def test_split_never_loses_value_even_without_monotonicity(rng):
     # the split inequality is structural: it needs no assumption on the table
-    from refcycle.instances import random_table
-
     checked = 0
     while checked < 40:
         n = int(rng.integers(2, 5))
@@ -245,6 +287,40 @@ def test_split_never_loses_value_even_without_monotonicity(rng):
         checked += 1
 
 
+def test_reset_pair_is_the_quadratic_rule(rng):
+    tied = 0
+    for case in range(3000):
+        grid = integer_grid(int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        length = int(rng.integers(1, 61)) if case % 10 else int(rng.integers(61, 241))
+        cycle = PriceCycle(tuple(int(x) for x in rng.integers(0, len(grid), size=length)))
+        pair = _duplicate_reset_pair(cycle, grid)
+        assert pair == quadratic_reset_pair(cycle, grid)
+        if pair is not None:
+            i, j = pair
+            # a pair at distance c/2 - x ties one at c/2 + x, and the lesser j wins
+            resets = reset_points(cycle, grid)
+            tied += any(max(k - i, length - k + i) == max(j - i, length - j + i)
+                        for k in resets if k > j and cycle.tokens[k] == cycle.tokens[i])
+    assert tied > 0
+
+
+def test_reset_pair_memory_is_linear():
+    # memory 1 makes every position a reset point: 4000 tokens on 3 prices
+    # have about 2.7 million same-price pairs, which are never listed
+    rng = np.random.default_rng(4000)
+    grid = integer_grid(3, 1)
+    cycle = PriceCycle(tuple(int(x) for x in rng.integers(0, 3, size=4000)))
+    tracemalloc.start()
+    try:
+        pair = _duplicate_reset_pair(cycle, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    i, j = pair
+    assert cycle.tokens[i] == cycle.tokens[j] and j - i in (1999, 2000, 2001)
+    assert peak < 2_000_000
+
+
 # --- full pipeline -----------------------------------------------------------------
 
 
@@ -256,24 +332,24 @@ def test_pipeline_identity_on_expansions(rng):
         length = int(rng.integers(1, n + 1))
         gen = GeneratorCycle(tuple(int(v) for v in rng.permutation(n)[:length]))
         cycle = expand(gen, table.grid)
-        final, trace = reduce_to_l_up_1_down(cycle, table)
+        final, steps = reduce_to_l_up_1_down(cycle, table)
         assert final.equivalent(cycle)
-        assert len(trace) == 0
+        assert steps == ()
 
 
 def test_pipeline_on_random_instances(rng):
     for _ in range(120):
         table, cycle = random_monotone_and_cycle(rng)
         before = cycle_objective(cycle, table)
-        final, trace = reduce_to_l_up_1_down(cycle, table)
+        final, steps = reduce_to_l_up_1_down(cycle, table)
         after = cycle_objective(final, table)
         ok, _ = is_l_up_1_down(final, table.grid)
         assert ok
         assert after >= before - 1e-12
         assert after <= solve(table).opt + 1e-9
-        splits = sum(1 for step in trace.steps if step.kind == "reset-split")
+        splits = sum(1 for step in steps if step.kind == "reset-split")
         assert splits <= len(cycle)
-        for step in trace.steps:
+        for step in steps:
             assert step.objective_after >= step.objective_before - 1e-12
 
 
@@ -293,8 +369,8 @@ def test_pipeline_trace_kinds_are_known(rng):
     known = {"gap-rewrite", "constant-collapse", "reset-split"}
     for _ in range(30):
         table, cycle = random_monotone_and_cycle(rng)
-        _, trace = reduce_to_l_up_1_down(cycle, table)
-        assert {step.kind for step in trace.steps} <= known
+        _, steps = reduce_to_l_up_1_down(cycle, table)
+        assert {step.kind for step in steps} <= known
 
 
 def test_trace_objectives_are_those_of_the_recorded_cycles(rng):
@@ -313,9 +389,9 @@ def test_trace_objectives_are_those_of_the_recorded_cycles(rng):
             table = random_monotone_table(rng, n, memory)
         length = int(rng.integers(40, 121)) if case % 4 >= 2 else int(rng.integers(1, 13))
         cycle = PriceCycle(tuple(int(x) for x in rng.integers(0, n, size=length)))
-        final, trace = reduce_to_l_up_1_down(cycle, table)
+        final, steps = reduce_to_l_up_1_down(cycle, table)
         current = cycle.canonical()
-        for step in trace.steps:
+        for step in steps:
             assert step.before.tokens == current.tokens
             assert step.after.tokens == step.after.canonical().tokens
             assert step.objective_before.hex() == cycle_objective(step.before, table).hex()

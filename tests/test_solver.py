@@ -8,6 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import random_table
+
 from refcycle.core import (
     GainTable,
     GeneratorCycle,
@@ -17,11 +19,17 @@ from refcycle.core import (
     expand,
     expansion_count,
 )
-from refcycle.instances import integer_grid, random_monotone_table, random_table
+from refcycle.instances import integer_grid, random_monotone_table
 from refcycle.kernel import least_tight_cycle, max_ratio_cycle
 from refcycle.oracle import StateGraph, exhaustive_generators, max_mean_cycle
 from refcycle import solver as solver_module
-from refcycle.solver import bellman_residual, generator_objective, solve
+from refcycle.solver import bellman_residual, solve
+
+
+def generator_objective(generator: GeneratorCycle, table: GainTable) -> float:
+    """Per-step average gain of a distinct-price cycle: the exact mean of its
+    expansion, rounded once to float."""
+    return float(exact_objective(expand(generator, table.grid), table))
 
 
 def two_price_unique_table() -> GainTable:

@@ -126,12 +126,14 @@ def test_optimality_equation_equality_pattern():
                 target.values[(t - 1) % d]: target.values[t] for t in range(d)
             }
             value = float(inst.optimal_value)
+            # the bias is aligned with the target's values sorted by price
+            bias = dict(zip(sorted(target.values), inst.bias))
             for r in target.values:
                 for p in target.values:
                     lhs = (inst.table.gains[r][p] - value) * expansion_count(
                         memory, r, p
-                    ) + float(inst.bias_of(p))
-                    rhs = float(inst.bias_of(r))
+                    ) + float(bias[p])
+                    rhs = float(bias[r])
                     if successor[r] == p:
                         assert lhs == pytest.approx(rhs, abs=1e-9)
                     else:
