@@ -4,9 +4,10 @@
 Draws gain tables of three kinds in turn (monotone, non-monotone, and
 tie-heavy with gains in {0, 1, 2}), with 1-12 prices and memory 1-7, and
 runs ``solve``, ``oracle`` (with and without ``--horizon``, which is 1-24,
-600 or 1001), ``tightness`` and ``reduce`` on each through
-``refcycle.cli.main``.  ``oracle`` and ``tightness`` run only where the state
-graph has at most 20 000 edges.  Every tenth table also runs one seeded
+600 or 1001), ``tightness`` and ``reduce`` (on a cycle of 1-8 tokens) on each
+through ``refcycle.cli.main``.  ``oracle`` and ``tightness`` run only where
+the state graph has at most 20 000 edges.  Every fifth table also runs
+``reduce`` on a cycle of 50-400 tokens.  Every tenth table also runs one seeded
 ``simulate -> analyze -> allocate`` chain on a small memory-3 panel, with
 ``allocate`` at an unbounded, a drawn and an infeasible (zero) budget.
 Prints the number of runs, a histogram of exit codes and one sha256 over
@@ -39,6 +40,7 @@ from refcycle.cli import main as cli_main
 MAX_EDGES = 20_000
 KINDS = ("monotone", "non-monotone", "tie-heavy")
 CHAIN_EVERY = 10
+LONG_CYCLE_EVERY = 5
 DISCOUNTS = [0.12, 0.15, 0.17, 0.20]
 # the planted memory-3 allocation model: baseline and sensitivity fall with the reference
 MODEL = {
@@ -62,9 +64,9 @@ def gain_rows(rng: np.random.Generator, kind: str, n: int) -> list[list[float]]:
     return draws.tolist()
 
 
-def commands(rng: np.random.Generator, kind: str) -> tuple[dict, list]:
+def commands(rng: np.random.Generator, kind: str, long_cycle: bool) -> tuple[dict, list]:
     """One table, and the argument lists run on it, each paired with the files it
-    writes: none."""
+    writes: none.  ``long_cycle`` adds a ``reduce`` on 50-400 tokens."""
     n, memory = int(rng.integers(1, 13)), int(rng.integers(1, 8))
     prices = list(range(1, n + 1))
     table = {"prices": prices, "memory": memory, "gains": gain_rows(rng, kind, n)}
@@ -78,6 +80,9 @@ def commands(rng: np.random.Generator, kind: str) -> tuple[dict, list]:
                  ["oracle", "--gains", "table.json", "--horizon", str(horizon)],
                  ["tightness", "--prices", " ".join(map(str, prices)), "--memory", str(memory),
                   "--target", " ".join(map(str, target))]]
+    if long_cycle:
+        tokens = rng.integers(1, n + 1, size=int(rng.integers(50, 401))).tolist()
+        argv.append(["reduce", "--gains", "table.json", "--cycle", " ".join(map(str, tokens))])
     return {"table.json": table}, [(command, ()) for command in argv]
 
 
@@ -131,7 +136,7 @@ def main() -> int:
         os.chdir(tmp)  # relative input names keep the outputs free of the temp path
         try:
             for i in range(args.tables):
-                batches = [commands(rng, KINDS[i % len(KINDS)])]
+                batches = [commands(rng, KINDS[i % len(KINDS)], i % LONG_CYCLE_EVERY == 0)]
                 if i % CHAIN_EVERY == 0:
                     batches.append(chain(rng))
                 for inputs, runs in batches:

@@ -20,7 +20,6 @@ from .model import (
     feature_matrix,
     myopic_assign,
     projected_redemption,
-    purchase_prob,
     purchase_prob_table,
 )
 from .population import (
@@ -29,7 +28,6 @@ from .population import (
     MyopicPolicy,
     PopulationSpec,
     STATIC_FEATURES,
-    UniformPolicy,
     default_ground_truth,
     reference_feature_name,
     simulate_population,
@@ -49,7 +47,6 @@ __all__ = [
     "MyopicPolicy",
     "PopulationSpec",
     "STATIC_FEATURES",
-    "UniformPolicy",
     "default_ground_truth",
     "feature_matrix",
     "fit_beta",
@@ -57,7 +54,6 @@ __all__ = [
     "monotonicity_table",
     "myopic_assign",
     "projected_redemption",
-    "purchase_prob",
     "purchase_prob_table",
     "reference_correlations",
     "reference_feature_name",

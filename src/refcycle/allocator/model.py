@@ -26,7 +26,6 @@ __all__ = [
     "DiscountSet",
     "AllocationModel",
     "feature_matrix",
-    "purchase_prob",
     "purchase_prob_table",
     "myopic_assign",
     "projected_redemption",
@@ -110,13 +109,6 @@ def _purchase_prob(alpha, beta, v, pivot: float) -> np.ndarray:
     logit and sensitivity of each customer.  The one place the logit is formed,
     so every caller's probabilities agree bit for bit."""
     return np.asarray(sigmoid(alpha + (v - pivot) * beta))
-
-
-def purchase_prob(model: AllocationModel, features: np.ndarray, discount: float) -> float:
-    """q(x, v) for a single customer; strictly increasing in v iff beta' x > 0."""
-    x = np.asarray(features, dtype=float).reshape(1, -1)
-    return float(_purchase_prob(model.alpha_values(x)[0], model.sensitivity(x)[0],
-                                discount, model.pivot))
 
 
 def purchase_prob_table(

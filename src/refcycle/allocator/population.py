@@ -15,13 +15,12 @@ from typing import Union
 
 import numpy as np
 
-from .model import AllocationModel, DiscountSet, _purchase_prob, myopic_assign
+from .model import DEFAULT_DISCOUNTS, AllocationModel, DiscountSet, _purchase_prob, myopic_assign
 
 __all__ = [
     "STATIC_FEATURES",
     "reference_feature_name",
     "PopulationSpec",
-    "UniformPolicy",
     "MyopicPolicy",
     "ConstantPolicy",
     "CouponDataset",
@@ -53,7 +52,7 @@ class PopulationSpec:
     size: int
     horizon: int
     memory: int = 7
-    discounts: tuple[float, ...] = (0.10, 0.12, 0.15, 0.17, 0.20)
+    discounts: tuple[float, ...] = DEFAULT_DISCOUNTS
 
     def __post_init__(self) -> None:
         if self.size < 1 or self.horizon < 1:
@@ -65,11 +64,6 @@ class PopulationSpec:
     @property
     def feature_names(self) -> tuple[str, ...]:
         return STATIC_FEATURES + (reference_feature_name(self.memory),)
-
-
-@dataclass(frozen=True)
-class UniformPolicy:
-    """Independent uniform coupon each day (the randomized-cohort policy)."""
 
 
 @dataclass(frozen=True)
@@ -85,7 +79,7 @@ class ConstantPolicy:
     value: float
 
 
-Policy = Union[str, UniformPolicy, MyopicPolicy, ConstantPolicy]
+Policy = Union[str, MyopicPolicy, ConstantPolicy]
 
 
 @dataclass(frozen=True)
@@ -174,16 +168,18 @@ def simulate_population(
 ) -> CouponDataset:
     """Roll a population forward under a coupon policy; deterministic per seed.
 
+    ``policy`` is ``"uniform"`` (an independent uniform coupon each day, the
+    randomized-cohort policy), a :class:`MyopicPolicy` or a
+    :class:`ConstantPolicy`.
+
     The model must be defined on the spec's feature schema (static features
     plus the reference feature last).  Purchases are Bernoulli draws from the
     model's probabilities at the offered coupon.
     """
     if model.feature_names != spec.feature_names:
         raise ValueError("model features do not match the population spec")
-    if isinstance(policy, str):
-        if policy != "uniform":
-            raise ValueError(f"unknown policy {policy!r}")
-        policy = UniformPolicy()
+    if isinstance(policy, str) and policy != "uniform":
+        raise ValueError(f"unknown policy {policy!r}")
     rng = np.random.default_rng(seed)
     n, horizon = spec.size, spec.horizon
     static = _draw_static(rng, n)
@@ -192,7 +188,7 @@ def simulate_population(
     if isinstance(policy, ConstantPolicy):
         if policy.value not in discounts.values:
             raise ValueError("constant policy value must be a feasible discount")
-    elif not isinstance(policy, (UniformPolicy, MyopicPolicy)):
+    elif not isinstance(policy, (str, MyopicPolicy)):
         raise TypeError(f"unsupported policy {policy!r}")
 
     coupon_history = np.empty((n, horizon))
@@ -206,7 +202,7 @@ def simulate_population(
             reference = coupon_history[:, start:t].max(axis=1)
         day_features = np.column_stack([static, reference])
 
-        if isinstance(policy, UniformPolicy):
+        if isinstance(policy, str):  # "uniform"
             offered = values[rng.integers(0, len(values), size=n)]
         elif isinstance(policy, MyopicPolicy):
             offered = myopic_assign(policy.model, day_features, policy.shadow_price, discounts)

@@ -37,6 +37,7 @@ from .allocator import (
     simulate_population,
 )
 from .allocator.budget import _tuned_choice
+from .allocator.model import DEFAULT_DISCOUNTS
 # perfbench/tracing.py wraps these names in this module
 from .allocator import (  # noqa: F401
     myopic_assign,
@@ -282,7 +283,7 @@ def _cmd_simulate(args) -> int:
         size=raw["population"],
         horizon=raw["horizon"],
         memory=raw.get("memory", 7),
-        discounts=tuple(raw.get("discounts", (0.10, 0.12, 0.15, 0.17, 0.20))),
+        discounts=tuple(raw.get("discounts", DEFAULT_DISCOUNTS)),
     )
     if "ground_truth" in raw:
         truth = model_from_dict(raw["ground_truth"], spec.feature_names)

@@ -125,14 +125,30 @@ class GainTable:
         )
 
 
-def _primitive_period(tokens: tuple[int, ...]) -> int:
+def _least_rotation(tokens: tuple[int, ...]) -> int:
+    """Start of the lexicographically least rotation, in linear time.
+
+    Two candidate starts i and j are compared token by token.  At the first
+    difference, k tokens in, neither the start with the larger token nor any
+    of the k starts after it can begin the least rotation, so it jumps past
+    them; a start that passes the end, or k reaching the length, ends the scan.
+    """
     c = len(tokens)
-    for period in range(1, c + 1):
-        if c % period:
+    doubled = tokens + tokens
+    i, j, k = 0, 1, 0
+    while i < c and j < c and k < c:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
             continue
-        if all(tokens[i] == tokens[(i + period) % c] for i in range(c)):
-            return period
-    return c
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
 
 
 @dataclass(frozen=True)
@@ -160,10 +176,12 @@ class PriceCycle:
         return len(self.tokens)
 
     def canonical(self) -> "PriceCycle":
-        period = _primitive_period(self.tokens)
-        base = self.tokens[:period]
-        best = min(base[k:] + base[:k] for k in range(period))
-        return PriceCycle(best)
+        tokens, c = self.tokens, len(self.tokens)
+        start = _least_rotation(tokens)
+        least = tokens[start:] + tokens[:start]
+        # the least rotation of a repetition repeats the base's least rotation
+        period = next(p for p in range(1, c + 1) if not c % p and least[p:] == least[:c - p])
+        return PriceCycle(least[:period])
 
     def equivalent(self, other: "PriceCycle") -> bool:
         return self.canonical().tokens == other.canonical().tokens

@@ -77,8 +77,10 @@ def parse_cycle_text(text: str, grid: PriceGrid) -> PriceCycle:
 
 
 def format_cycle(cycle: PriceCycle | GeneratorCycle, grid: PriceGrid) -> str:
+    """Each distinct price is formatted once."""
     tokens = cycle.tokens if isinstance(cycle, PriceCycle) else cycle.values
-    return " ".join(format_price(grid.prices[t]) for t in tokens)
+    text = {t: format_price(grid.prices[t]) for t in set(tokens)}
+    return " ".join(text[t] for t in tokens)
 
 
 def gain_table_to_dict(table: GainTable) -> dict:

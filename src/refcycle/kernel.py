@@ -1,21 +1,24 @@
 """Exact maximum cost-to-time ratio cycles by Howard policy iteration.
 
-A graph is given as, per node, a list of edges ``(successor, weight, time)``
-with rational weights and positive integer times.  :func:`max_ratio_cycle`
-runs the multichain form of Howard's policy iteration (Howard 1960;
-Cochet-Terrasson et al. 1998) and returns, per node, the best ratio ``value``
-of a cycle reachable from it, a ``bias`` and its ``tight`` successors.
+A graph is given as, per node, a list of edges ``(successor, gain, steps)``:
+the edge earns ``gain`` on each of ``steps`` steps, so its weight is
+gain * steps and its time is steps.  Gains are floats or rationals, steps
+positive integers.  :func:`max_ratio_cycle` runs the multichain form of
+Howard's policy iteration (Howard 1960; Cochet-Terrasson et al. 1998) and
+returns, per node, the best ratio ``value`` of a cycle reachable from it, a
+``bias`` and its ``tight`` successors.
 
-The iteration runs on Python integers only.  Every weight is put over one
-common denominator, the lcm of the weights' denominators (a power of two for
-float gains), and every value and bias over one common scale, a multiple of
-each cycle's reduced time seen so far; sums, products and comparisons are
-then exact integer operations, and ``Fraction``s are built only for the
-returned values and biases.
+The iteration runs on Python integers only.  Every gain is put over one
+common denominator, the lcm of the gains' denominators (a power of two for
+float gains), so each weight gain * steps is an integer over it, and every
+value and bias over one common scale, a multiple of each cycle's reduced time
+seen so far; sums, products and comparisons are then exact integer
+operations, and ``Fraction``s are built only for the returned values and
+biases.
 
 At the fixed point no edge leads to a higher value, and every edge (u, v)
 with ``value[v] == value[u]`` satisfies
-``bias[u] >= weight - value[u] * time + bias[v]``, exactly; on a strongly
+``bias[u] >= (gain - value[u]) * steps + bias[v]``, exactly; on a strongly
 connected graph the value is uniform and the bias solves the optimality
 equations with zero residual.
 
@@ -35,7 +38,7 @@ from typing import Sequence
 
 __all__ = ["Edge", "max_ratio_cycle", "least_tight_cycle"]
 
-Edge = tuple[int, Fraction, int]
+Edge = tuple[int, float | Fraction, int]
 
 
 def _evaluate(edges: Sequence[Sequence[tuple[int, int, int]]], policy: list[int],
@@ -95,24 +98,18 @@ def max_ratio_cycle(edges: Sequence[Sequence[Edge]], policy: Sequence[int] | Non
     docstring.
 
     ``policy`` optionally gives the starting edge index per node; by default
-    each node starts on its edge of best weight-to-time ratio, the first on
-    ties.  A node switches edge only on a strict improvement, first of value
-    and then of bias.  ``tight[u]`` lists, in edge order, the successors v of
-    equal value with ``bias[u] == weight - value[u] * time + bias[v]``; the
-    final policy edge is among them, so no list is empty.
+    each node starts on its edge of highest gain, the first on ties.  A node
+    switches edge only on a strict improvement, first of value and then of
+    bias.  ``tight[u]`` lists, in edge order, the successors v of equal value
+    with ``bias[u] == (gain - value[u]) * steps + bias[v]``; the final policy
+    edge is among them, so no list is empty.
     """
-    # weights over their common denominator ``unit``: integer numerators
-    ratios = [[(v, *weight.as_integer_ratio(), time) for v, weight, time in row] for row in edges]
+    # gains over their common denominator ``unit``: integer weights gain * unit * steps
+    ratios = [[(v, *gain.as_integer_ratio(), steps) for v, gain, steps in row] for row in edges]
     unit = math.lcm(*{d for row in ratios for _, _, d, _ in row})
-    graph = [[(v, p * (unit // d), time) for v, p, d, time in row] for row in ratios]
+    graph = [[(v, p * (unit // d) * steps, steps) for v, p, d, steps in row] for row in ratios]
     if policy is None:
-        policy = []
-        for row in graph:
-            best = 0
-            for k in range(1, len(row)):
-                if row[k][1] * row[best][2] > row[best][1] * row[k][2]:
-                    best = k
-            policy.append(best)
+        policy = [max(range(len(row)), key=lambda k: row[k][1]) for row in edges]
     policy = list(policy)
     bias, scale = [0] * len(graph), 1
     while True:

@@ -7,7 +7,7 @@ Offering p from (s1, ..., sm) yields gain ``g(sm, p)`` and moves to
 (p, min(p, s1), ..., min(p, s(m-1))).  The best long-run average over all
 policies equals the maximum mean cycle of this graph, which
 :func:`max_mean_cycle` computes exactly by policy iteration
-(:mod:`refcycle.kernel`, unit times); the witness is the least
+(:mod:`refcycle.kernel`, one step per edge); the witness is the least
 optimal cycle of states, the solver's tie-break.  :func:`exhaustive_generators`
 independently enumerates every cycle of distinct prices and scores its
 expansion with :func:`refcycle.core.exact_objective`, and :func:`simulate`
@@ -124,7 +124,7 @@ def _tight_graph(graph: StateGraph) -> tuple[Fraction, list[list[int]]]:
     attain equality; every cycle of tight edges is optimal and every optimal
     cycle is tight, whichever valid bias is used.
     """
-    gains = [[Fraction(g) for g in row] for row in graph.table.gains]
+    gains = graph.table.gains
     index = {node: i for i, node in enumerate(graph.nodes)}
     edges = [[(index[tuple(min(p, x) for x in node[1:]) + (p,)], gains[node[0]][p], 1)
               for p in range(graph.num_actions)]

@@ -5,8 +5,8 @@ Restricting attention to cycles of distinct prices (each increase held for
 space to one state per price: offering p from reference r earns g(r, p) per
 step over k(r, p) = 1 + (memory-1)*[r < p] steps.  The best cycle maximizes
 the ratio of total gain to total time, found here exactly by Howard policy
-iteration (:mod:`refcycle.kernel`) on edge weights g(r, p)*k(r, p) and times
-k(r, p).  The returned mean is exact for the instance, the bias vector solves
+iteration (:mod:`refcycle.kernel`) on edges of gain g(r, p) and k(r, p)
+steps.  The returned mean is exact for the instance, the bias vector solves
 the average-reward optimality equations, and ties are broken to the
 lexicographically least canonical generator at every grid size.
 """
@@ -52,19 +52,10 @@ class SolveResult:
 
 
 def _ratio_edges(table: GainTable) -> list[list[Edge]]:
-    """Per-price graph: offering p from r earns g(r, p) * k(r, p) in k(r, p) steps."""
-    n = len(table.grid)
-    memory = table.grid.memory
-    edges = []
-    for r in range(n):
-        row = []
-        for p in range(n):
-            k = expansion_count(memory, r, p)
-            # equal to Fraction(g) * k, built in one normalization instead of two
-            numerator, denominator = table.gains[r][p].as_integer_ratio()
-            row.append((p, Fraction(numerator * k, denominator), k))
-        edges.append(row)
-    return edges
+    """Per-price graph: offering p from r earns g(r, p) on each of k(r, p) steps."""
+    n, memory = len(table.grid), table.grid.memory
+    return [[(p, table.gains[r][p], expansion_count(memory, r, p)) for p in range(n)]
+            for r in range(n)]
 
 
 def solve(table: GainTable) -> SolveResult:

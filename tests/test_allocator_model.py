@@ -11,7 +11,6 @@ from refcycle.allocator import (
     feature_matrix,
     myopic_assign,
     projected_redemption,
-    purchase_prob,
     purchase_prob_table,
 )
 
@@ -47,15 +46,14 @@ def test_model_validation():
 
 def test_purchase_prob_zero_sensitivity():
     model = scalar_model(alpha=0.4, beta=0.0)
-    x = np.array([1.0])
-    probs = {v: purchase_prob(model, x, v) for v in DiscountSet()}
-    assert len(set(probs.values())) == 1
+    probs = purchase_prob_table(model, np.array([[1.0]]), DiscountSet())
+    assert probs.shape == (1, 5) and len(set(probs[0])) == 1
 
 
 def test_purchase_prob_closed_form():
     # alpha(x) = 0, sensitivity 20, v = 0.20 -> sigmoid(1.0)
     model = scalar_model(alpha=0.0, beta=20.0)
-    value = purchase_prob(model, np.array([1.0]), 0.20)
+    value = purchase_prob_table(model, np.array([[1.0]]), DiscountSet((0.20,)))[0, 0]
     assert value == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-12)
 
 
@@ -63,7 +61,7 @@ def test_purchase_prob_monotone_iff_positive_sensitivity(rng):
     grid = np.linspace(0.05, 0.95, 10)
     for beta in (-5.0, 0.0, 5.0):
         model = scalar_model(alpha=-1.0, beta=beta)
-        values = [purchase_prob(model, np.array([1.0]), v) for v in grid]
+        values = purchase_prob_table(model, np.array([[1.0]]), DiscountSet(tuple(grid)))[0]
         diffs = np.diff(values)
         if beta > 0:
             assert np.all(diffs > 0)

@@ -96,10 +96,112 @@ def test_oracle_and_solve_agree_on_monotone_fixture(tmp_path, capsys):
     assert oracle_payload["cycle"] == solve_payload["cycle"]
 
 
+# literal stdout of `solve` on the demo table and of two `tightness` runs; any
+# byte that moves here is a change of output format or of the numbers
+SOLVE_DEMO_STDOUT = """\
+{
+  "opt": 1,
+  "generator": "1 2 3",
+  "cycle": "1 2 2 3 3",
+  "bias": [
+    0,
+    0,
+    0,
+    -1
+  ],
+  "residual": 0,
+  "reference_monotone": false
+}
+"""
+
+TIGHTNESS_1_3_2_STDOUT = """\
+{
+  "gain_table": {
+    "prices": [
+      "1",
+      "2",
+      "3"
+    ],
+    "memory": 2,
+    "gains": [
+      [
+        0,
+        0,
+        1
+      ],
+      [
+        3,
+        0,
+        1
+      ],
+      [
+        3,
+        3,
+        1
+      ]
+    ]
+  },
+  "target": "1 3 2",
+  "expansion": "1 3 3 2",
+  "optimal_value": 2,
+  "bias": [
+    0,
+    1,
+    2
+  ],
+  "penalty": -10,
+  "verified_unique": true,
+  "oracle_value": 2
+}
+"""
+
+TIGHTNESS_2_STDOUT = """\
+{
+  "gain_table": {
+    "prices": [
+      "1",
+      "2",
+      "3"
+    ],
+    "memory": 2,
+    "gains": [
+      [
+        -2,
+        1,
+        -2
+      ],
+      [
+        -2,
+        1,
+        -2
+      ],
+      [
+        -2,
+        1,
+        -2
+      ]
+    ]
+  },
+  "target": "2",
+  "expansion": "2",
+  "optimal_value": 1,
+  "bias": [
+    0
+  ],
+  "penalty": -2,
+  "verified_unique": true,
+  "oracle_value": 1
+}
+"""
+
+
 def test_deterministic_bytes(demo_file, capsys):
     _, first, _ = run(capsys, "solve", "--gains", demo_file)
     _, second, _ = run(capsys, "solve", "--gains", demo_file)
-    assert first == second
+    assert first == second == SOLVE_DEMO_STDOUT
+    tightness = ["tightness", "--prices", "1 2 3", "--memory", 2, "--target"]
+    assert run(capsys, *tightness, "1 3 2")[1] == TIGHTNESS_1_3_2_STDOUT
+    assert run(capsys, *tightness, "2")[1] == TIGHTNESS_2_STDOUT
 
 
 def test_out_writes_manifest(demo_file, tmp_path, capsys):

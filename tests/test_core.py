@@ -171,6 +171,48 @@ def test_canonical_examples():
     assert PriceCycle((1, 1, 0, 1)).canonical().tokens == (0, 1, 1, 1)
 
 
+def reference_canonical(tokens):
+    """The quadratic rule, kept as a reference: the least period p dividing
+    the length with tokens[i] == tokens[(i + p) % c] everywhere, then the least
+    of the base's rotations."""
+    c = len(tokens)
+    period = next(p for p in range(1, c + 1)
+                  if c % p == 0 and all(tokens[i] == tokens[(i + p) % c] for i in range(c)))
+    base = tokens[:period]
+    return min(base[k:] + base[:k] for k in range(period))
+
+
+def test_canonical_matches_the_quadratic_rule(rng):
+    compared = 0
+    for alphabet, longest in ((1, 12), (2, 12), (3, 8)):
+        for c in range(1, longest + 1):
+            for tokens in itertools.product(range(alphabet), repeat=c):
+                assert PriceCycle(tokens).canonical().tokens == reference_canonical(tokens)
+                compared += 1
+    for _ in range(2000):
+        base = tuple(int(t) for t in rng.integers(0, rng.integers(1, 6), size=rng.integers(1, 11)))
+        tokens = base * int(rng.integers(1, 7))
+        shift = int(rng.integers(len(tokens)))
+        tokens = tokens[shift:] + tokens[:shift]
+        assert PriceCycle(tokens).canonical().tokens == reference_canonical(tokens)
+        compared += 1
+    assert compared == 12 + 8190 + 9840 + 2000
+
+
+def test_canonical_of_long_cycles(rng):
+    # one lowest token at a random position: the cycle starting there
+    tokens = [int(t) for t in rng.integers(1, 4, size=40_000)]
+    position = int(rng.integers(40_000))
+    tokens[position] = 0
+    expected = tuple(tokens[position:] + tokens[:position])
+    assert PriceCycle(tuple(tokens)).canonical().tokens == expected
+    # a 4-token base repeated and rotated: the base's least rotation
+    repeated = (2, 0, 1, 0) * 10_000
+    shift = int(rng.integers(40_000))
+    cycle = PriceCycle(repeated[shift:] + repeated[:shift])
+    assert cycle.canonical().tokens == (0, 1, 0, 2)
+
+
 @given(grid_and_cycle(), st.integers(0, 11), st.integers(1, 3))
 def test_canonical_is_equivalence_normal_form(case, shift, copies):
     _, cycle = case

@@ -9,7 +9,6 @@ from refcycle.allocator import (
     MyopicPolicy,
     PopulationSpec,
     STATIC_FEATURES,
-    UniformPolicy,
     default_ground_truth,
     reference_feature_name,
     simulate_population,
@@ -66,7 +65,7 @@ def test_static_features_constant_within_customer():
 def test_uniform_policy_marginals():
     spec = PopulationSpec(size=2000, horizon=20, memory=3, discounts=(0.12, 0.15, 0.17, 0.20))
     truth = default_ground_truth(spec.memory)
-    dataset = simulate_population(spec, truth, UniformPolicy(), seed=4)
+    dataset = simulate_population(spec, truth, "uniform", seed=4)
     counts = np.array([
         np.sum(np.isclose(dataset.coupons, v)) for v in spec.discounts
     ])

@@ -22,6 +22,7 @@ from refcycle.core import (
 from refcycle.instances import integer_grid, random_monotone_table
 from refcycle.kernel import least_tight_cycle, max_ratio_cycle
 from refcycle.oracle import StateGraph, exhaustive_generators, max_mean_cycle
+from refcycle import oracle as oracle_module
 from refcycle import solver as solver_module
 from refcycle.solver import bellman_residual, solve
 
@@ -87,6 +88,14 @@ def test_generator_objective_matches_expansion(rng):
 
 
 # --- exact max-ratio kernel ----------------------------------------------------
+#
+# Kernel edges are (successor, gain, steps): weight gain * steps in time steps.
+# The graphs below are drawn as weights and times and handed over in gain form,
+# gain = weight / time as a Fraction.
+
+
+def gain_edge(v, weight, time):
+    return v, Fraction(weight) / time, time
 
 
 def brute_force_best_ratio(edges, nodes):
@@ -95,13 +104,13 @@ def brute_force_best_ratio(edges, nodes):
 
     def extend(start, node, on_path, total, time):
         nonlocal best
-        for nxt, w, t in edges[node]:
+        for nxt, g, k in edges[node]:
             if nxt == start:
-                ratio = (total + w) / (time + t)
+                ratio = (total + g * k) / (time + k)
                 best = ratio if best is None else max(best, ratio)
             elif nxt > start and nxt in nodes and nxt not in on_path:
                 on_path.add(nxt)
-                extend(start, nxt, on_path, total + w, time + t)
+                extend(start, nxt, on_path, total + g * k, time + k)
                 on_path.remove(nxt)
 
     for start in nodes:
@@ -120,7 +129,7 @@ def complete_graphs(rng, count=60):
             for _ in range(n)
         ]
         times = [[int(t) for t in time_rng.integers(1, 5, size=n)] for _ in range(n)]
-        yield [[(v, weights[u][v], times[u][v]) for v in range(n)] for u in range(n)]
+        yield [[gain_edge(v, weights[u][v], times[u][v]) for v in range(n)] for u in range(n)]
 
 
 def multichain_graphs(rng, count=40):
@@ -129,7 +138,7 @@ def multichain_graphs(rng, count=40):
     for _ in range(count):
         n = int(rng.integers(1, 7))
         yield [
-            [(v, Fraction(int(rng.integers(-8, 9)), 4), int(rng.integers(1, 4)))
+            [gain_edge(v, Fraction(int(rng.integers(-8, 9)), 4), int(rng.integers(1, 4)))
              for v in sorted({int(v) for v in rng.integers(0, n, size=int(rng.integers(1, 3)))})]
             for _ in range(n)
         ]
@@ -142,7 +151,7 @@ def test_kernel_ratio_matches_brute_force(rng):
         best = brute_force_best_ratio(edges, set(range(n)))
         assert value == [best] * n
         for u in range(n):
-            right = [w - best * t + bias[v] for v, w, t in edges[u]]
+            right = [(g - best) * k + bias[v] for v, g, k in edges[u]]
             assert bias[u] - max(right) == 0
             assert tight[u] and all(bias[u] - right[v] == 0 for v in tight[u])
 
@@ -160,19 +169,19 @@ def test_kernel_multichain_values(rng):
                         reach.add(v)
                         frontier.append(v)
             assert value[u] == brute_force_best_ratio(edges, reach)
-            for v, w, t in edges[u]:
-                assert value[v] < value[u] or bias[u] >= w - value[u] * t + bias[v]
+            for v, g, k in edges[u]:
+                assert value[v] < value[u] or bias[u] >= (g - value[u]) * k + bias[v]
             assert tight[u]
             for v in tight[u]:
-                _, w, t = next(edge for edge in edges[u] if edge[0] == v)
-                assert value[v] == value[u] and bias[u] == w - value[u] * t + bias[v]
+                _, g, k = next(edge for edge in edges[u] if edge[0] == v)
+                assert value[v] == value[u] and bias[u] == (g - value[u]) * k + bias[v]
 
 
 def reference_tight_successors(edges, value, bias):
     """Per node, the successors whose edge meets the optimality equations with
     equality, recomputed from the returned value and bias."""
-    return [[v for v, weight, time in row
-             if bias[u] == weight - value[u] * time + bias[v] and value[v] == value[u]]
+    return [[v for v, gain, steps in row
+             if bias[u] == (gain - value[u]) * steps + bias[v] and value[v] == value[u]]
             for u, row in enumerate(edges)]
 
 
@@ -185,15 +194,15 @@ def test_kernel_tight_graph_is_read_off_the_fixed_point(rng):
         assert tight == reference_tight_successors(edges, value, bias)
         assert all(tight)
         for u, row in enumerate(edges):
-            for v, w, t in row:
+            for v, g, k in row:
                 assert value[v] < value[u] or (
-                    value[v] == value[u] and bias[u] >= w - value[u] * t + bias[v])
+                    value[v] == value[u] and bias[u] >= (g - value[u]) * k + bias[v])
 
 
 def reference_evaluate(edges, policy, bias):
     """The rational kernel's policy evaluation, kept as a reference: value and
     bias of a fixed policy in ``Fraction`` arithmetic, the least node of each
-    cycle keeping its previous bias."""
+    cycle keeping its previous bias.  Edges here are (successor, weight, time)."""
     n = len(edges)
     value = [None] * n
     bias = list(bias)
@@ -228,10 +237,13 @@ def reference_evaluate(edges, policy, bias):
 def reference_max_ratio_cycle(edges, policy=None):
     """The rational kernel's policy iteration, kept as a reference: the same
     start policy, strict-improvement switches and tight lists as
-    :func:`refcycle.kernel.max_ratio_cycle`, every step in ``Fraction``s."""
-    if policy is None:
-        policy = [max(range(len(row)), key=lambda k: row[k][1] / row[k][2]) for row in edges]
+    :func:`refcycle.kernel.max_ratio_cycle`, every step in ``Fraction``s.
+    Each gain-form edge (successor, gain, steps), its gain a float or a
+    ``Fraction``, weighs gain * steps in time steps."""
+    if policy is None:  # highest gain, the first on ties
+        policy = [max(range(len(row)), key=lambda k: row[k][1]) for row in edges]
     policy = list(policy)
+    edges = [[(v, Fraction(gain) * steps, steps) for v, gain, steps in row] for row in edges]
     bias = [Fraction(0)] * len(edges)
     while True:
         value, bias = reference_evaluate(edges, policy, bias)
@@ -280,7 +292,8 @@ def reference_graphs(rng):
                     else:
                         degree = int(rng.integers(1, 3 if shape == "multichain" else 5))
                         successors = sorted({int(v) for v in rng.integers(0, n, size=degree)})
-                    rows.append([(v, weight(rng), int(rng.integers(1, 8))) for v in successors])
+                    rows.append([gain_edge(v, weight(rng), int(rng.integers(1, 8)))
+                                 for v in successors])
                 yield f"{shape}/{kind}", rows
 
 
@@ -319,11 +332,42 @@ def test_kernel_matches_the_rational_reference_inside_solve(rng, monkeypatch):
         assert result == reference_max_ratio_cycle(edges, policy)
 
 
+def test_kernel_edges_carry_the_table_floats(rng, monkeypatch):
+    # solve's two runs and the oracle's one get the gain table's own floats,
+    # with k(r, p) steps in solve and one step in the oracle: no Fraction is
+    # built on the way into the kernel
+    calls = []
+
+    def recorded(edges, policy=None):
+        calls.append(edges)
+        return max_ratio_cycle(edges, policy)
+
+    monkeypatch.setattr(solver_module, "max_ratio_cycle", recorded)
+    monkeypatch.setattr(oracle_module, "max_ratio_cycle", recorded)
+    for i in range(12):
+        n, memory = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        table = (random_monotone_table if i % 2 else random_table)(rng, n, memory)
+        solve(table)
+        graph = StateGraph.build(table)
+        max_mean_cycle(graph)
+        full, anchored, states = calls[-3:]
+        assert [[v for v, _, _ in row] for row in full] == [list(range(n))] * n
+        for r, row in [*enumerate(full), *enumerate(anchored)]:
+            for p, gain, steps in row:
+                assert gain is table.gains[r][p] and steps == expansion_count(memory, r, p)
+        assert len(states) == graph.num_nodes
+        for node, row in zip(graph.nodes, states):
+            assert [graph.nodes[v][-1] for v, _, _ in row] == list(range(n))
+            for p, (_, gain, steps) in enumerate(row):
+                assert gain is table.gains[node[0]][p] and steps == 1
+    assert len(calls) == 36
+
+
 def test_kernel_rescales_biases_for_each_new_cycle_time():
     # six self-loops of prime times, each entered from one tree node: every
     # cycle brings a new denominator, so the common bias scale grows six times
     primes = (2, 3, 5, 7, 11, 13)
-    edges = [[(i, Fraction(1), p)] for i, p in enumerate(primes)]
+    edges = [[(i, Fraction(1, p), p)] for i, p in enumerate(primes)]
     edges += [[(i, Fraction(0), 1)] for i in range(6)]
     value, bias, tight = max_ratio_cycle(edges)
     assert (value, bias, tight) == reference_max_ratio_cycle(edges)
@@ -364,7 +408,8 @@ def test_least_tight_cycle_matches_brute_force(rng):
 
 def test_tight_successors_skip_edges_to_lower_values():
     # node 0 loops at ratio 1, node 1 at ratio 0; the edge 0 -> 1 meets the
-    # bias equation by coincidence but leads to a lower value
+    # bias equation by coincidence but leads to a lower value (one-step edges,
+    # so each gain is the edge's weight)
     edges = [[(0, Fraction(1), 1), (1, Fraction(1), 1)], [(1, Fraction(0), 1)]]
     value, bias, tight = max_ratio_cycle(edges)
     assert value == [1, 0] and bias[0] == 1 - 1 + bias[1]
