@@ -7,7 +7,11 @@ runs ``solve``, ``oracle`` (with and without ``--horizon``, which is 1-24,
 600 or 1001), ``tightness`` and ``reduce`` (on a cycle of 1-8 tokens) on each
 through ``refcycle.cli.main``.  ``oracle`` and ``tightness`` run only where
 the state graph has at most 20 000 edges.  Every fifth table also runs
-``reduce`` on a cycle of 50-400 tokens.  Every tenth table also runs one seeded
+``reduce`` on a cycle of 50-400 tokens.  Every twenty-fifth table also runs
+the long windows: ``reduce`` on a cycle of 500-2000 tokens at memory 50-2000,
+and ``oracle --horizon 1001`` on a 2-price table at memory 50-700, whose state
+graph both the former guard, states x max(prices, memory), and the current
+one, states x prices x memory, admit.  Every tenth table also runs one seeded
 ``simulate -> analyze -> allocate`` chain on a small memory-3 panel, with
 ``allocate`` at an unbounded, a drawn and an infeasible (zero) budget.
 Prints the number of runs, a histogram of exit codes and one sha256 over
@@ -41,6 +45,7 @@ MAX_EDGES = 20_000
 KINDS = ("monotone", "non-monotone", "tie-heavy")
 CHAIN_EVERY = 10
 LONG_CYCLE_EVERY = 5
+LONG_WINDOW_EVERY = 25
 DISCOUNTS = [0.12, 0.15, 0.17, 0.20]
 # the planted memory-3 allocation model: baseline and sensitivity fall with the reference
 MODEL = {
@@ -84,6 +89,19 @@ def commands(rng: np.random.Generator, kind: str, long_cycle: bool) -> tuple[dic
         tokens = rng.integers(1, n + 1, size=int(rng.integers(50, 401))).tolist()
         argv.append(["reduce", "--gains", "table.json", "--cycle", " ".join(map(str, tokens))])
     return {"table.json": table}, [(command, ()) for command in argv]
+
+
+def long_windows(rng: np.random.Generator, kind: str) -> tuple[dict, list]:
+    """A ``reduce`` on a 500-2000-token cycle at memory 50-2000, and an
+    ``oracle`` replay of 1001 steps on a 2-price table at memory 50-700."""
+    n, memory = int(rng.integers(1, 13)), int(rng.integers(50, 2001))
+    wide = {"prices": list(range(1, n + 1)), "memory": memory, "gains": gain_rows(rng, kind, n)}
+    tokens = rng.integers(1, n + 1, size=int(rng.integers(500, 2001))).tolist()
+    pair = {"prices": [1, 2], "memory": int(rng.integers(50, 701)), "gains": gain_rows(rng, kind, 2)}
+    return {"wide.json": wide, "pair.json": pair}, [
+        (["reduce", "--gains", "wide.json", "--cycle", " ".join(map(str, tokens))], ()),
+        (["oracle", "--gains", "pair.json", "--horizon", "1001"], ()),
+    ]
 
 
 def chain(rng: np.random.Generator) -> tuple[dict, list]:
@@ -136,7 +154,10 @@ def main() -> int:
         os.chdir(tmp)  # relative input names keep the outputs free of the temp path
         try:
             for i in range(args.tables):
-                batches = [commands(rng, KINDS[i % len(KINDS)], i % LONG_CYCLE_EVERY == 0)]
+                kind = KINDS[i % len(KINDS)]
+                batches = [commands(rng, kind, i % LONG_CYCLE_EVERY == 0)]
+                if i % LONG_WINDOW_EVERY == 0:
+                    batches.append(long_windows(rng, kind))
                 if i % CHAIN_EVERY == 0:
                     batches.append(chain(rng))
                 for inputs, runs in batches:

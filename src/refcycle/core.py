@@ -1,8 +1,9 @@
 """Domain types for price grids, gain tables, and price cycles.
 
 A customer's *reference* at time t is the best (lowest) price they saw in the
-previous ``memory`` periods; :func:`reference_indices` walks a cycle once and
-returns every position's reference.  A pricing policy over a finite price set
+previous ``memory`` periods; one streamed sliding-window minimum, linear in the
+prices walked, gives every position's reference (:func:`reference_indices`)
+and drives the oracle's replay.  A pricing policy over a finite price set
 settles into a cycle, and the quantity of interest is the long-run average gain
 
     (1/c) * sum_t g(r_t, p_t)
@@ -22,9 +23,11 @@ operations are safe to call concurrently.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import groupby
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "PriceGrid",
@@ -165,7 +168,7 @@ class PriceCycle:
     def __post_init__(self) -> None:
         if len(self.tokens) < 1:
             raise ValueError("cycle needs at least one token")
-        if any(t < 0 for t in self.tokens):
+        if min(self.tokens) < 0:
             raise ValueError("tokens are nonnegative price indices")
 
     @classmethod
@@ -187,7 +190,7 @@ class PriceCycle:
         return self.canonical().tokens == other.canonical().tokens
 
     def validate_for(self, grid: PriceGrid) -> None:
-        if any(t >= len(grid) for t in self.tokens):
+        if max(self.tokens) >= len(grid):
             raise ValueError("cycle token out of range for grid")
 
 
@@ -202,7 +205,7 @@ class GeneratorCycle:
             raise ValueError("generator cycle needs at least one value")
         if len(set(self.values)) != len(self.values):
             raise ValueError("generator cycle values must be distinct")
-        if any(v < 0 for v in self.values):
+        if min(self.values) < 0:
             raise ValueError("values are nonnegative price indices")
 
     def __len__(self) -> int:
@@ -213,28 +216,41 @@ class GeneratorCycle:
         return cls(tuple(grid.index_of(v) for v in values))
 
     def canonical(self) -> "GeneratorCycle":
-        d = len(self.values)
-        best = min(self.values[k:] + self.values[:k] for k in range(d))
-        return GeneratorCycle(best)
+        return GeneratorCycle(PriceCycle(self.values).canonical().tokens)
+
+
+def _reference_walk(values: Iterable[int], window: int) -> Iterator[tuple[int, int]]:
+    """``(reference, offer)`` for each value after the first ``window``: the
+    least of the ``window`` values before it, and the value.  ``low`` holds
+    (value, position) candidates, values strictly increasing; one drops out
+    when a value no greater arrives or it falls out of the window, so each
+    value enters and leaves once and at most one per price is held."""
+    low: deque[tuple[int, int]] = deque()
+    for t, value in enumerate(values):
+        if t >= window:
+            if low[0][1] < t - window:
+                low.popleft()
+            yield low[0][0], value
+        while low and low[-1][0] >= value:
+            low.pop()
+        low.append((value, t))
 
 
 def reference_indices(cycle: PriceCycle, grid: PriceGrid) -> list[int]:
     """Index of the best price in the memory window preceding each position.
 
     The window wraps around the cycle; when the cycle is shorter than the
-    memory it covers the whole cycle.  Position t reads the slice
-    ``history[t:t + w]`` of the cycle prefixed by its last w tokens.
+    memory it covers the whole cycle.  The walk reads the cycle prefixed by
+    its last w = min(memory, c) tokens as history.
     """
+    cycle.validate_for(grid)
     tokens = cycle.tokens
-    c = len(tokens)
-    window = min(grid.memory, c)
-    history = tokens[c - window:] + tokens
-    return [min(history[t:t + window]) for t in range(c)]
+    window = min(grid.memory, len(tokens))
+    return [ref for ref, _ in _reference_walk(tokens[-window:] + tokens, window)]
 
 
 def _offer_gains(cycle: PriceCycle, table: GainTable) -> list[float]:
     """Gains of the canonical cycle's offers, in order."""
-    cycle.validate_for(table.grid)
     canon = cycle.canonical()
     refs = reference_indices(canon, table.grid)
     return [table.gains[ref][tok] for ref, tok in zip(refs, canon.tokens)]
@@ -292,20 +308,6 @@ def expand(generator: GeneratorCycle, grid: PriceGrid) -> PriceCycle:
     return PriceCycle(tuple(tokens))
 
 
-def _cyclic_runs(tokens: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Run-length encoding of a cyclic string; wrap-around runs are merged."""
-    runs: list[list[int]] = []
-    for tok in tokens:
-        if runs and runs[-1][0] == tok:
-            runs[-1][1] += 1
-        else:
-            runs.append([tok, 1])
-    if len(runs) > 1 and runs[0][0] == runs[-1][0]:
-        runs[0][1] += runs[-1][1]
-        runs.pop()
-    return [(tok, count) for tok, count in runs]
-
-
 def is_l_up_1_down(cycle: PriceCycle, grid: PriceGrid) -> tuple[bool, GeneratorCycle | None]:
     """Test whether a cycle is the expansion of some distinct-price generator.
 
@@ -314,15 +316,13 @@ def is_l_up_1_down(cycle: PriceCycle, grid: PriceGrid) -> tuple[bool, GeneratorC
     generator is returned in canonical rotation.
     """
     cycle.validate_for(grid)
-    canon = cycle.canonical()
-    runs = _cyclic_runs(canon.tokens)
+    # the least rotation starts a whole run of its minimum: no run wraps, values are canonical
+    runs = [(tok, len(list(run))) for tok, run in groupby(cycle.canonical().tokens)]
     values = [tok for tok, _ in runs]
-    if len(values) == 1:
-        return True, GeneratorCycle((values[0],))
     if len(set(values)) != len(values):
         return False, None
     d = len(values)
     for t, (tok, count) in enumerate(runs):
         if count != expansion_count(grid.memory, values[(t - 1) % d], tok):
             return False, None
-    return True, GeneratorCycle(tuple(values)).canonical()
+    return True, GeneratorCycle(tuple(values))

@@ -45,15 +45,14 @@ __all__ = [
 
 
 def format_price(price: Fraction) -> str:
-    """Exact decimal string when the denominator allows it, else "num/den"."""
+    """Exact decimal string, in integers, when 12 places allow it, else "num/den"."""
     if price.denominator == 1:
         return str(price.numerator)
     for digits in range(1, 13):
         scaled = price * 10**digits
         if scaled.denominator == 1:
-            text = f"{price.numerator / price.denominator:.{digits}f}"
-            if Fraction(text) == price:
-                return text
+            whole, fraction = divmod(abs(scaled.numerator), 10**digits)
+            return f"{'-' if price < 0 else ''}{whole}.{fraction:0{digits}d}"
     return f"{price.numerator}/{price.denominator}"
 
 

@@ -12,7 +12,8 @@ optimal cycle of states, the solver's tie-break.  :func:`exhaustive_generators`
 independently enumerates every cycle of distinct prices and scores its
 expansion with :func:`refcycle.core.exact_objective`, and :func:`simulate`
 replays a price cycle from the all-top-price start state for a bounded
-horizon, in constant memory, returning its average gain.
+horizon through the core's reference walk, in linear time and constant memory,
+returning its average gain.  The size guard counts states x prices x memory.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .core import (
     GainTable,
     GeneratorCycle,
     PriceCycle,
+    _reference_walk,
     exact_objective,
     expand,
 )
@@ -76,15 +78,15 @@ class StateGraph:
 
     @classmethod
     def build(cls, table: GainTable) -> "StateGraph":
-        """:data:`NODE_BUDGET` bounds states times max(prices, memory),
-        checked before anything is materialized: every state is a
-        ``memory``-long tuple, and each of its ``prices`` edges builds one."""
+        """:data:`NODE_BUDGET` bounds states times prices times memory,
+        checked before anything is materialized: each of a state's ``prices``
+        edges builds a ``memory``-long tuple."""
         n, memory = len(table.grid), table.grid.memory
         states = math.comb(n + memory - 1, memory)
-        size = states * max(n, memory)
+        size = states * n * memory
         if size > NODE_BUDGET:
-            raise NodeBudgetError(f"state graph needs {states} states x max({n} prices, "
-                                  f"memory {memory}) = {size}, budget is {NODE_BUDGET}")
+            raise NodeBudgetError(f"state graph needs {states} states x {n} prices x "
+                                  f"memory {memory} = {size}, budget is {NODE_BUDGET}")
         return cls(table, tuple(itertools.combinations_with_replacement(range(n), memory)))
 
     @property
@@ -229,7 +231,8 @@ def simulate(cycle: PriceCycle, table: GainTable, horizon: int) -> float:
     """Average gain over ``horizon`` steps of a price cycle, offered in order
     and repeated from the all-top-price start state.
 
-    Only the last ``memory`` price indices are kept, so the replay runs in
+    The start state's top prices, then the offers, stream through the core's
+    reference walk, which holds at most one entry per price: linear time,
     constant memory; ``horizon`` is bounded by :data:`MAX_HORIZON`.  The
     average converges to :func:`refcycle.core.cycle_objective`.
     """
@@ -239,14 +242,10 @@ def simulate(cycle: PriceCycle, table: GainTable, horizon: int) -> float:
         raise ValueError(f"horizon {horizon} exceeds the replay bound {MAX_HORIZON}")
     grid, gains = table.grid, table.gains
     cycle.validate_for(grid)
-    tokens = cycle.tokens
-
-    def step_gains():
-        history = (len(grid) - 1,) * grid.memory
-        for t in range(horizon):
-            price = tokens[t % len(tokens)]
-            yield gains[min(history)][price]
-            history = history[1:] + (price,)
-
-    # the builtin sum, in step order, fixes the last bits of the float the CLI prints
-    return sum(step_gains()) / horizon
+    offers = itertools.islice(itertools.cycle(cycle.tokens), horizon)
+    history = itertools.repeat(len(grid) - 1, grid.memory)
+    # added in step order, as in cycle_objective: the builtin sum rounds by version
+    total = 0.0
+    for ref, price in _reference_walk(itertools.chain(history, offers), grid.memory):
+        total += gains[ref][price]
+    return total / horizon

@@ -65,7 +65,6 @@ class ReductionStep:
 def low_points(cycle: PriceCycle, grid: PriceGrid) -> set[int]:
     """Positions priced at or below their reference; never empty (the global
     minimum always qualifies)."""
-    cycle.validate_for(grid)
     refs = reference_indices(cycle, grid)
     return {t for t, tok in enumerate(cycle.tokens) if tok <= refs[t]}
 
@@ -74,7 +73,6 @@ def reset_points(cycle: PriceCycle, grid: PriceGrid) -> set[int]:
     """Positions whose price equals the minimum of the memory window ending
     there (the window includes the position itself, so it is the window
     preceding the next position)."""
-    cycle.validate_for(grid)
     refs = reference_indices(cycle, grid)
     c = len(cycle)
     return {t for t, tok in enumerate(cycle.tokens) if tok <= refs[(t + 1) % c]}

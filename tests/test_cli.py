@@ -455,6 +455,24 @@ def test_solve_with_an_oversized_expansion_is_a_validation_error(capsys, tmp_pat
     assert "refcycle: error: expansion of 1000000001 tokens exceeds the bound 10000000" in err
 
 
+HUGE_PRICE = "1" + "0" * 400 + ".5"
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--gains", "huge.json"],
+    ["oracle", "--gains", "huge.json", "--horizon", "5"],
+    ["reduce", "--gains", "huge.json", "--cycle", f"{HUGE_PRICE} 1"],
+    ["tightness", "--prices", f"1 {HUGE_PRICE}", "--memory", "2", "--target", f"1 {HUGE_PRICE}"],
+])
+def test_a_price_too_large_for_a_float_is_printed_exactly(command, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("huge.json").write_text(json.dumps({"prices": ["1", HUGE_PRICE], "memory": 2,
+                                             "gains": [[0.5, 1.0], [0.25, 0.75]]}))
+    code, out, err = run(capsys, *command)
+    assert (code, err.count("refcycle: error")) == (0, 0)
+    assert HUGE_PRICE in out
+
+
 JSON_SCALARS = (st.none() | st.booleans() | st.integers(0, 5)
                 | st.floats(-5, 5, allow_nan=False) | st.text(max_size=3))
 JSON_VALUES = st.recursive(

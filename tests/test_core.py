@@ -131,6 +131,35 @@ def test_reference_matches_naive_window(case):
     ]
 
 
+def slice_min_references(tokens, memory):
+    """The former walk, kept as a reference: a slice minimum at every position
+    of the cycle prefixed by its last w = min(memory, c) tokens."""
+    c = len(tokens)
+    window = min(memory, c)
+    history = tokens[c - window:] + tokens
+    return [min(history[t:t + window]) for t in range(c)]
+
+
+@given(st.integers(1, 40), st.lists(st.integers(0, 5), min_size=1, max_size=60))
+def test_reference_walk_matches_slice_minimum(memory, tokens):
+    # memories both below and at or above the cycle length
+    tokens = tuple(tokens)
+    grid = integer_grid(6, memory)
+    assert reference_indices(PriceCycle(tokens), grid) == slice_min_references(tokens, memory)
+
+
+@pytest.mark.parametrize("memory", [5_000, 20_000])
+def test_reference_walk_of_a_long_cycle(rng, memory):
+    # a random walk of 20 000 tokens, so the window minima vary along the cycle;
+    # the naive windows are read as a strided view of the prefixed cycle
+    steps = rng.integers(-1, 2, size=20_000)
+    tokens = np.cumsum(steps) - np.cumsum(steps).min()
+    history = np.concatenate([tokens[len(tokens) - memory:], tokens])
+    naive = np.lib.stride_tricks.sliding_window_view(history[:-1], memory).min(axis=1)
+    grid = integer_grid(int(tokens.max()) + 1, memory)
+    assert reference_indices(PriceCycle(tuple(tokens.tolist())), grid) == naive.tolist()
+
+
 # --- objective ---------------------------------------------------------------
 
 
@@ -297,6 +326,54 @@ def test_recognition_examples():
 
     ok, gen = is_l_up_1_down(PriceCycle.from_prices(grid, [2]), grid)
     assert ok and gen.values == (1,)
+
+
+def cyclic_runs_recognition(cycle, grid):
+    """The former recognizer, kept as a reference: cyclic runs of the canonical
+    tokens with a wrap-around run merged, a one-value special case, and the
+    generator put in canonical rotation by the quadratic rule."""
+    runs = []
+    for tok in cycle.canonical().tokens:
+        if runs and runs[-1][0] == tok:
+            runs[-1][1] += 1
+        else:
+            runs.append([tok, 1])
+    if len(runs) > 1 and runs[0][0] == runs[-1][0]:
+        runs[0][1] += runs.pop()[1]
+    values = tuple(tok for tok, _ in runs)
+    if len(values) == 1:
+        return True, values
+    if len(set(values)) != len(values):
+        return False, None
+    for t, (tok, count) in enumerate(runs):
+        if count != (grid.memory if tok > values[t - 1] else 1):
+            return False, None
+    return True, min(values[k:] + values[:k] for k in range(len(values)))
+
+
+def test_recognition_matches_cyclic_runs(rng):
+    for i in range(3000):
+        n, memory = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        grid = integer_grid(n, memory)
+        if i % 2:
+            tokens = rng.integers(0, n, size=int(rng.integers(1, 13))).tolist()
+        else:  # an expansion, rotated, sometimes with one token changed
+            values = rng.permutation(n)[:int(rng.integers(1, n + 1))].tolist()
+            tokens = list(expand(GeneratorCycle(tuple(values)), grid).tokens)
+            shift = int(rng.integers(len(tokens)))
+            tokens = tokens[shift:] + tokens[:shift]
+            if i % 4:
+                tokens[int(rng.integers(len(tokens)))] = int(rng.integers(n))
+        cycle = PriceCycle(tuple(tokens))
+        ok, generator = is_l_up_1_down(cycle, grid)
+        assert (ok, generator and generator.values) == cyclic_runs_recognition(cycle, grid)
+
+
+def test_generator_canonical_is_the_least_rotation(rng):
+    for _ in range(500):
+        values = tuple(rng.permutation(8)[:int(rng.integers(1, 9))].tolist())
+        least = min(values[k:] + values[:k] for k in range(len(values)))
+        assert GeneratorCycle(values).canonical() == GeneratorCycle(least)
 
 
 def test_expansion_round_trip_all_small_generators():

@@ -38,6 +38,17 @@ def test_format_price():
     assert format_price(Fraction(3, 25)) == "0.12"
     assert format_price(Fraction(1, 3)) == "1/3"
     assert Fraction(format_price(Fraction(1, 3))) == Fraction(1, 3)
+    assert format_price(Fraction("-0.05")) == "-0.05"
+    assert format_price(Fraction(1, 1048576)) == "1/1048576"  # 20 places, over the cap of 12
+    assert format_price(Fraction("0.000000000001")) == "0.000000000001"
+
+
+@pytest.mark.parametrize("text", ["123456789.123456789", "12345678901234567.125",
+                                  "1" + "0" * 400 + ".5", "-" + "9" * 30 + ".25"],
+                         ids=["9-places", "17-digit-whole", "401-digit-whole", "negative"])
+def test_format_price_is_exact_beyond_a_double(text):
+    # more digits than a double carries, or too large for one: printed exactly
+    assert format_price(Fraction(text)) == text
 
 
 def test_parse_price_list():

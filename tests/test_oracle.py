@@ -91,26 +91,26 @@ def test_node_budget(demo_table, monkeypatch):
     monkeypatch.setattr(oracle, "NODE_BUDGET", 15)
     with pytest.raises(NodeBudgetError):
         StateGraph.build(demo_table)
-    # the budget counts 10 states times max(4 prices, memory 2)
-    monkeypatch.setattr(oracle, "NODE_BUDGET", 40)
+    # the budget counts 10 states times 4 prices times memory 2
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 80)
     assert StateGraph.build(demo_table).num_nodes == 10
-    monkeypatch.setattr(oracle, "NODE_BUDGET", 39)
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 79)
     with pytest.raises(NodeBudgetError):
         StateGraph.build(demo_table)
 
 
 def test_node_budget_refuses_oversized_grid_before_building():
-    # 40 prices at memory 7: C(46, 7) * 40 = 2.1e9 edges, refused without enumerating
+    # 40 prices at memory 7: C(46, 7) * 40 = 2.1e9 edges of 7 entries, refused without enumerating
     huge = GainTable.from_rows(integer_grid(40, 7), [[0.0] * 40] * 40)
-    with pytest.raises(NodeBudgetError, match=r"max\(40 prices, memory 7\) = 2140987200,"):
+    with pytest.raises(NodeBudgetError, match=r"x 40 prices x memory 7 = 14986910400,"):
         StateGraph.build(huge)
 
 
 @pytest.mark.parametrize("prices, memory", [(1, 10**9), (2, 3000)])
 def test_oracle_refuses_long_memory_before_building(prices, memory, tmp_path, monkeypatch,
                                                     capsys):
-    # every state is a memory-long tuple: 1 state x 10^9 entries, or
-    # 3001 states x 3000 entries, is over the budget however few the edges
+    # each edge builds a memory-long tuple: 1 state x 1 price x 10^9 entries,
+    # or 3001 states x 2 prices x 3000 entries, is over the budget
     path = tmp_path / "table.json"
     path.write_text(json.dumps({"prices": list(range(1, prices + 1)), "memory": memory,
                                 "gains": [[0.5] * prices] * prices}))
@@ -313,8 +313,9 @@ def test_witness_and_uniqueness_match_brute_force(rng):
 
 
 def reference_replay(cycle: PriceCycle, table: GainTable, horizon: int) -> float:
-    """The per-step replay: one (reference, price, gain) record per step from
-    the all-top-price start, then the average of the recorded gains."""
+    """The former replay, kept as a reference: a tuple of the last ``memory``
+    prices from the all-top-price start, one (reference, price, gain) record
+    per step, then the gains added one at a time in step order."""
     grid = table.grid
     state = (len(grid) - 1,) * grid.memory
     steps = []
@@ -323,7 +324,10 @@ def reference_replay(cycle: PriceCycle, table: GainTable, horizon: int) -> float
         ref = min(state)
         steps.append((grid.prices[ref], grid.prices[action], table.gains[ref][action]))
         state = state[1:] + (action,)
-    return sum(gain for _, _, gain in steps) / len(steps)
+    total = 0.0
+    for _, _, gain in steps:
+        total += gain
+    return total / len(steps)
 
 
 def tie_heavy_table(rng, n: int, memory: int) -> GainTable:
@@ -359,6 +363,30 @@ def test_simulate_matches_per_step_replay(rng):
                 assert simulate(cycle, table, horizon).hex() == expected.hex()
                 cases += 1
     assert cases >= 1000
+
+
+def test_simulate_matches_tuple_history_replay_at_long_memory(rng):
+    # random cycles, memories up to 60 and horizons on both sides of the memory
+    makers = (random_monotone_table, random_table, tie_heavy_table)
+    for i in range(300):
+        n, memory = int(rng.integers(1, 6)), int(rng.integers(1, 61))
+        table = makers[i % len(makers)](rng, n, memory)
+        cycle = PriceCycle(tuple(rng.integers(0, n, size=int(rng.integers(1, 90))).tolist()))
+        horizon = int(rng.integers(1, 3 * memory + len(cycle) + 2))
+        expected = reference_replay(cycle, table, horizon)
+        assert simulate(cycle, table, horizon).hex() == expected.hex()
+
+
+def test_simulate_memory_is_constant_in_memory():
+    # one price at memory 10^6: the start state is streamed, not built as a tuple
+    table = GainTable.from_rows(integer_grid(1, 10**6), [[0.25]])
+    tracemalloc.start()
+    try:
+        assert simulate(PriceCycle((0,)), table, 1000) == 0.25
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_simulate_memory_is_constant_in_horizon(demo_table):
