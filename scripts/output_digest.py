@@ -13,7 +13,9 @@ and ``oracle --horizon 1001`` on a 2-price table at memory 50-700, whose state
 graph both the former guard, states x max(prices, memory), and the current
 one, states x prices x memory, admit.  Every tenth table also runs one seeded
 ``simulate -> analyze -> allocate`` chain on a small memory-3 panel, with
-``allocate`` at an unbounded, a drawn and an infeasible (zero) budget.
+``allocate`` at an unbounded, a drawn and an infeasible (zero) budget; every
+fifth chain draws 300-600 customers over 15-30 days, a panel that spans
+several of the CSV writer's blocks.
 Prints the number of runs, a histogram of exit codes and one sha256 over
 each run's command, exit code, stdout and ``refcycle:`` stderr lines, and
 over the bytes of the files the chain writes (the panel CSV, its sidecar and
@@ -44,6 +46,7 @@ from refcycle.cli import main as cli_main
 MAX_EDGES = 20_000
 KINDS = ("monotone", "non-monotone", "tie-heavy")
 CHAIN_EVERY = 10
+LARGE_CHAIN_EVERY = 50
 LONG_CYCLE_EVERY = 5
 LONG_WINDOW_EVERY = 25
 DISCOUNTS = [0.12, 0.15, 0.17, 0.20]
@@ -104,12 +107,15 @@ def long_windows(rng: np.random.Generator, kind: str) -> tuple[dict, list]:
     ]
 
 
-def chain(rng: np.random.Generator) -> tuple[dict, list]:
+def chain(rng: np.random.Generator, large: bool) -> tuple[dict, list]:
     """A seeded simulate -> analyze -> allocate chain: its input files, and
-    the argument lists run, each with the files it writes."""
-    size = int(rng.integers(20, 80))
-    spec = {"population": size, "horizon": int(rng.integers(6, 15)), "memory": 3,
-            "discounts": DISCOUNTS}
+    the argument lists run, each with the files it writes.  ``large`` draws
+    300-600 customers over 15-30 days instead of 20-79 over 6-14."""
+    if large:
+        size, horizon = int(rng.integers(300, 601)), int(rng.integers(15, 31))
+    else:
+        size, horizon = int(rng.integers(20, 80)), int(rng.integers(6, 15))
+    spec = {"population": size, "horizon": horizon, "memory": 3, "discounts": DISCOUNTS}
     allocate = ["allocate", "--model", "model.json", "--customers", "panel.csv", "--W", "10",
                 "--budget"]
     seed, budget = str(int(rng.integers(1000))), repr(size * float(rng.uniform(0.15, 0.8)))
@@ -159,7 +165,7 @@ def main() -> int:
                 if i % LONG_WINDOW_EVERY == 0:
                     batches.append(long_windows(rng, kind))
                 if i % CHAIN_EVERY == 0:
-                    batches.append(chain(rng))
+                    batches.append(chain(rng, i % LARGE_CHAIN_EVERY == 0))
                 for inputs, runs in batches:
                     for name, payload in inputs.items():
                         with open(name, "w") as handle:

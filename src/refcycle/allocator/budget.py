@@ -1,10 +1,11 @@
 """Shadow-price tuning against a daily redemption budget.
 
-Projected redemption is weakly decreasing in the shadow price whenever every
-customer's coupon sensitivity is nonnegative, so the smallest feasible
-shadow price can be found by bisection over :data:`LAMBDA_BOUNDS`: start at
-the revenue-maximizing value (the lower bound, 1), and only tighten when the
-budget is exceeded, until the interval is at most :data:`TOLERANCE` wide.
+Redemption never rises with the shadow price λ, for any purchase probabilities
+q: if the myopic rule, max (1 - λ·v)·q, picks a at λ₁ and b at λ₂ > λ₁, adding
+the two optimality inequalities gives (λ₂ - λ₁)·(v_a·q_a - v_b·q_b) ≥ 0.  So
+the smallest feasible shadow price is found by bisection over LAMBDA_BOUNDS:
+start at the revenue-maximizing value (the lower bound, 1), and only tighten
+when the budget is exceeded, until the interval is at most TOLERANCE wide.
 
 The table of purchase probabilities q(x, v) is computed once per call and
 every probe is answered from it; each probe's redemption is bit-identical to
@@ -66,8 +67,8 @@ def tune_lambda(
 
     Returns the lower bound when it is already feasible; raises
     :class:`InfeasibleBudgetError` when even the upper bound overspends.
-    Customers with negative sensitivity break the monotonicity this search
-    relies on, so their share is logged when present.
+    Redemption does not rise with the shadow price for any model (see the
+    module docstring); the share of customers with negative sensitivity is logged.
 
     The purchase-probability table is built once per call, and every probe
     is scored from it with the arithmetic of :func:`myopic_assign` and
@@ -96,8 +97,8 @@ def _tuned_choice(
     negative = float(np.mean(model.sensitivity(X) < 0)) if X.shape[0] else 0.0
     if negative > 0:
         logger.warning(
-            "%.1f%% of customers have negative coupon sensitivity; "
-            "redemption may not be monotone in the shadow price",
+            "%.1f%% of customers have negative coupon sensitivity: "
+            "their purchase probability falls as the discount rises",
             100.0 * negative,
         )
     q = purchase_prob_table(model, X, discounts)

@@ -6,10 +6,11 @@ row of prices (memory supplied out of band).  Cycles are whitespace-separated
 price values.  Datasets are CSV panels with a JSON sidecar naming the
 reference feature column and the discount set.
 
-The panel dialect: comma-separated, ``\r\n`` line ends, no quoting in the
-rows (the header is quoted as ``csv.writer`` quotes it), integers as
-``str``, floats as their shortest ``repr``.  On reading, blank lines are
-skipped and every other row must have the header's width.
+The panel dialect: comma-separated, ``\r\n`` line ends, no quoting in the rows
+(the header is quoted as ``csv.writer`` quotes it), integers as ``str``, floats
+as their shortest ``repr``, each distinct cell of a block formatted once (floats
+keyed by their bits: ``-0.0 == 0.0``, yet the texts differ).  On reading, blank
+lines are skipped and every other row must have the header's width.
 """
 
 from __future__ import annotations
@@ -215,12 +216,20 @@ def write_csv_rows(handle, columns, newline: str) -> None:
 
     The cell of an element ``x`` is ``str(kind(x))``, the text ``csv.writer``
     gives that value; a number needs no quoting.  Rows go out a block at a
-    time, so the cell strings of the whole file never exist at once.
+    time, so the cell strings of the whole file never exist at once.  Each
+    distinct value of a block's column is formatted once, keyed by value for
+    integers and bools, else by bit pattern (``-0.0 == 0.0``, yet their texts
+    differ), so object arrays and dtypes over 64 bits raise ``TypeError``.
     """
     rows = len(columns[0][0])
     for start in range(0, rows, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        cells = [map(str, map(kind, column[block].tolist())) for column, kind in columns]
+        cells = []
+        for column, kind in columns:
+            part = column[start:start + _BLOCK_ROWS]
+            key = part if part.dtype.kind in "biu" else part.view(f"u{part.itemsize}")
+            distinct, inverse = np.unique(key, return_inverse=True)
+            texts = [str(kind(x)) for x in distinct.view(part.dtype).tolist()]
+            cells.append(np.array(texts, dtype=object)[inverse])
         handle.write(newline.join(map(",".join, zip(*cells))) + newline)
 
 

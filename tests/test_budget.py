@@ -1,6 +1,7 @@
 """Shadow-price bisection against the redemption budget."""
 
 import logging
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -202,3 +203,30 @@ def test_same_lambda_as_reference_bisection(monkeypatch):
         else:
             kinds["interior"] += 1
     assert kinds["interior"] >= 100 and kinds["lower bound"] >= 100 and kinds["infeasible"] >= 30
+
+
+def test_redemption_never_rises_with_the_shadow_price_for_any_table(rng):
+    """The exchange argument of the module docstring, in exact arithmetic: if
+    the myopic rule picks a at λ₁ and b at λ₂ > λ₁, then v_b·q_b ≤ v_a·q_a,
+    for any purchase probabilities, also ones that fall as the discount rises,
+    and under either tie-break."""
+    lambdas = [Fraction(k, 8) for k in range(81)]  # 0..10, past 1/v for every discount
+    switches = 0
+    for trial in range(300):
+        options = int(rng.integers(1, 6))
+        v = sorted(Fraction(int(x), 100) for x in rng.choice(np.arange(1, 60), options,
+                                                              replace=False))
+        q = [Fraction(int(x), 64) for x in rng.integers(0, 65, options)]
+        if trial % 2:  # negative sensitivity: q falls as v rises
+            q.sort(reverse=True)
+        for order in (range(options), reversed(range(options))):  # first or last of a tie
+            order = list(order)
+            spent = []
+            for lam in lambdas:
+                score = [(1 - lam * v[k]) * q[k] for k in order]
+                k = order[score.index(max(score))]
+                spent.append(v[k] * q[k])
+            assert all(later <= earlier for earlier, later in zip(spent, spent[1:]))
+            if trial % 2 and len(set(spent)) > 1:
+                switches += 1
+    assert switches > 20, switches  # the falling tables do change their choice with λ
