@@ -50,11 +50,18 @@ class MonotonicityRow:
     large_coupon_pct: float
 
 
-def _windows(coupons: np.ndarray, memory: int):
-    """Trailing-window view: windows[:, t] covers days t..t+memory-1 and is
-    paired with day t+memory targets."""
-    views = np.lib.stride_tricks.sliding_window_view(coupons, memory, axis=1)
-    return views[:, :-1, :]
+def _trailing_windows(dataset: CouponDataset, memory_lengths: Sequence[int]):
+    """Per memory length, checked up front: the length, the trailing windows
+    (``windows[:, t]`` covers days t..t+memory-1), the coupons of day
+    t+memory as an (n, days) view and its purchases flattened."""
+    _, coupons, purchases = dataset.panel()
+    if max(memory_lengths) + 1 > coupons.shape[1]:
+        raise ValueError("dataset is shorter than the longest requested window")
+    if min(memory_lengths) < 1:
+        raise ValueError("memory lengths must be positive")
+    for memory in memory_lengths:
+        windows = np.lib.stride_tricks.sliding_window_view(coupons, memory, axis=1)[:, :-1, :]
+        yield memory, windows, coupons[:, memory:], purchases[:, memory:].ravel()
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float | None:
@@ -71,22 +78,14 @@ def reference_correlations(
     Rows whose window would reach before day 1 are skipped.  Degenerate
     (zero-variance) metrics are reported as None.
     """
-    _, coupons, purchases = dataset.panel()
-    horizon = coupons.shape[1]
-    if max(memory_lengths) + 1 > horizon:
-        raise ValueError("dataset is shorter than the longest requested window")
-    rows = []
-    for memory in memory_lengths:
-        if memory < 1:
-            raise ValueError("memory lengths must be positive")
-        windows = _windows(coupons, memory)
-        targets = purchases[:, memory:].ravel()
-        rows.append(CorrelationRow(
+    return [
+        CorrelationRow(
             memory=memory,
-            corr_max=_pearson(windows.max(axis=2).ravel(), targets),
-            corr_avg=_pearson(windows.mean(axis=2).ravel(), targets),
-        ))
-    return rows
+            corr_max=_pearson(windows.max(axis=2).ravel(), bought),
+            corr_avg=_pearson(windows.mean(axis=2).ravel(), bought),
+        )
+        for memory, windows, _, bought in _trailing_windows(dataset, memory_lengths)
+    ]
 
 
 def _group_mask(values: np.ndarray, group: Sequence[float]) -> np.ndarray:
@@ -106,15 +105,10 @@ def monotonicity_table(dataset: CouponDataset, memory_lengths: Sequence[int]) ->
     Raises :class:`EmptyCellError` when a conditioning cell is empty or the
     large-reference cell has no purchases.
     """
-    _, coupons, purchases = dataset.panel()
-    horizon = coupons.shape[1]
-    if max(memory_lengths) + 1 > horizon:
-        raise ValueError("dataset is shorter than the longest requested window")
     rows = []
-    for memory in memory_lengths:
-        reference = _windows(coupons, memory).max(axis=2).ravel()
-        current = coupons[:, memory:].ravel()
-        bought = purchases[:, memory:].ravel()
+    for memory, windows, current, bought in _trailing_windows(dataset, memory_lengths):
+        reference = windows.max(axis=2).ravel()
+        current = current.ravel()
         ref_small = _group_mask(reference, SMALL_COUPONS)
         ref_large = _group_mask(reference, LARGE_COUPONS)
         pcts = []

@@ -160,7 +160,5 @@ def projected_redemption(
     assignments = np.asarray(assignments, dtype=float)
     if assignments.shape != (X.shape[0],):
         raise ValueError("one assignment per customer required")
-    if X.shape[0] == 0:
-        return 0.0
     q = _purchase_prob(model.alpha_values(X), model.sensitivity(X), assignments, model.pivot)
     return float(np.sum(assignments * basket_value * q))

@@ -6,9 +6,14 @@ identical inputs plus --seed give byte-identical results.  A run manifest
 (command, input hashes, seed, version, timing, output paths) goes to stderr,
 and next to --out when set.
 
-Exit codes: 0 success, 2 validation/usage error, 3 violated-assumption error
-(for example a reduction step with no non-decreasing rewrite, a budget the
-search interval cannot meet, or a diagnostic cell with no rows or purchases).
+Each command reads its inputs, starts the manifest, computes, and hands its
+payload to :func:`_emit`, the one report path; ``wall_time_s`` is the time
+from reading the inputs to writing the result, for every command.
+
+Exit codes: 0 success, 2 validation/usage error (a result with a non-finite
+float included), 3 violated-assumption error (for example a reduction step
+with no non-decreasing rewrite, a budget the search interval cannot meet, or
+a diagnostic cell with no rows or purchases).
 """
 
 from __future__ import annotations
@@ -16,8 +21,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,18 +33,13 @@ import numpy as np
 from . import __version__
 from .allocator import (
     BudgetConfig,
-    ConstantPolicy,
     EmptyCellError,
     InfeasibleBudgetError,
-    MyopicPolicy,
-    PopulationSpec,
-    default_ground_truth,
     monotonicity_table,
     reference_correlations,
     simulate_population,
 )
 from .allocator.budget import _tuned_choice
-from .allocator.model import DEFAULT_DISCOUNTS
 # perfbench/tracing.py wraps these names in this module
 from .allocator import (  # noqa: F401
     myopic_assign,
@@ -55,14 +57,13 @@ from .fileio import (
     load_gain_table,
     load_model,
     load_simulation_spec,
-    model_from_dict,
     parse_cycle_text,
     parse_price_list,
     save_dataset,
     write_csv_rows,
 )
 from .instances import integer_grid, nonmonotone_demo_table, random_monotone_table
-from .oracle import NodeBudgetError, StateGraph, max_mean_cycle, optimal_cycles_unique, simulate
+from .oracle import StateGraph, max_mean_cycle, optimal_cycles_unique, simulate
 from .reduce import ReductionViolationError, reduce_to_l_up_1_down
 from .solver import bellman_residual, solve
 from .tightness import build as build_tightness
@@ -91,17 +92,15 @@ def _render_json(value, indent: int = 0) -> str:
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(value, bool) or value is None:
         return json.dumps(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     if isinstance(value, Fraction):
         return json.dumps(format_price(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"the result holds {value}, which JSON cannot carry")
+        return format(value, ".17g")
     return json.dumps(value)
-
-
-def dumps_result(payload: dict) -> str:
-    return _render_json(payload) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -109,32 +108,34 @@ def dumps_result(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _manifest(args: argparse.Namespace, inputs: list[str | Path]) -> dict:
+    """The run manifest of a command that has read its inputs; its clock starts
+    here, and ``wall_time_s`` holds the start until :func:`_emit` stops it."""
+    return {
+        "command": args.command,
+        "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs},
+        "seed": getattr(args, "seed", None),
+        "version": __version__,
+        "wall_time_s": time.perf_counter(),
+        "outputs": [],
+    }
 
 
-def _emit(payload: dict, out: str | None, manifest: dict) -> None:
-    text = dumps_result(payload)
+def _emit(payload: dict, out: str | None, manifest: dict) -> int:
+    """Render the payload, write it to ``out`` or stdout, stop the clock, write
+    the manifest to stderr (and next to ``out``), and return exit code 0."""
+    text = _render_json(payload) + "\n"
     if out:
         Path(out).write_text(text)
         manifest["outputs"].append(str(out))
     else:
         sys.stdout.write(text)
+    manifest["wall_time_s"] = time.perf_counter() - manifest["wall_time_s"]
     manifest_text = json.dumps(manifest, sort_keys=True)
     print(manifest_text, file=sys.stderr)
     if out:
         Path(out).with_name(Path(out).name + ".manifest.json").write_text(manifest_text + "\n")
-
-
-def _manifest(args: argparse.Namespace, inputs: list[str | Path]) -> dict:
-    return {
-        "command": args.command,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "seed": getattr(args, "seed", None),
-        "version": __version__,
-        "wall_time_s": None,
-        "outputs": [],
-    }
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -145,27 +146,21 @@ def _manifest(args: argparse.Namespace, inputs: list[str | Path]) -> dict:
 def _cmd_solve(args) -> int:
     table = load_gain_table(args.gains, args.memory)
     manifest = _manifest(args, [args.gains])
-    start = time.perf_counter()
     result = solve(table)
-    manifest["wall_time_s"] = time.perf_counter() - start
-    payload = {
+    return _emit({
         "opt": result.opt,
         "generator": format_cycle(result.generator, table.grid),
         "cycle": format_cycle(result.cycle, table.grid),
         "bias": list(result.bias),
         "residual": bellman_residual(result, table),
         "reference_monotone": not result.assumption_violated,
-    }
-    _emit(payload, args.out, manifest)
-    return 0
+    }, args.out, manifest)
 
 
 def _cmd_oracle(args) -> int:
     table = load_gain_table(args.gains, args.memory)
     manifest = _manifest(args, [args.gains])
-    start = time.perf_counter()
-    graph = StateGraph.build(table)
-    result = max_mean_cycle(graph)
+    result = max_mean_cycle(StateGraph.build(table))
     payload = {
         "value": result.value,
         "cycle": format_cycle(result.cycle, table.grid),
@@ -176,20 +171,16 @@ def _cmd_oracle(args) -> int:
             "horizon": args.horizon,
             "running_average": simulate(result.cycle, table, args.horizon),
         }
-    manifest["wall_time_s"] = time.perf_counter() - start
-    _emit(payload, args.out, manifest)
-    return 0
+    return _emit(payload, args.out, manifest)
 
 
 def _cmd_reduce(args) -> int:
     table = load_gain_table(args.gains, args.memory)
     cycle = parse_cycle_text(args.cycle, table.grid)
     manifest = _manifest(args, [args.gains])
-    start = time.perf_counter()
     final, steps = reduce_to_l_up_1_down(cycle, table)
-    manifest["wall_time_s"] = time.perf_counter() - start
     _, generator = is_l_up_1_down(final, table.grid)
-    payload = {
+    return _emit({
         "initial": format_cycle(cycle, table.grid),
         "initial_objective": cycle_objective(cycle, table),
         "final": format_cycle(final, table.grid),
@@ -205,21 +196,17 @@ def _cmd_reduce(args) -> int:
             }
             for step in steps
         ],
-    }
-    _emit(payload, args.out, manifest)
-    return 0
+    }, args.out, manifest)
 
 
 def _cmd_tightness(args) -> int:
     grid = PriceGrid(tuple(parse_price_list(args.prices)), args.memory)
     target = GeneratorCycle.from_prices(grid, parse_price_list(args.target))
     manifest = _manifest(args, [])
-    start = time.perf_counter()
     inst = build_tightness(target, grid)
     unique = verify_uniqueness(inst)
     graph_value = max_mean_cycle(StateGraph.build(inst.table)).value
-    manifest["wall_time_s"] = time.perf_counter() - start
-    payload = {
+    return _emit({
         "gain_table": gain_table_to_dict(inst.table),
         "target": format_cycle(target, grid),
         "expansion": format_cycle(expand(target, grid), grid),
@@ -228,9 +215,7 @@ def _cmd_tightness(args) -> int:
         "penalty": inst.penalty,
         "verified_unique": unique,
         "oracle_value": graph_value,
-    }
-    _emit(payload, args.out, manifest)
-    return 0
+    }, args.out, manifest)
 
 
 def _cmd_allocate(args) -> int:
@@ -238,12 +223,8 @@ def _cmd_allocate(args) -> int:
     dataset = load_dataset(args.customers)
     ids, X = customers_from_dataset(dataset)
     manifest = _manifest(args, [args.model, args.customers])
-    start = time.perf_counter()
     config = BudgetConfig(basket_value=args.W, budget=args.budget)
     lam, assignments, chosen_q, redemption = _tuned_choice(model, X, config, discounts)
-    revenue = float(np.sum((1.0 - assignments) * args.W * chosen_q))
-    manifest["wall_time_s"] = time.perf_counter() - start
-
     if args.out:
         csv_path = Path(args.out).with_name(Path(args.out).stem + ".assignments.csv")
     else:
@@ -252,86 +233,40 @@ def _cmd_allocate(args) -> int:
         handle.write("customer_id,discount,purchase_prob\n")
         write_csv_rows(handle, [(ids, str), (assignments, float), (chosen_q, float)], "\n")
     manifest["outputs"].append(str(csv_path))
-
-    payload = {
+    return _emit({
         "lambda": lam,
         "redemption": redemption,
-        "expected_revenue": revenue,
+        "expected_revenue": float(np.sum((1.0 - assignments) * args.W * chosen_q)),
         "customers": len(ids),
         "assignments_csv": str(csv_path),
-    }
-    _emit(payload, args.out, manifest)
-    return 0
-
-
-def _parse_policy(payload, model):
-    if payload in (None, "uniform"):
-        return "uniform"
-    if isinstance(payload, dict):
-        kind = payload.get("type")
-        if kind == "constant":
-            return ConstantPolicy(float(payload["value"]))
-        if kind == "myopic":
-            return MyopicPolicy(model, float(payload.get("shadow_price", 1.0)))
-    raise ValueError(f"unsupported policy spec {payload!r}")
+    }, args.out, manifest)
 
 
 def _cmd_simulate(args) -> int:
-    raw = load_simulation_spec(args.spec)
+    spec, truth, policy = load_simulation_spec(args.spec)
     manifest = _manifest(args, [args.spec])
-    spec = PopulationSpec(
-        size=raw["population"],
-        horizon=raw["horizon"],
-        memory=raw.get("memory", 7),
-        discounts=tuple(raw.get("discounts", DEFAULT_DISCOUNTS)),
-    )
-    if "ground_truth" in raw:
-        truth = model_from_dict(raw["ground_truth"], spec.feature_names)
-    else:
-        truth = default_ground_truth(spec.memory)
-    policy = _parse_policy(raw.get("policy"), truth)
-    start = time.perf_counter()
     dataset = simulate_population(spec, truth, policy, seed=args.seed)
     out_path = Path(args.out) if args.out else Path("dataset.csv")
     sidecar = save_dataset(dataset, out_path)
-    manifest["wall_time_s"] = time.perf_counter() - start
     manifest["outputs"] += [str(out_path), str(sidecar)]
-    payload = {
+    return _emit({
         "rows": dataset.num_rows,
         "customers": spec.size,
         "horizon": spec.horizon,
         "purchase_rate": float(dataset.purchases.mean()),
         "dataset": str(out_path),
         "sidecar": str(sidecar),
-    }
-    _emit(payload, None, manifest)
-    return 0
+    }, None, manifest)
 
 
 def _cmd_analyze(args) -> int:
     dataset = load_dataset(args.dataset)
     windows = [int(tok) for tok in str(args.memory).replace(",", " ").split()]
     manifest = _manifest(args, [args.dataset])
-    start = time.perf_counter()
-    correlations = reference_correlations(dataset, windows)
-    monotonicity = monotonicity_table(dataset, windows)
-    manifest["wall_time_s"] = time.perf_counter() - start
-    payload = {
-        "correlations": [
-            {"memory": row.memory, "corr_max": row.corr_max, "corr_avg": row.corr_avg}
-            for row in correlations
-        ],
-        "monotonicity": [
-            {
-                "memory": row.memory,
-                "small_coupon_pct": row.small_coupon_pct,
-                "large_coupon_pct": row.large_coupon_pct,
-            }
-            for row in monotonicity
-        ],
-    }
-    _emit(payload, args.out, manifest)
-    return 0
+    return _emit({
+        "correlations": [asdict(row) for row in reference_correlations(dataset, windows)],
+        "monotonicity": [asdict(row) for row in monotonicity_table(dataset, windows)],
+    }, args.out, manifest)
 
 
 def _cmd_selftest(args) -> int:
@@ -350,14 +285,15 @@ def _cmd_selftest(args) -> int:
     checks.append(("12223332 is not an expansion (2 recurs)", not ok))
 
     demo = nonmonotone_demo_table()
-    oracle_result = max_mean_cycle(StateGraph.build(demo))
+    demo_graph = StateGraph.build(demo)
+    oracle_result = max_mean_cycle(demo_graph)
     checks.append(("demo table: oracle value exactly 1.0", oracle_result.value == 1.0))
     checks.append((
         "demo table: witness objective matches value",
         cycle_objective(oracle_result.cycle, demo) == oracle_result.value,
     ))
     checks.append(("demo table: optimum not unique (12233 and 414243 tie)",
-                   optimal_cycles_unique(StateGraph.build(demo))[1] is None))
+                   optimal_cycles_unique(demo_graph)[1] is None))
     solved = solve(demo)
     checks.append(("demo table: non-monotone flagged", solved.assumption_violated))
     checks.append(("demo table: best generator value 1.0", solved.opt == 1.0))
@@ -393,10 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=False):
+    def add_common(p):
         p.add_argument("--out", help="write the JSON result to this path")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("solve", help="optimal distinct-price cycle for a gain table")
     p.add_argument("--gains", required=True)
@@ -435,7 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic coupon dataset")
     p.add_argument("--spec", required=True)
-    add_common(p, seed=True)
+    p.add_argument("--out", help="write the panel CSV to this path (default dataset.csv) and "
+                                 "its sidecar next to it; the JSON result goes to stdout")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("analyze", help="reference-effect diagnostics on a dataset")
@@ -459,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ReductionViolationError, InfeasibleBudgetError, EmptyCellError) as exc:
         print(f"refcycle: assumption violated: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, NodeBudgetError, OSError, MemoryError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OverflowError, OSError, MemoryError) as exc:
         print(f"refcycle: error: {exc}", file=sys.stderr)
         return 2
 

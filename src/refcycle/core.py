@@ -296,8 +296,6 @@ def expand(generator: GeneratorCycle, grid: PriceGrid) -> PriceCycle:
     values = generator.values
     if any(v >= len(grid) for v in values):
         raise ValueError("generator value out of range for grid")
-    if len(values) == 1:
-        return PriceCycle((values[0],))
     d = len(values)
     counts = [expansion_count(grid.memory, values[(t - 1) % d], v) for t, v in enumerate(values)]
     if sum(counts) > MAX_EXPANSION:

@@ -1,10 +1,15 @@
-"""Stable file formats: gain tables, cycles, allocation models, datasets.
+"""Stable file formats: gain tables, cycles, allocation models, simulation
+specs, datasets.
 
 Gain tables travel as JSON objects ``{"prices": [...], "memory": m,
 "gains": [[row per reference, lowest first], ...]}`` or as CSV with a header
 row of prices (memory supplied out of band).  Cycles are whitespace-separated
 price values.  Datasets are CSV panels with a JSON sidecar naming the
 reference feature column and the discount set.
+
+Every JSON object read here goes through one rule, :func:`_checked`: the types
+of its fields are checked before anything is built, so a malformed file raises
+``ValueError`` (a missing field ``KeyError``) and the CLI exits with code 2.
 
 The panel dialect: comma-separated, ``\r\n`` line ends, no quoting in the rows
 (the header is quoted as ``csv.writer`` quotes it), integers as ``str``, floats
@@ -24,7 +29,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocator import AllocationModel, CouponDataset, DiscountSet
+from .allocator import (
+    AllocationModel,
+    ConstantPolicy,
+    CouponDataset,
+    DiscountSet,
+    MyopicPolicy,
+    PopulationSpec,
+    default_ground_truth,
+)
 from .core import GainTable, GeneratorCycle, PriceCycle, PriceGrid, as_price
 
 __all__ = [
@@ -129,23 +142,21 @@ _MODEL_FIELDS = dict(
 )
 
 
+_GAIN_TABLE_FIELDS = dict(
+    prices=lambda v: isinstance(v, list) and all(_is_number(p) or isinstance(p, str) for p in v),
+    memory=_is_integer,
+    # a JSON integer too large for a float is refused, not rounded to inf
+    gains=lambda v: isinstance(v, list) and all(
+        isinstance(row, list) and all(_is_number(g) and abs(g) <= sys.float_info.max for g in row)
+        for row in v),
+)
+
+
 def gain_table_from_dict(payload: dict) -> GainTable:
-    """Validate and build; every malformed payload raises ``ValueError``."""
-    if not isinstance(payload, dict):
-        raise ValueError("a gain table must be a JSON object")
-    prices, memory, gains = payload["prices"], payload["memory"], payload["gains"]
-    if not isinstance(prices, list) or not all(
-            _is_number(p) or isinstance(p, str) for p in prices):
-        raise ValueError("prices must be a list of numbers or price strings")
-    if not isinstance(memory, int) or isinstance(memory, bool):
-        raise ValueError(f"memory must be an integer, got {memory!r}")
-    if not isinstance(gains, list) or not all(
-            isinstance(row, list)
-            and all(_is_number(g) and abs(g) <= sys.float_info.max for g in row)
-            for row in gains):
-        raise ValueError("gains must be a list of rows of finite numbers")
-    grid = PriceGrid.from_values(prices, memory)
-    return GainTable.from_rows(grid, gains)
+    """Validate and build; a missing field raises ``KeyError``."""
+    payload = _checked(payload, "a gain table", **_GAIN_TABLE_FIELDS)
+    grid = PriceGrid.from_values(payload["prices"], payload["memory"])
+    return GainTable.from_rows(grid, payload["gains"])
 
 
 def load_gain_table(path: str | Path, memory: int | None = None) -> GainTable:
@@ -189,16 +200,44 @@ def load_model(path: str | Path) -> tuple[AllocationModel, DiscountSet]:
     return model, discounts
 
 
-def load_simulation_spec(path: str | Path) -> dict:
-    """The ``simulate --spec`` object, with the types of its fields checked."""
-    spec = _checked(json.loads(Path(path).read_text()), "a simulation spec",
-                    population=_is_integer, horizon=_is_integer, memory=_is_integer,
-                    discounts=_is_number_list)
-    if "ground_truth" in spec:
-        _checked(spec["ground_truth"], "ground_truth", **_MODEL_FIELDS)
-    if isinstance(spec.get("policy"), dict):
-        _checked(spec["policy"], "policy", value=_is_number, shadow_price=_is_number)
-    return spec
+def load_simulation_spec(
+    path: str | Path,
+) -> tuple[PopulationSpec, AllocationModel, str | ConstantPolicy | MyopicPolicy]:
+    """The population, ground-truth model and coupon policy that a
+    ``simulate --spec`` file names.
+
+    The types of all fields are checked before anything is built.  A field
+    left out takes :class:`PopulationSpec`'s default (``memory``,
+    ``discounts``), the planted model at the spec's memory (``ground_truth``)
+    or ``"uniform"`` (``policy``, also when ``null``).  A policy object of type
+    ``constant`` or ``myopic`` gives that policy, the myopic one under the
+    ground truth; any other policy raises ``ValueError``.
+    """
+    raw = _checked(json.loads(Path(path).read_text()), "a simulation spec",
+                   population=_is_integer, horizon=_is_integer, memory=_is_integer,
+                   discounts=_is_number_list)
+    if "ground_truth" in raw:
+        _checked(raw["ground_truth"], "ground_truth", **_MODEL_FIELDS)
+    if isinstance(raw.get("policy"), dict):
+        _checked(raw["policy"], "policy", value=_is_number, shadow_price=_is_number)
+    overrides = {"memory": raw["memory"]} if "memory" in raw else {}
+    if "discounts" in raw:
+        overrides["discounts"] = tuple(raw["discounts"])
+    spec = PopulationSpec(size=raw["population"], horizon=raw["horizon"], **overrides)
+    if "ground_truth" in raw:
+        truth = model_from_dict(raw["ground_truth"], spec.feature_names)
+    else:
+        truth = default_ground_truth(spec.memory)
+    match raw.get("policy"):
+        case None | "uniform":
+            policy = "uniform"
+        case {"type": "constant"} as payload:
+            policy = ConstantPolicy(float(payload["value"]))
+        case {"type": "myopic"} as payload:
+            policy = MyopicPolicy(truth, float(payload.get("shadow_price", 1.0)))
+        case payload:
+            raise ValueError(f"unsupported policy spec {payload!r}")
+    return spec, truth, policy
 
 
 def _sidecar_path(path: Path) -> Path:

@@ -58,6 +58,13 @@ def test_window_longer_than_panel_rejected(reference_dataset):
         reference_correlations(reference_dataset, (0,))
 
 
+@pytest.mark.parametrize("diagnostic", [reference_correlations, monotonicity_table])
+@pytest.mark.parametrize("windows", [(0,), (-2,), (3, 0)])
+def test_nonpositive_window_rejected_by_both_diagnostics(reference_dataset, diagnostic, windows):
+    with pytest.raises(ValueError, match="memory lengths must be positive"):
+        diagnostic(reference_dataset, windows)
+
+
 def test_monotonicity_entries_positive_under_reference_effect(reference_dataset):
     rows = monotonicity_table(reference_dataset, WINDOWS)
     assert [row.memory for row in rows] == list(WINDOWS)

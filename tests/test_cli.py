@@ -411,6 +411,54 @@ def test_malformed_spec_exit_code(capsys, tmp_path, name):
     assert name == "valid" or "error" in err
 
 
+@pytest.mark.parametrize("policy", [{"type": "bogus"}, 5, "constant", [0.17]])
+def test_unsupported_policy_exit_code(capsys, tmp_path, policy):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**VALID_SPEC, "policy": policy}))
+    code, out, err = run(capsys, "simulate", "--spec", path, "--out", tmp_path / "panel.csv")
+    assert (code, out) == (2, "")
+    assert "refcycle: error: unsupported policy spec" in err
+    assert not (tmp_path / "panel.csv").exists()
+
+
+def test_spec_field_errors_come_before_value_errors(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"population": 0, "horizon": 3,
+                                "policy": {"type": "constant", "value": "0.17"}}))
+    code, _, err = run(capsys, "simulate", "--spec", path, "--out", tmp_path / "panel.csv")
+    assert code == 2
+    assert "refcycle: error: policy: malformed 'value'" in err
+    assert "population size" not in err
+
+
+MANIFEST_KEYS = {"command", "inputs", "seed", "version", "wall_time_s", "outputs"}
+COMMAND_ARGS = {
+    "solve": ["--gains", "demo.json"],
+    "oracle": ["--gains", "demo.json", "--horizon", "5"],
+    "reduce": ["--gains", "demo.json", "--cycle", "4 4 1 2 3 3"],
+    "tightness": ["--prices", "1 2 3", "--memory", "2", "--target", "1 3 2"],
+    "simulate": ["--spec", "spec.json", "--out", "simulated.csv"],
+    "analyze": ["--dataset", "panel.csv", "--memory", "1,2"],
+    "allocate": ["--model", "model.json", "--customers", "panel.csv", "--budget", "1e9", "--W", "100"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_ARGS))
+def test_every_command_reports_one_manifest_shape(command, capsys, tmp_path, monkeypatch, panel):
+    monkeypatch.chdir(tmp_path)
+    write_gain_table(nonmonotone_demo_table(), "demo.json")
+    Path("spec.json").write_text(json.dumps(VALID_SPEC))
+    Path("model.json").write_text(json.dumps(VALID_MODEL))
+    Path("panel.csv").write_bytes(panel.read_bytes())
+    Path("panel.csv.meta.json").write_bytes(Path(f"{panel}.meta.json").read_bytes())
+    code, _, err = run(capsys, command, *COMMAND_ARGS[command])
+    assert code == 0
+    manifest = json.loads(err.splitlines()[-1])
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == command
+    assert type(manifest["wall_time_s"]) is float and manifest["wall_time_s"] >= 0
+
+
 @pytest.mark.parametrize("budget, basket, expected", [
     ("nan", "100", 2), ("1e9", "nan", 2), ("1e9", "inf", 2),
     ("-1", "100", 2), ("inf", "100", 0),
@@ -453,6 +501,73 @@ def test_solve_with_an_oversized_expansion_is_a_validation_error(capsys, tmp_pat
     code, out, err = run(capsys, "solve", "--gains", path)
     assert (code, out) == (2, "")
     assert "refcycle: error: expansion of 1000000001 tokens exceeds the bound 10000000" in err
+
+
+# finite gain tables whose results a float cannot hold: the bias of the first
+# overflows, the replay and the objectives of the second and the residual of
+# the third are inf
+EXTREME_TABLES = {
+    "solve-bias": (["solve"], {"prices": [1, 2], "memory": 1,
+                               "gains": [[1.7e308, -1.7e308], [-1.7e308, 1.7e308]]}),
+    "oracle-replay": (["oracle", "--horizon", "7"], {"prices": [1, 2], "memory": 2,
+                                                     "gains": [[1.7e308, 1e308], [0.0, -1e308]]}),
+    "reduce-objectives": (["reduce", "--cycle", "2 2 2 1"], {"prices": [1, 2], "memory": 2,
+                                                             "gains": [[1.7e308, 1e308], [0.0, -1e308]]}),
+    "solve-residual": (["solve"], {"prices": [1, 2, 3], "memory": 1, "gains": [
+        [1e308, -1e308, -1.7e308], [1.7e308, 1.0, -1e308], [-1e308, -1e308, 0.0]]}),
+}
+
+
+@pytest.mark.parametrize("name", list(EXTREME_TABLES))
+def test_a_result_beyond_a_float_is_a_validation_error(name, capsys, tmp_path):
+    command, table = EXTREME_TABLES[name]
+    path = tmp_path / "gains.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run(capsys, command[0], "--gains", path, *command[1:])
+    assert (code, out) == (2, "")
+    assert "refcycle: error:" in err
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+EXTREME_GAINS = st.sampled_from([1.7e308, -1.7e308, 1e308, -1e308, 0.0, 1.0])
+
+
+def extreme_case(n):
+    """A table of ``n`` prices with gains at the ends of the float range, and a
+    cycle over its prices for ``reduce``."""
+    table = st.fixed_dictionaries({
+        "prices": st.just(list(range(1, n + 1))),
+        "memory": st.integers(1, 3),
+        "gains": st.lists(st.lists(EXTREME_GAINS, min_size=n, max_size=n), min_size=n, max_size=n),
+    })
+    cycle = st.lists(st.integers(1, n), min_size=1, max_size=6).map(lambda c: " ".join(map(str, c)))
+    return st.tuples(table, cycle)
+
+
+@pytest.mark.parametrize("command", [["solve"], ["oracle"], ["oracle", "--horizon", "7"], ["reduce"]])
+def test_extreme_finite_gains_keep_exit_code_contract(command):
+    @given(st.integers(1, 3).flatmap(extreme_case))
+    def check(case):
+        table, cycle = case
+        stdout = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "gains.json"
+            path.write_text(json.dumps(table))
+            argv = [command[0], "--gains", str(path), *command[1:]]
+            if command[0] == "reduce":
+                argv += ["--cycle", cycle]
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        assert code in {0, 2, 3}
+        if code == 0:
+            json.loads(stdout.getvalue(), parse_constant=reject_constant)
+        else:
+            assert stdout.getvalue() == ""
+
+    check()
 
 
 HUGE_PRICE = "1" + "0" * 400 + ".5"

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from test_cli import CELL, FEATURES, HEADER, panel_rows, write_gain_table, write_model
 
 from refcycle.allocator import (
+    ConstantPolicy,
     CouponDataset,
     DiscountSet,
+    MyopicPolicy,
     PopulationSpec,
     default_ground_truth,
     simulate_population,
@@ -29,6 +31,7 @@ from refcycle.fileio import (
     load_dataset,
     load_gain_table,
     load_model,
+    load_simulation_spec,
     parse_cycle_text,
     parse_price_list,
     save_dataset,
@@ -125,6 +128,53 @@ def test_model_round_trip(tmp_path):
     assert np.array_equal(loaded.beta_weights, model.beta_weights)
     assert loaded.pivot == model.pivot
     assert loaded_discounts.values == discounts.values
+
+
+def load_spec(tmp_path, payload):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload))
+    return load_simulation_spec(path)
+
+
+def same_model(a, b):
+    return (a.feature_names == b.feature_names and a.pivot == b.pivot
+            and np.array_equal(a.alpha_weights, b.alpha_weights)
+            and np.array_equal(a.beta_weights, b.beta_weights))
+
+
+def test_simulation_spec_defaults(tmp_path):
+    spec, truth, policy = load_spec(tmp_path, {"population": 2, "horizon": 3})
+    assert spec == PopulationSpec(size=2, horizon=3)
+    assert same_model(truth, default_ground_truth(spec.memory))
+    assert policy == "uniform"
+
+
+def test_simulation_spec_fields(tmp_path):
+    planted = default_ground_truth(3)
+    spec, truth, _ = load_spec(tmp_path, {
+        "population": 2, "horizon": 3, "memory": 3, "discounts": [0.1, 0.2],
+        "ground_truth": {"alpha_weights": planted.alpha_weights.tolist(),
+                         "beta_weights": planted.beta_weights.tolist()}})
+    assert spec == PopulationSpec(size=2, horizon=3, memory=3, discounts=(0.1, 0.2))
+    assert same_model(truth, planted)
+
+
+@pytest.mark.parametrize("fields", [{}, {"policy": None}, {"policy": "uniform"}],
+                         ids=["missing", "null", "uniform"])
+def test_simulation_spec_uniform_policy(tmp_path, fields):
+    assert load_spec(tmp_path, {"population": 2, "horizon": 3, **fields})[2] == "uniform"
+
+
+def test_simulation_spec_constant_and_myopic_policies(tmp_path):
+    _, _, policy = load_spec(tmp_path, {"population": 2, "horizon": 3,
+                                        "policy": {"type": "constant", "value": 0.17}})
+    assert policy == ConstantPolicy(0.17)
+    _, truth, policy = load_spec(tmp_path, {"population": 2, "horizon": 3,
+                                            "policy": {"type": "myopic", "shadow_price": 2}})
+    assert isinstance(policy, MyopicPolicy)
+    assert policy.model is truth and policy.shadow_price == 2.0
+    _, _, policy = load_spec(tmp_path, {"population": 2, "horizon": 3, "policy": {"type": "myopic"}})
+    assert policy.shadow_price == 1.0
 
 
 def test_dataset_round_trip(tmp_path):
