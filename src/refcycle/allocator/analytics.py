@@ -54,6 +54,8 @@ def _trailing_windows(dataset: CouponDataset, memory_lengths: Sequence[int]):
     """Per memory length, checked up front: the length, the trailing windows
     (``windows[:, t]`` covers days t..t+memory-1), the coupons of day
     t+memory as an (n, days) view and its purchases flattened."""
+    if len(memory_lengths) == 0:
+        raise ValueError("no memory lengths requested")
     _, coupons, purchases = dataset.panel()
     if max(memory_lengths) + 1 > coupons.shape[1]:
         raise ValueError("dataset is shorter than the longest requested window")

@@ -121,10 +121,13 @@ def _manifest(args: argparse.Namespace, inputs: list[str | Path]) -> dict:
     }
 
 
-def _emit(payload: dict, out: str | None, manifest: dict) -> int:
-    """Render the payload, write it to ``out`` or stdout, stop the clock, write
+def _emit(payload: dict, out: str | None, manifest: dict, write_files=None) -> int:
+    """Render the payload, then call ``write_files`` (a result that cannot render
+    leaves no file), write the payload to ``out`` or stdout, stop the clock, write
     the manifest to stderr (and next to ``out``), and return exit code 0."""
     text = _render_json(payload) + "\n"
+    if write_files:
+        write_files()
     if out:
         Path(out).write_text(text)
         manifest["outputs"].append(str(out))
@@ -221,6 +224,9 @@ def _cmd_tightness(args) -> int:
 def _cmd_allocate(args) -> int:
     model, discounts = load_model(args.model)
     dataset = load_dataset(args.customers)
+    if model.feature_names != dataset.feature_names:
+        raise ValueError(f"the model's features {list(model.feature_names)} are not the "
+                         f"panel's feature columns {list(dataset.feature_names)}")
     ids, X = customers_from_dataset(dataset)
     manifest = _manifest(args, [args.model, args.customers])
     config = BudgetConfig(basket_value=args.W, budget=args.budget)
@@ -229,9 +235,12 @@ def _cmd_allocate(args) -> int:
         csv_path = Path(args.out).with_name(Path(args.out).stem + ".assignments.csv")
     else:
         csv_path = Path("assignments.csv")
-    with csv_path.open("w", newline="") as handle:
-        handle.write("customer_id,discount,purchase_prob\n")
-        write_csv_rows(handle, [(ids, str), (assignments, float), (chosen_q, float)], "\n")
+
+    def write_assignments():
+        with csv_path.open("w", newline="") as handle:
+            handle.write("customer_id,discount,purchase_prob\n")
+            write_csv_rows(handle, [ids, assignments, chosen_q], "\n")
+
     manifest["outputs"].append(str(csv_path))
     return _emit({
         "lambda": lam,
@@ -239,7 +248,7 @@ def _cmd_allocate(args) -> int:
         "expected_revenue": float(np.sum((1.0 - assignments) * args.W * chosen_q)),
         "customers": len(ids),
         "assignments_csv": str(csv_path),
-    }, args.out, manifest)
+    }, args.out, manifest, write_assignments)
 
 
 def _cmd_simulate(args) -> int:

@@ -179,13 +179,11 @@ def load_gain_table(path: str | Path, memory: int | None = None) -> GainTable:
     return table
 
 
-def model_from_dict(
-    payload: dict, feature_names: list[str] | tuple[str, ...]
-) -> AllocationModel:
-    """The model a checked model object gives over ``feature_names``: float
+def model_from_dict(payload: dict) -> AllocationModel:
+    """The model a checked model object gives: its own ``feature_names``, float
     weights, and pivot 0.15 when the object has none."""
     return AllocationModel(
-        feature_names=tuple(feature_names),
+        feature_names=tuple(payload["feature_names"]),
         alpha_weights=np.asarray(payload["alpha_weights"], dtype=float),
         beta_weights=np.asarray(payload["beta_weights"], dtype=float),
         pivot=float(payload.get("pivot", 0.15)),
@@ -195,7 +193,7 @@ def model_from_dict(
 def load_model(path: str | Path) -> tuple[AllocationModel, DiscountSet]:
     payload = _checked(json.loads(Path(path).read_text()), "an allocation model",
                        **_MODEL_FIELDS)
-    model = model_from_dict(payload, payload["feature_names"])
+    model = model_from_dict(payload)
     discounts = DiscountSet(tuple(payload["discounts"])) if "discounts" in payload else DiscountSet()
     return model, discounts
 
@@ -209,9 +207,11 @@ def load_simulation_spec(
     The types of all fields are checked before anything is built.  A field
     left out takes :class:`PopulationSpec`'s default (``memory``,
     ``discounts``), the planted model at the spec's memory (``ground_truth``)
-    or ``"uniform"`` (``policy``, also when ``null``).  A policy object of type
-    ``constant`` or ``myopic`` gives that policy, the myopic one under the
-    ground truth; any other policy raises ``ValueError``.
+    or ``"uniform"`` (``policy``, also when ``null``).  A ground truth without
+    ``feature_names`` takes the spec's; :func:`simulate_population` refuses
+    others.  A policy object of type ``constant`` or ``myopic`` gives that
+    policy, the myopic one under the ground truth; any other policy raises
+    ``ValueError``.
     """
     raw = _checked(json.loads(Path(path).read_text()), "a simulation spec",
                    population=_is_integer, horizon=_is_integer, memory=_is_integer,
@@ -225,7 +225,7 @@ def load_simulation_spec(
         overrides["discounts"] = tuple(raw["discounts"])
     spec = PopulationSpec(size=raw["population"], horizon=raw["horizon"], **overrides)
     if "ground_truth" in raw:
-        truth = model_from_dict(raw["ground_truth"], spec.feature_names)
+        truth = model_from_dict({"feature_names": spec.feature_names, **raw["ground_truth"]})
     else:
         truth = default_ground_truth(spec.memory)
     match raw.get("policy"):
@@ -250,22 +250,22 @@ _BLOCK_ROWS = 4096
 
 
 def write_csv_rows(handle, columns, newline: str) -> None:
-    """Write the rows of ``columns``, pairs of a 1-D array and a type
-    ``kind`` (``int``, ``float`` or ``str``), as CSV lines ended by ``newline``.
+    """Write the rows of ``columns``, 1-D arrays, as CSV lines ended by ``newline``.
 
-    The cell of an element ``x`` is ``str(kind(x))``, the text ``csv.writer``
-    gives that value; a number needs no quoting.  Rows go out a block at a
-    time, so the cell strings of the whole file never exist at once.  Each
-    distinct value of a block's column is formatted once, keyed by value for
-    integers and bools, else by bit pattern (``-0.0 == 0.0``, yet their texts
-    differ), so object arrays and dtypes over 64 bits raise ``TypeError``.
+    The cell of an element ``x`` is ``str(int(x))`` in an integer or bool column,
+    else ``str(float(x))``: the text ``csv.writer`` gives that value; a number needs
+    no quoting.  Rows go out a block at a time, so the cell strings of the whole file
+    never exist at once.  Each distinct value of a block's column is formatted once,
+    keyed by value for integers and bools, else by bit pattern (``-0.0 == 0.0``, yet
+    their texts differ), so object arrays and dtypes over 64 bits raise ``TypeError``.
     """
-    rows = len(columns[0][0])
+    rows = len(columns[0])
     for start in range(0, rows, _BLOCK_ROWS):
         cells = []
-        for column, kind in columns:
+        for column in columns:
             part = column[start:start + _BLOCK_ROWS]
-            key = part if part.dtype.kind in "biu" else part.view(f"u{part.itemsize}")
+            kind = int if part.dtype.kind in "biu" else float
+            key = part if kind is int else part.view(f"u{part.itemsize}")
             distinct, inverse = np.unique(key, return_inverse=True)
             texts = [str(kind(x)) for x in distinct.view(part.dtype).tolist()]
             cells.append(np.array(texts, dtype=object)[inverse])
@@ -277,13 +277,8 @@ def save_dataset(dataset: CouponDataset, path: str | Path) -> Path:
     path = Path(path)
     with path.open("w", newline="") as handle:
         csv.writer(handle).writerow(_dataset_header(dataset.feature_names))
-        write_csv_rows(handle, [
-            (dataset.customer_ids, int),
-            (dataset.days, int),
-            *((column, float) for column in dataset.features.T),
-            (dataset.coupons, float),
-            (dataset.purchases, int),
-        ], "\r\n")
+        write_csv_rows(handle, [dataset.customer_ids, dataset.days, *dataset.features.T,
+                                dataset.coupons, dataset.purchases], "\r\n")
     sidecar = _sidecar_path(path)
     sidecar.write_text(json.dumps({
         "feature_columns": list(dataset.feature_names),

@@ -15,7 +15,6 @@ from .core import GainTable, PriceGrid
 __all__ = [
     "integer_grid",
     "random_monotone_table",
-    "nonmonotone_demo_grid",
     "nonmonotone_demo_table",
 ]
 
@@ -33,10 +32,6 @@ def random_monotone_table(rng: np.random.Generator, num_prices: int, memory: int
     return GainTable.from_rows(grid, draws.tolist())
 
 
-def nonmonotone_demo_grid() -> PriceGrid:
-    return integer_grid(4, memory=2)
-
-
 def nonmonotone_demo_table() -> GainTable:
     """0/1 gains on four prices, memory 2, not reference-monotone.
 
@@ -50,4 +45,4 @@ def nonmonotone_demo_table() -> GainTable:
         [1.0, 0.0, 0.0, 1.0],
         [0.0, 0.0, 0.0, 0.0],
     ]
-    return GainTable.from_rows(nonmonotone_demo_grid(), rows)
+    return GainTable.from_rows(integer_grid(4, memory=2), rows)

@@ -46,10 +46,6 @@ class SolveResult:
     assumption_violated: bool
     opt_exact: Fraction
 
-    def __post_init__(self) -> None:
-        if len(self.bias) == 0:
-            raise ValueError("bias vector cannot be empty")
-
 
 def _ratio_edges(table: GainTable) -> list[list[Edge]]:
     """Per-price graph: offering p from r earns g(r, p) on each of k(r, p) steps."""
@@ -61,20 +57,22 @@ def _ratio_edges(table: GainTable) -> list[list[Edge]]:
 def solve(table: GainTable) -> SolveResult:
     """Best distinct-price cycle, its exact mean, and the bias vector.
 
-    Policy iteration on the per-price graph gives the exact optimum; the
-    generator is the least tight cycle, and a second run on the graph where
-    that cycle's prices keep only their cycle edge anchors the bias on it.
+    Policy iteration on the per-price graph gives the exact optimum, and the
+    generator is the least tight cycle.  A second run on the same graph,
+    started with each generator price on its cycle edge and the other prices
+    on its first, anchors the bias on the generator: a generator price that
+    left its cycle edge would close, with a walk into the first price, a cycle
+    of positive weight under g - opt, which no cycle has at the optimum.
     """
-    n = len(table.grid)
     edges = _ratio_edges(table)
     value, _, tight = max_ratio_cycle(edges)
     opt = value[0]
     generator = GeneratorCycle(least_tight_cycle(tight))
     values = generator.values
-    following = {u: values[(i + 1) % len(values)] for i, u in enumerate(values)}
-    anchored = [[edges[u][following[u]]] if u in following else edges[u] for u in range(n)]
-    start = [0 if u in following else values[0] for u in range(n)]
-    _, bias, _ = max_ratio_cycle(anchored, start)
+    start = [values[0]] * len(edges)
+    for i, u in enumerate(values):
+        start[u] = values[(i + 1) % len(values)]
+    _, bias, _ = max_ratio_cycle(edges, start)
     bias = [b - bias[0] for b in bias]
     return SolveResult(
         opt=float(opt),

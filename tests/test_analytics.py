@@ -65,6 +65,12 @@ def test_nonpositive_window_rejected_by_both_diagnostics(reference_dataset, diag
         diagnostic(reference_dataset, windows)
 
 
+@pytest.mark.parametrize("diagnostic", [reference_correlations, monotonicity_table])
+def test_empty_window_list_rejected_by_both_diagnostics(reference_dataset, diagnostic):
+    with pytest.raises(ValueError, match="no memory lengths requested"):
+        diagnostic(reference_dataset, [])
+
+
 def test_monotonicity_entries_positive_under_reference_effect(reference_dataset):
     rows = monotonicity_table(reference_dataset, WINDOWS)
     assert [row.memory for row in rows] == list(WINDOWS)

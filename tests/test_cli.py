@@ -4,9 +4,13 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -431,6 +435,71 @@ def test_spec_field_errors_come_before_value_errors(capsys, tmp_path):
     assert "population size" not in err
 
 
+@pytest.mark.parametrize("names", [list(reversed(FEATURES)), ["nonsense"]],
+                         ids=["reversed", "nonsense"])
+def test_simulate_refuses_ground_truth_names_other_than_the_spec(capsys, tmp_path, names):
+    # weights of the listed names' length, so the model builds and only the
+    # schema check can refuse it
+    truth = {"feature_names": names, "alpha_weights": [0.0] * (len(names) + 1),
+             "beta_weights": [1.0] * len(names)}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**VALID_SPEC, "memory": 3, "ground_truth": truth}))
+    code, out, err = run(capsys, "simulate", "--spec", path, "--out", tmp_path / "panel.csv")
+    assert (code, out) == (2, "")
+    assert "refcycle: error: model features do not match the population spec" in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_simulate_takes_a_ground_truth_listing_the_spec_names(capsys, tmp_path):
+    truth = {key: VALID_MODEL[key] for key in ("feature_names", "alpha_weights", "beta_weights")}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**VALID_SPEC, "memory": 3, "ground_truth": truth}))
+    code, _, _ = run(capsys, "simulate", "--spec", path, "--out", tmp_path / "panel.csv")
+    assert code == 0 and (tmp_path / "panel.csv").exists()
+
+
+OTHER_FEATURES = {
+    "reversed": list(reversed(FEATURES)),
+    "renamed": [f"x{i}" for i in range(len(FEATURES))],
+    "shorter": list(FEATURES[:-1]),
+    "none": [],
+}
+
+
+@pytest.mark.parametrize("name", list(OTHER_FEATURES))
+def test_allocate_refuses_a_model_over_other_features(capsys, tmp_path, panel, name):
+    names = OTHER_FEATURES[name]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({**VALID_MODEL, "feature_names": names,
+                                 "alpha_weights": VALID_MODEL["alpha_weights"][:len(names) + 1],
+                                 "beta_weights": VALID_MODEL["beta_weights"][:len(names)]}))
+    code, out, err = run(capsys, "allocate", "--model", model, "--customers", panel,
+                         "--budget", 1e9, "--W", 100, "--out", tmp_path / "out.json")
+    assert (code, out) == (2, "")
+    assert f"the model's features {names} are not the panel's feature columns " \
+           f"{list(FEATURES)}" in err
+    assert list(tmp_path.iterdir()) == [model]
+
+
+def test_allocate_result_beyond_a_float_leaves_no_file(capsys, tmp_path, panel):
+    # the revenue overflows to inf; the payload is rendered, and refused,
+    # before the assignments CSV is written
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(VALID_MODEL))
+    with np.errstate(over="ignore"):
+        code, out, err = run(capsys, "allocate", "--model", model, "--customers", panel,
+                             "--budget", "inf", "--W", 1.7e308, "--out", tmp_path / "x.json")
+    assert (code, out) == (2, "")
+    assert "refcycle: error: the result holds inf" in err
+    assert list(tmp_path.iterdir()) == [model]
+
+
+def test_analyze_names_an_empty_window_list(capsys, panel):
+    code, out, err = run(capsys, "analyze", "--dataset", panel, "--memory", "")
+    assert (code, out) == (2, "")
+    assert "refcycle: error: no memory lengths requested" in err
+
+
 MANIFEST_KEYS = {"command", "inputs", "seed", "version", "wall_time_s", "outputs"}
 COMMAND_ARGS = {
     "solve": ["--gains", "demo.json"],
@@ -754,3 +823,20 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_the_module_runs_in_a_fresh_process(tmp_path):
+    # what in-process tests cannot see: ``python -m refcycle.cli`` itself, and
+    # a fault at import time in a fresh interpreter
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    write_gain_table(nonmonotone_demo_table(), tmp_path / "demo.json")
+    selftest = subprocess.run([sys.executable, "-m", "refcycle.cli", "selftest"],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert selftest.returncode == 0, selftest.stderr
+    assert "PASS" in selftest.stdout and "FAIL" not in selftest.stdout
+    solved = subprocess.run([sys.executable, "-m", "refcycle.cli", "solve", "--gains", "demo.json"],
+                            capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert solved.returncode == 0, solved.stderr
+    assert json.loads(solved.stdout)["opt"] == 1.0
+    assert json.loads(solved.stderr.splitlines()[-1])["command"] == "solve"

@@ -476,8 +476,10 @@ def test_save_dataset_bytes_match_csv_writer(tmp_path, rows):
 
 def reference_write_csv_rows(handle, columns, newline):
     """The per-cell rule of ``write_csv_rows``: the cell of an element ``x``,
-    read as a Python scalar, is ``str(kind(x))``."""
-    texts = [[str(kind(x)) for x in column.tolist()] for column, kind in columns]
+    read as a Python scalar, is ``str(int(x))`` in an integer or bool column
+    and ``str(float(x))`` in any other."""
+    texts = [[str((int if column.dtype.kind in "biu" else float)(x)) for x in column.tolist()]
+             for column in columns]
     for row in zip(*texts):
         handle.write(",".join(row) + newline)
 
@@ -516,24 +518,22 @@ def test_write_csv_rows_matches_the_per_cell_rule(dtype, rows):
     matrix = rng.choice(pool, size=(rows, 3))
     if rows >= len(pool):  # every value of the pool in the first block of each column
         matrix[:len(pool)] = np.stack([rng.permutation(pool) for _ in range(3)], axis=1)
-    kinds = (float, str) if dtype.kind == "f" else (int, float, str)
     # strided views, as save_dataset passes features.T[i], and one contiguous column
-    columns = [(matrix.T[i], kind) for i, kind in enumerate(kinds)]
-    columns.append((np.ascontiguousarray(matrix[:, 0]), kinds[0]))
+    columns = [*matrix.T, np.ascontiguousarray(matrix[:, 0])]
     got = written(fileio.write_csv_rows, columns, "\r\n")
     assert got == written(reference_write_csv_rows, columns, "\r\n")
     assert got.count("\r\n") == rows
 
 
 def test_write_csv_rows_matches_the_per_cell_rule_on_assignments():
-    # allocate's assignments CSV: ascending ids as str, discounts, purchase probabilities
+    # allocate's assignments CSV: ascending int64 ids, discounts, purchase probabilities
     rows = 2 * fileio._BLOCK_ROWS + 1
     rng = np.random.default_rng(7)
     ids = np.sort(rng.choice(2**62, size=rows, replace=False)).astype(np.int64)
     discounts = rng.choice(np.array([0.12, 0.15, 0.17, 0.2, 0.0, -0.0]), size=rows)
     probabilities = rng.uniform(0.0, 1.0, size=rows)
     probabilities[rng.choice(rows, size=50)] = rng.choice(cell_pool(np.dtype(float)), size=50)
-    columns = [(ids, str), (discounts, float), (probabilities, float)]
+    columns = [ids, discounts, probabilities]
     got = written(fileio.write_csv_rows, columns, "\n")
     assert got == written(reference_write_csv_rows, columns, "\n")
     assert "-0.0" in got and ",0.0," in got
@@ -545,4 +545,4 @@ def test_write_csv_rows_matches_the_per_cell_rule_on_assignments():
 def test_write_csv_rows_refuses_columns_without_a_bit_key(column):
     # keyed by value, -0.0 would be written as 0.0; no caller passes such a column
     with pytest.raises(TypeError):
-        fileio.write_csv_rows(io.StringIO(), [(column, str)], "\n")
+        fileio.write_csv_rows(io.StringIO(), [column], "\n")

@@ -310,7 +310,7 @@ def test_kernel_matches_the_rational_reference(rng):
 
 
 def test_kernel_matches_the_rational_reference_inside_solve(rng, monkeypatch):
-    # both of solve's kernel runs, the anchored one with its starting policy
+    # both of solve's kernel runs, the second with its starting policy
     calls = []
 
     def recorded(edges, policy=None):
@@ -333,9 +333,9 @@ def test_kernel_matches_the_rational_reference_inside_solve(rng, monkeypatch):
 
 
 def test_kernel_edges_carry_the_table_floats(rng, monkeypatch):
-    # solve's two runs and the oracle's one get the gain table's own floats,
-    # with k(r, p) steps in solve and one step in the oracle: no Fraction is
-    # built on the way into the kernel
+    # solve's two runs, both on the full per-price graph, and the oracle's one
+    # get the gain table's own floats, with k(r, p) steps in solve and one step
+    # in the oracle: no Fraction is built on the way into the kernel
     calls = []
 
     def recorded(edges, policy=None):
@@ -350,9 +350,10 @@ def test_kernel_edges_carry_the_table_floats(rng, monkeypatch):
         solve(table)
         graph = StateGraph.build(table)
         max_mean_cycle(graph)
-        full, anchored, states = calls[-3:]
-        assert [[v for v, _, _ in row] for row in full] == [list(range(n))] * n
-        for r, row in [*enumerate(full), *enumerate(anchored)]:
+        first, second, states = calls[-3:]
+        assert second is first
+        assert [[v for v, _, _ in row] for row in first] == [list(range(n))] * n
+        for r, row in enumerate(first):
             for p, gain, steps in row:
                 assert gain is table.gains[r][p] and steps == expansion_count(memory, r, p)
         assert len(states) == graph.num_nodes
@@ -517,6 +518,50 @@ def test_nonmonotone_flagged_and_best_generator_reported(demo_table):
     assert result.assumption_violated
     assert result.opt == exhaustive_generators(demo_table).value
     assert bellman_residual(result, demo_table) <= 1e-8
+
+
+def anchored_bias(table: GainTable) -> tuple[list[Fraction], tuple[int, ...]]:
+    """The bias as solve anchored it before it reused its graph: a second
+    kernel run on a copy of the per-price graph where each generator price
+    keeps only its cycle edge; the reference for the start-policy run."""
+    n, memory = len(table.grid), table.grid.memory
+    edges = [[(p, table.gains[r][p], expansion_count(memory, r, p)) for p in range(n)]
+             for r in range(n)]
+    _, _, tight = max_ratio_cycle(edges)
+    values = least_tight_cycle(tight)
+    following = {u: values[(i + 1) % len(values)] for i, u in enumerate(values)}
+    anchored = [[edges[u][following[u]]] if u in following else edges[u] for u in range(n)]
+    start = [0 if u in following else values[0] for u in range(n)]
+    _, bias, _ = max_ratio_cycle(anchored, start)
+    return [b - bias[0] for b in bias], values
+
+
+def test_start_policy_bias_equals_the_anchored_graph_bias(rng, monkeypatch):
+    # the generator prices never leave their cycle edges, so one graph gives
+    # the anchored graph's exact bias, and so its floats bit for bit, on every
+    # kind of table
+    biases = []
+
+    def recorded(edges, policy=None):
+        result = max_ratio_cycle(edges, policy)
+        biases.append(result[1])
+        return result
+
+    monkeypatch.setattr(solver_module, "max_ratio_cycle", recorded)
+    kinds = ("monotone", "non-monotone", "tie-heavy")
+    for i in range(330):
+        kind = kinds[i % 3]
+        n, memory = int(rng.integers(1, 13)), int(rng.integers(1, 8))
+        if kind == "tie-heavy":
+            table = GainTable.from_rows(integer_grid(n, memory),
+                                        rng.integers(0, 3, size=(n, n)).astype(float).tolist())
+        else:
+            table = (random_monotone_table if kind == "monotone" else random_table)(rng, n, memory)
+        result = solve(table)
+        bias, values = anchored_bias(table)
+        assert result.generator.values == values, kind
+        assert [b - biases[-1][0] for b in biases[-1]] == bias, kind
+        assert [b.hex() for b in result.bias] == [float(b).hex() for b in bias], kind
 
 
 def test_solve_agrees_with_enumeration_everywhere(rng):
