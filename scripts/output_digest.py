@@ -13,13 +13,16 @@ and ``oracle --horizon 1001`` on a 2-price table at memory 50-700, whose state
 graph both the former guard, states x max(prices, memory), and the current
 one, states x prices x memory, admit.  Every tenth table also runs one seeded
 ``simulate -> analyze -> allocate`` chain on a small memory-3 panel, with
-``allocate`` at an unbounded, a drawn and an infeasible (zero) budget; every
-fifth chain draws 300-600 customers over 15-30 days, a panel that spans
-several of the CSV writer's blocks.
+``allocate`` at an unbounded, a drawn and an infeasible (zero) budget, and
+then ``analyze`` and the drawn-budget ``allocate`` once more with the panel's
+npz cache deleted, so they parse the CSV; every fifth chain draws 300-600
+customers over 15-30 days, a panel that spans several of the CSV writer's
+blocks.
 Prints the number of runs, a histogram of exit codes and one sha256 over
 each run's command, exit code, stdout and ``refcycle:`` stderr lines, and
 over the bytes of the files the chain writes (the panel CSV, its sidecar and
-the assignments CSV); the run manifests, which hold timings, are left out.
+the assignments CSV); the run manifests, which hold timings, and the npz
+cache, which trees without the cache do not write, are left out.
 
 Tables, specs and the allocation model are drawn with numpy and written as
 JSON here, so the inputs do not depend on the tree under test.  To compare
@@ -73,8 +76,9 @@ def gain_rows(rng: np.random.Generator, kind: str, n: int) -> list[list[float]]:
 
 
 def commands(rng: np.random.Generator, kind: str, long_cycle: bool) -> tuple[dict, list]:
-    """One table, and the argument lists run on it, each paired with the files it
-    writes: none.  ``long_cycle`` adds a ``reduce`` on 50-400 tokens."""
+    """One table, and the argument lists run on it, each with the files it
+    writes and the files deleted before it: none.  ``long_cycle`` adds a
+    ``reduce`` on 50-400 tokens."""
     n, memory = int(rng.integers(1, 13)), int(rng.integers(1, 8))
     prices = list(range(1, n + 1))
     table = {"prices": prices, "memory": memory, "gains": gain_rows(rng, kind, n)}
@@ -91,7 +95,7 @@ def commands(rng: np.random.Generator, kind: str, long_cycle: bool) -> tuple[dic
     if long_cycle:
         tokens = rng.integers(1, n + 1, size=int(rng.integers(50, 401))).tolist()
         argv.append(["reduce", "--gains", "table.json", "--cycle", " ".join(map(str, tokens))])
-    return {"table.json": table}, [(command, ()) for command in argv]
+    return {"table.json": table}, [(command, (), ()) for command in argv]
 
 
 def long_windows(rng: np.random.Generator, kind: str) -> tuple[dict, list]:
@@ -102,15 +106,16 @@ def long_windows(rng: np.random.Generator, kind: str) -> tuple[dict, list]:
     tokens = rng.integers(1, n + 1, size=int(rng.integers(500, 2001))).tolist()
     pair = {"prices": [1, 2], "memory": int(rng.integers(50, 701)), "gains": gain_rows(rng, kind, 2)}
     return {"wide.json": wide, "pair.json": pair}, [
-        (["reduce", "--gains", "wide.json", "--cycle", " ".join(map(str, tokens))], ()),
-        (["oracle", "--gains", "pair.json", "--horizon", "1001"], ()),
+        (["reduce", "--gains", "wide.json", "--cycle", " ".join(map(str, tokens))], (), ()),
+        (["oracle", "--gains", "pair.json", "--horizon", "1001"], (), ()),
     ]
 
 
 def chain(rng: np.random.Generator, large: bool) -> tuple[dict, list]:
     """A seeded simulate -> analyze -> allocate chain: its input files, and
-    the argument lists run, each with the files it writes.  ``large`` draws
-    300-600 customers over 15-30 days instead of 20-79 over 6-14."""
+    the argument lists run, each with the files it writes and the files
+    deleted before it.  ``large`` draws 300-600 customers over 15-30 days
+    instead of 20-79 over 6-14."""
     if large:
         size, horizon = int(rng.integers(300, 601)), int(rng.integers(15, 31))
     else:
@@ -119,11 +124,14 @@ def chain(rng: np.random.Generator, large: bool) -> tuple[dict, list]:
     allocate = ["allocate", "--model", "model.json", "--customers", "panel.csv", "--W", "10",
                 "--budget"]
     seed, budget = str(int(rng.integers(1000))), repr(size * float(rng.uniform(0.15, 0.8)))
+    analyze = ["analyze", "--dataset", "panel.csv", "--memory", "3,5"]
     return {"spec.json": spec, "model.json": MODEL}, [
         (["simulate", "--spec", "spec.json", "--seed", seed, "--out", "panel.csv"],
-         ("panel.csv", "panel.csv.meta.json")),
-        (["analyze", "--dataset", "panel.csv", "--memory", "3,5"], ()),
-        *[(allocate + [b], ("assignments.csv",)) for b in ("1e9", budget, "0")],
+         ("panel.csv", "panel.csv.meta.json"), ()),
+        (analyze, (), ()),
+        *[(allocate + [b], ("assignments.csv",), ()) for b in ("1e9", budget, "0")],
+        (analyze, (), ("panel.csv.npz",)),
+        (allocate + [budget], ("assignments.csv",), ()),
     ]
 
 
@@ -170,8 +178,10 @@ def main() -> int:
                     for name, payload in inputs.items():
                         with open(name, "w") as handle:
                             json.dump(payload, handle)
-                    for command, written in runs:
-                        for name in written:  # a refused run must not leave an older file
+                    for command, written, deleted in runs:
+                        # a refused run must not leave an older file, and a run
+                        # after its panel's cache is deleted parses the CSV
+                        for name in (*written, *deleted):
                             with contextlib.suppress(FileNotFoundError):
                                 os.remove(name)
                         code, out, err = run(command)

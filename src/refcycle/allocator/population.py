@@ -87,7 +87,9 @@ class CouponDataset:
     """Per-customer-day rows: features, coupon sent, purchase indicator.
 
     Rows are customer-major (all days of a customer are contiguous and
-    ordered); every customer covers the same day range 1..horizon.
+    ordered); every customer covers the same day range 1..horizon.  Ids, days
+    and purchases have an integer or bool dtype.  ``source_sha256`` is the
+    sha256 of the CSV a panel was read from, ``None`` for one built in memory.
     """
 
     feature_names: tuple[str, ...]
@@ -99,6 +101,7 @@ class CouponDataset:
     features: np.ndarray
     coupons: np.ndarray
     purchases: np.ndarray
+    source_sha256: str | None = None
 
     def __post_init__(self) -> None:
         rows = len(self.customer_ids)
@@ -109,6 +112,9 @@ class CouponDataset:
             and self.features.shape == (rows, len(self.feature_names))
         ):
             raise ValueError("dataset arrays are inconsistent")
+        if any(column.dtype.kind not in "biu"
+               for column in (self.customer_ids, self.days, self.purchases)):
+            raise ValueError("customer ids, days and purchases need an integer or bool dtype")
 
     @property
     def num_rows(self) -> int:

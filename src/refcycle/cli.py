@@ -49,6 +49,7 @@ from .allocator import (  # noqa: F401
 )
 from .core import GeneratorCycle, PriceCycle, PriceGrid, cycle_objective, expand, is_l_up_1_down
 from .fileio import (
+    cache_path,
     customers_from_dataset,
     format_cycle,
     format_price,
@@ -108,12 +109,17 @@ def _render_json(value, indent: int = 0) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _manifest(args: argparse.Namespace, inputs: list[str | Path]) -> dict:
+def _manifest(args: argparse.Namespace, inputs: list[str | Path],
+              digests: dict[str, str] | None = None) -> dict:
     """The run manifest of a command that has read its inputs; its clock starts
-    here, and ``wall_time_s`` holds the start until :func:`_emit` stops it."""
+    here, and ``wall_time_s`` holds the start until :func:`_emit` stops it.
+
+    Each of ``inputs`` is hashed here; ``digests`` gives the sha256 of inputs
+    already hashed as they were read (a dataset panel), so no file is hashed twice."""
     return {
         "command": args.command,
-        "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs},
+        "inputs": {**{str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs},
+                   **(digests or {})},
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "wall_time_s": time.perf_counter(),
@@ -228,7 +234,7 @@ def _cmd_allocate(args) -> int:
         raise ValueError(f"the model's features {list(model.feature_names)} are not the "
                          f"panel's feature columns {list(dataset.feature_names)}")
     ids, X = customers_from_dataset(dataset)
-    manifest = _manifest(args, [args.model, args.customers])
+    manifest = _manifest(args, [args.model], {args.customers: dataset.source_sha256})
     config = BudgetConfig(basket_value=args.W, budget=args.budget)
     lam, assignments, chosen_q, redemption = _tuned_choice(model, X, config, discounts)
     if args.out:
@@ -257,7 +263,8 @@ def _cmd_simulate(args) -> int:
     dataset = simulate_population(spec, truth, policy, seed=args.seed)
     out_path = Path(args.out) if args.out else Path("dataset.csv")
     sidecar = save_dataset(dataset, out_path)
-    manifest["outputs"] += [str(out_path), str(sidecar)]
+    manifest["outputs"] += [str(p) for p in (out_path, sidecar, cache_path(out_path))
+                            if p.exists()]
     return _emit({
         "rows": dataset.num_rows,
         "customers": spec.size,
@@ -271,7 +278,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_analyze(args) -> int:
     dataset = load_dataset(args.dataset)
     windows = [int(tok) for tok in str(args.memory).replace(",", " ").split()]
-    manifest = _manifest(args, [args.dataset])
+    manifest = _manifest(args, [], {args.dataset: dataset.source_sha256})
     return _emit({
         "correlations": [asdict(row) for row in reference_correlations(dataset, windows)],
         "monotonicity": [asdict(row) for row in monotonicity_table(dataset, windows)],

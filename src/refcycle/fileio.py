@@ -16,11 +16,19 @@ The panel dialect: comma-separated, ``\r\n`` line ends, no quoting in the rows
 as their shortest ``repr``, each distinct cell of a block formatted once (floats
 keyed by their bits: ``-0.0 == 0.0``, yet the texts differ).  On reading, blank
 lines are skipped and every other row must have the header's width.
+
+Next to the panel, :func:`save_dataset` also writes ``<file>.npz``: the columns
+the CSV reader returns for that panel, its header and the sha256 of the CSV's
+bytes.  It is a cache, never required.  :func:`load_dataset` takes the columns
+from it only when the CSV's sha256 and the sidecar's header match the stored
+ones, and never unpickles; else it parses the CSV.  Deleting the npz never
+changes an answer.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import sys
 import warnings
@@ -53,6 +61,7 @@ __all__ = [
     "load_simulation_spec",
     "save_dataset",
     "load_dataset",
+    "cache_path",
     "customers_from_dataset",
     "write_csv_rows",
 ]
@@ -272,11 +281,33 @@ def write_csv_rows(handle, columns, newline: str) -> None:
         handle.write(newline.join(map(",".join, zip(*cells))) + newline)
 
 
-def save_dataset(dataset: CouponDataset, path: str | Path) -> Path:
-    """Write the CSV panel plus its JSON sidecar; returns the sidecar path."""
+def cache_path(path: str | Path) -> Path:
+    """Where :func:`save_dataset` writes the npz cache of the panel at ``path``."""
     path = Path(path)
+    return path.with_name(path.name + ".npz")
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as handle:
+        while chunk := handle.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+# the panel's columns in the order of the CSV reader's result, as stored in the cache
+_CACHED_COLUMNS = ("customer_ids", "days", "features", "coupons", "purchases")
+
+
+def save_dataset(dataset: CouponDataset, path: str | Path) -> Path:
+    """Write the CSV panel, its JSON sidecar and, where :func:`_read_back`
+    allows, its npz cache; returns the sidecar path."""
+    path = Path(path)
+    cache = cache_path(path)
+    cache.unlink(missing_ok=True)  # a panel written here has this cache or none
+    header = _dataset_header(dataset.feature_names)
     with path.open("w", newline="") as handle:
-        csv.writer(handle).writerow(_dataset_header(dataset.feature_names))
+        csv.writer(handle).writerow(header)
         write_csv_rows(handle, [dataset.customer_ids, dataset.days, *dataset.features.T,
                                 dataset.coupons, dataset.purchases], "\r\n")
     sidecar = _sidecar_path(path)
@@ -286,23 +317,62 @@ def save_dataset(dataset: CouponDataset, path: str | Path) -> Path:
         "discounts": list(dataset.discounts),
         "memory": dataset.memory,
     }, indent=2) + "\n")
+    columns = _read_back(dataset)
+    if columns is not None:
+        with cache.open("wb") as handle:
+            np.savez(handle, sha256=np.array(_sha256(path)), header=np.array(header),
+                     **dict(zip(_CACHED_COLUMNS, columns)))
     return sidecar
+
+
+def _read_back(dataset: CouponDataset) -> tuple[np.ndarray, ...] | None:
+    """The columns the CSV reader returns for the panel :func:`save_dataset`
+    writes, or ``None`` where the reader refuses it or a column could differ.
+
+    The CSV holds ``str(int(x))`` and ``str(float(x))``, so an integer column
+    reads back as its int64 cast and a float column as its float64 cast, with
+    every NaN the canonical ``float("nan")``; -0.0, infinities and subnormals
+    keep their bits.  Refused: a panel without rows (the reader refuses it), a
+    uint64 id, day or purchase of 2**63 or more (likewise), a float column of
+    another kind, and a header that is not ASCII (the CSV is read in the
+    locale's encoding, which may not be the writer's).
+    """
+    ints = (dataset.customer_ids, dataset.days, dataset.purchases)
+    floats = (dataset.features, dataset.coupons)
+    if (dataset.num_rows == 0 or not "".join(_dataset_header(dataset.feature_names)).isascii()
+            or any(c.dtype.kind == "u" and c.max() >= 2**63 for c in ints)
+            or any(c.dtype.kind != "f" for c in floats)):
+        return None
+    ids, days, purchases = (c.astype(np.int64, copy=False) for c in ints)
+    features, coupons = (_canonical_nans(c.astype(np.float64, copy=False)) for c in floats)
+    return ids, days, features, coupons, purchases
+
+
+def _canonical_nans(column: np.ndarray) -> np.ndarray:
+    """``column`` with every NaN ``float("nan")``; copied only if it holds a NaN."""
+    nans = np.isnan(column)
+    return np.where(nans, np.nan, column) if nans.any() else column
 
 
 def load_dataset(path: str | Path) -> CouponDataset:
     """Read a panel and its sidecar.  A malformed file raises ``ValueError``,
     a sidecar without a field ``KeyError``; both exit 2 from the CLI.
 
-    The rows are parsed by one ``np.loadtxt`` pass where numpy reads the file
-    as the row loop :func:`_read_panel_rows` would, else by that loop, which
-    then also gives every error."""
+    The CSV's bytes are read once for their sha256, which the dataset carries
+    as ``source_sha256``.  The columns come from the npz cache where
+    :func:`_cached_columns` accepts it, else from one ``np.loadtxt`` pass where
+    numpy reads the file as the row loop :func:`_read_panel_rows` would, else
+    from that loop, which then also gives every error."""
     path = Path(path)
     meta = _checked(json.loads(_sidecar_path(path).read_text()), "a dataset sidecar",
                     feature_columns=_is_string_list, reference_feature=lambda v: isinstance(v, str),
                     discounts=_is_number_list, memory=_is_integer)
     feature_names = tuple(meta["feature_columns"])
-    with path.open(newline="") as handle:
-        columns = _loadtxt_columns(handle, feature_names)
+    digest = _sha256(path)
+    columns = _cached_columns(path, digest, feature_names)
+    if columns is None:
+        with path.open(newline="") as handle:
+            columns = _loadtxt_columns(handle, feature_names)
     if columns is None:
         columns = _read_panel_rows(path, feature_names)
     ids, days, features, coupons, purchases = columns
@@ -316,7 +386,34 @@ def load_dataset(path: str | Path) -> CouponDataset:
         features=features,
         coupons=coupons,
         purchases=purchases,
+        source_sha256=digest,
     )
+
+
+def _cached_columns(path: Path, digest: str, feature_names: tuple[str, ...]
+                    ) -> tuple[np.ndarray, ...] | None:
+    """The panel's columns from its npz cache, or ``None`` unless the cache
+    was written for these CSV bytes and feature columns and holds one int64 or
+    float64 column of the panel's shape under each name.
+
+    The cache is loaded without pickles.  Whatever reading a missing,
+    truncated or foreign file raises leaves the answer to the CSV.
+    """
+    try:
+        with np.load(cache_path(path), allow_pickle=False) as cache:
+            if (cache["sha256"].tolist() != digest
+                    or cache["header"].tolist() != _dataset_header(feature_names)):
+                return None
+            columns = tuple(cache[name] for name in _CACHED_COLUMNS)
+    except Exception:  # noqa: BLE001 -- a cache that cannot be read is a cache miss
+        return None
+    rows = columns[0].size
+    shapes = ((rows,), (rows,), (rows, len(feature_names)), (rows,), (rows,))
+    dtypes = (np.int64, np.int64, np.float64, np.float64, np.int64)
+    if any(c.shape != shape or c.dtype != dtype
+           for c, shape, dtype in zip(columns, shapes, dtypes)):
+        return None
+    return columns
 
 
 def _dataset_header(feature_names) -> list[str]:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -526,6 +527,50 @@ def test_every_command_reports_one_manifest_shape(command, capsys, tmp_path, mon
     assert set(manifest) == MANIFEST_KEYS
     assert manifest["command"] == command
     assert type(manifest["wall_time_s"]) is float and manifest["wall_time_s"] >= 0
+
+
+def dataset_command(command, panel):
+    return {"analyze": ["analyze", "--dataset", panel, "--memory", "2,3"],
+            "allocate": ["allocate", "--model", "model.json", "--customers", panel,
+                         "--budget", "20", "--W", "100"]}[command]
+
+
+@pytest.mark.parametrize("command", ["analyze", "allocate"])
+def test_a_panel_reads_the_same_with_its_cache_stale_or_missing(capsys, tmp_path, monkeypatch,
+                                                                command):
+    monkeypatch.chdir(tmp_path)
+    Path("spec.json").write_text(json.dumps({"population": 40, "horizon": 6, "memory": 3}))
+    Path("model.json").write_text(json.dumps(VALID_MODEL))
+    _, _, err = run(capsys, "simulate", "--spec", "spec.json", "--out", "panel.csv")
+    assert json.loads(err.splitlines()[-1])["outputs"] == [
+        "panel.csv", "panel.csv.meta.json", "panel.csv.npz"]
+
+    def results():
+        """Each panel's output, and its manifest's record of the panel's sha256."""
+        outcomes = []
+        for panel in ("panel.csv", "copy.csv"):
+            code, out, err = run(capsys, *dataset_command(command, panel))
+            assert code == 0
+            digest = json.loads(err.splitlines()[-1])["inputs"][panel]
+            assert digest == hashlib.sha256(Path(panel).read_bytes()).hexdigest()
+            written = Path("assignments.csv").read_bytes() if command == "allocate" else b""
+            outcomes.append((out, written))
+        return outcomes
+
+    # a copy that simulate did not write has no cache
+    for name in ("panel.csv", "panel.csv.meta.json"):
+        Path(name.replace("panel", "copy")).write_bytes(Path(name).read_bytes())
+    fresh = results()
+    assert fresh[0] == fresh[1]
+    # the CSV edited after simulate (a feature and the purchase of the last
+    # row, which allocate and analyze read): its stale cache is ignored
+    *rows, last, end = Path("panel.csv").read_bytes().split(b"\r\n")
+    cells = last.split(b",")
+    last = b",".join([*cells[:2], b"99.0", *cells[3:-1], b"1" if cells[-1] == b"0" else b"0"])
+    for name in ("panel.csv", "copy.csv"):
+        Path(name).write_bytes(b"\r\n".join([*rows, last, end]))
+    edited = results()
+    assert edited[0] == edited[1] != fresh[0]
 
 
 @pytest.mark.parametrize("budget, basket, expected", [

@@ -1,8 +1,10 @@
 """File-format round trips: gain tables, cycles, models, datasets."""
 
 import csv
+import dataclasses
 import io
 import json
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -453,25 +455,160 @@ def edge_panel(rows, seed):
     )
 
 
-@pytest.mark.parametrize("rows", sorted({0, 1, fileio._BLOCK_ROWS - 1, fileio._BLOCK_ROWS,
-                                         fileio._BLOCK_ROWS + 1, 2 * fileio._BLOCK_ROWS}))
+def cast_panel(dataset):
+    """``dataset`` with uint64 ids, int32 days, float32 features, float64
+    coupons from the days and bool purchases."""
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e300 and signalling NaNs
+        features = dataset.features.astype(np.float32)
+    return CouponDataset(
+        feature_names=dataset.feature_names, reference_feature=dataset.reference_feature,
+        discounts=dataset.discounts, memory=dataset.memory,
+        customer_ids=dataset.customer_ids.astype(np.uint64), days=dataset.days.astype(np.int32),
+        features=features, coupons=dataset.days.astype(float) + 0.5,
+        purchases=dataset.purchases.astype(bool))
+
+
+BLOCK_EDGE_ROWS = sorted({0, 1, fileio._BLOCK_ROWS - 1, fileio._BLOCK_ROWS,
+                          fileio._BLOCK_ROWS + 1, 2 * fileio._BLOCK_ROWS})
+
+
+@pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
 def test_save_dataset_bytes_match_csv_writer(tmp_path, rows):
     dataset = edge_panel(rows, seed=rows)
     save_dataset(dataset, tmp_path / "got.csv")
     reference_save_dataset(dataset, tmp_path / "expected.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
     # other dtypes take the same int() and float() casts
-    with np.errstate(over="ignore"):
-        features = dataset.features.astype(np.float32)
-    cast = CouponDataset(
-        feature_names=dataset.feature_names, reference_feature=dataset.reference_feature,
-        discounts=dataset.discounts, memory=dataset.memory,
-        customer_ids=dataset.customer_ids.astype(np.uint64), days=dataset.days.astype(np.int32),
-        features=features, coupons=dataset.days.astype(float) + 0.5,
-        purchases=dataset.purchases.astype(bool))
+    cast = cast_panel(dataset)
     save_dataset(cast, tmp_path / "got.csv")
     reference_save_dataset(cast, tmp_path / "expected.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def id_2_63_panel(dataset):
+    """``dataset`` with uint64 ids, its last one 2**63, which the CSV reader refuses."""
+    ids = dataset.customer_ids.astype(np.uint64)
+    ids[-1:] = 2**63
+    return CouponDataset(dataset.feature_names, dataset.reference_feature, dataset.discounts,
+                         dataset.memory, ids, dataset.days, dataset.features, dataset.coupons,
+                         dataset.purchases)
+
+
+def odd_nans(dataset):
+    """``dataset`` with NaNs of other signs and payloads among its features and
+    coupons; the CSV holds each as ``nan``."""
+    nans = np.array([0xFFF8000000000000, 0x7FF8000000000001, 0xFFF0000000000001],
+                    np.uint64).view(np.float64)
+    features, coupons = dataset.features.copy(), dataset.coupons.copy()
+    features.flat[::5] = np.resize(nans, features.flat[::5].size)
+    coupons[1::3] = np.resize(nans, coupons[1::3].size)
+    return dataclasses.replace(dataset, features=features, coupons=coupons)
+
+
+# a panel of every variant holds odd NaNs; only the last two get no cache
+PANEL_VARIANTS = {
+    "edge": lambda dataset: dataset,
+    "cast": cast_panel,
+    "id-2**63": id_2_63_panel,
+    # the CSV is read in the locale's encoding, which may not be the writer's
+    "non-ascii-header": lambda dataset: dataclasses.replace(
+        dataset, feature_names=("a", "b,c", "max_coupon_3d\u00e9")),
+}
+
+
+def parse_nothing(*_):
+    raise AssertionError("the CSV was parsed although its cache holds the panel")
+
+
+@pytest.mark.parametrize("variant", list(PANEL_VARIANTS))
+@pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
+def test_load_dataset_same_with_and_without_its_cache(tmp_path, monkeypatch, rows, variant):
+    dataset = PANEL_VARIANTS[variant](odd_nans(edge_panel(rows, seed=rows)))
+    path = tmp_path / "panel.csv"
+    save_dataset(dataset, path)
+    cache = fileio.cache_path(path)
+    # no cache where the reader refuses the panel (no rows, an id beyond int64)
+    # or could read it otherwise
+    assert cache.exists() == (rows > 0 and variant in ("edge", "cast"))
+    with monkeypatch.context() as patched:
+        if cache.exists():  # the columns come from the cache alone
+            patched.setattr(fileio, "_loadtxt_columns", parse_nothing)
+            patched.setattr(fileio, "_read_panel_rows", parse_nothing)
+        cached = load_outcome(loaded_panel, path)
+    cache.unlink(missing_ok=True)
+    parsed = load_outcome(loaded_panel, path)
+    if isinstance(parsed[0], type):
+        assert cached == parsed
+    else:
+        assert same_arrays(cached, parsed)
+
+
+SAVED_ROWS = 25 * 6
+
+
+def saved_panel(path):
+    """A simulated panel of ``SAVED_ROWS`` rows saved at ``path`` with its
+    cache; returns its columns."""
+    spec = PopulationSpec(size=25, horizon=6, memory=3, discounts=(0.12, 0.15, 0.17, 0.20))
+    dataset = simulate_population(spec, default_ground_truth(3), seed=21)
+    save_dataset(dataset, path)
+    return columns(dataset)
+
+
+def rewrite_cache(path, **changes):
+    """The cache of the panel at ``path`` written again with some entries changed."""
+    cache = fileio.cache_path(path)
+    with np.load(cache) as stored:
+        entries = {name: stored[name] for name in stored.files}
+    with cache.open("wb") as handle:
+        np.savez(handle, **{**entries, **changes})
+
+
+def edit_last_row(path, _):
+    # the CSV changed after its cache was written; the answer changes with it
+    lines = path.read_bytes().split(b"\r\n")
+    cells = lines[-2].split(b",")
+    lines[-2] = b",".join([*cells[:2], b"99.0", *cells[3:]])
+    path.write_bytes(b"\r\n".join(lines))
+
+
+def write_npy(path, array):
+    with path.open("wb") as handle:  # np.save would add ".npy" to a path
+        np.save(handle, array)
+
+
+FOREIGN_CACHES = {
+    "stale": edit_last_row,
+    "garbage": lambda path, cache: cache.write_bytes(b"PK\x03\x04 not a zip archive"),
+    "truncated": lambda path, cache: cache.write_bytes(cache.read_bytes()[:1000]),
+    "empty": lambda path, cache: cache.write_bytes(b""),
+    "npy": lambda path, cache: write_npy(cache, np.arange(3)),
+    "pickled": lambda path, cache: rewrite_cache(
+        path, customer_ids=np.array([{"id": 0}] * SAVED_ROWS, dtype=object)),
+    "other-features": lambda path, cache: rewrite_cache(
+        path, header=np.array(["customer_id", "day", *"abcdefghij", "coupon_value", "purchased"])),
+    "other-dtype": lambda path, cache: rewrite_cache(
+        path, purchases=np.ones(SAVED_ROWS, dtype=np.int32)),
+    "other-shape": lambda path, cache: rewrite_cache(path, coupons=np.zeros(SAVED_ROWS - 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(FOREIGN_CACHES))
+def test_load_dataset_falls_back_to_the_csv(tmp_path, monkeypatch, name):
+    path = tmp_path / "panel.csv"
+    saved = saved_panel(path)
+    cache = fileio.cache_path(path)
+    # the foreign caches hold features the CSV does not, so taking one shows
+    rewrite_cache(path, features=np.zeros((SAVED_ROWS, len(FEATURES))))
+    FOREIGN_CACHES[name](path, cache)
+    unpickled = []
+    monkeypatch.setattr(pickle, "load", lambda *args, **kwargs: unpickled.append(args))
+    monkeypatch.setattr(pickle, "loads", lambda *args, **kwargs: unpickled.append(args))
+    got = loaded_panel(path)
+    assert unpickled == []
+    cache.unlink()
+    assert same_arrays(got, loaded_panel(path))
+    assert same_arrays(got, saved) == (name != "stale")
 
 
 def reference_write_csv_rows(handle, columns, newline):

@@ -6,6 +6,7 @@ import pytest
 from refcycle.allocator import (
     AllocationModel,
     ConstantPolicy,
+    CouponDataset,
     MyopicPolicy,
     PopulationSpec,
     STATIC_FEATURES,
@@ -31,6 +32,18 @@ def test_shapes_and_names():
     assert dataset.reference_feature == "max_coupon_3d"
     assert set(np.unique(dataset.coupons)) <= set(SPEC.discounts)
     assert set(np.unique(dataset.purchases)) <= {0, 1}
+
+
+@pytest.mark.parametrize("column", ["customer_ids", "days", "purchases"])
+def test_dataset_refuses_integer_columns_of_a_float_dtype(column):
+    # the CSV would hold 0.0 in an integer column, which the panel reader refuses
+    dataset = simulate_population(PopulationSpec(size=3, horizon=2, memory=3),
+                                  default_ground_truth(3), seed=1)
+    fields = {name: getattr(dataset, name) for name in dataset.__dataclass_fields__}
+    with pytest.raises(ValueError, match="integer or bool dtype"):
+        CouponDataset(**{**fields, column: fields[column].astype(np.float64)})
+    for dtype in (np.int32, np.uint64, bool):
+        CouponDataset(**{**fields, column: fields[column].astype(dtype)})
 
 
 def test_deterministic_per_seed():
