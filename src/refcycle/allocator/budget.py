@@ -8,9 +8,15 @@ start at the revenue-maximizing value (the lower bound, 1), and only tighten
 when the budget is exceeded, until the interval is at most TOLERANCE wide.
 
 The table of purchase probabilities q(x, v) is computed once per call and
-every probe is answered from it; each probe's redemption is bit-identical to
-``projected_redemption`` of the ``myopic_assign`` choice.  The returned
-shadow price's choice, read off the same table, is certified with
+every probe is answered from it.  A customer's myopic score at λ is the upper
+envelope of K lines, (1 - λ·v)·q(v), which is convex in λ: a discount that
+wins at both ends of [lo, hi] wins throughout, and ties still go to the first
+index (in the reals; the tests compare floats with a full-row bisection).  So
+each probe rescores only the open customers, whose choices at lo and hi
+differ; every other customer keeps its choice at hi.  What stays exact: each
+probe sums the full per-customer redemption array, in the order
+``projected_redemption`` sums it; the returned shadow price's choice is read
+off the table for every customer; and that choice is certified with
 ``projected_redemption``.
 """
 
@@ -70,13 +76,13 @@ def tune_lambda(
     Redemption does not rise with the shadow price for any model (see the
     module docstring); the share of customers with negative sensitivity is logged.
 
-    The purchase-probability table is built once per call, and every probe
-    is scored from it with the arithmetic of :func:`myopic_assign` and
-    :func:`projected_redemption`, so each probe's redemption equals theirs
-    exactly.  The returned shadow price is certified once: the choice it
-    makes is scored with :func:`projected_redemption`, and a result that
-    fails that check raises :class:`InfeasibleBudgetError` instead of being
-    returned.
+    The purchase-probability table is built once per call.  Each probe
+    rescores only the customers whose choice still differs between the
+    bisection's ends (see the module docstring) and sums the full
+    per-customer redemption array.  The returned shadow price is certified
+    once: the choice it makes for every customer is scored with
+    :func:`projected_redemption`, and a result that fails that check raises
+    :class:`InfeasibleBudgetError` instead of being returned.
     """
     return _tuned_choice(model, X, config, discounts)[0]
 
@@ -117,36 +123,42 @@ def _tuned_choice(
 
 
 def _bisect(q: np.ndarray, v: np.ndarray, config: BudgetConfig) -> float:
-    """The bisection of :func:`tune_lambda`, every probe scored off the table
-    q of q(x, v) over the discounts v."""
-
-    def redemption(lam: float) -> float:
-        return _probe(q, v, lam, config.basket_value)
-
+    """The bisection of :func:`tune_lambda` off the table q of q(x, v) over
+    the discounts v, each probe rescoring only the rows still open."""
     lo, hi = LAMBDA_BOUNDS
-    if redemption(lo) <= config.budget:
+    k_lo = _best_discount(q, v, lo)
+    if float(np.sum(_spend(q, v, k_lo, config.basket_value))) <= config.budget:
         return lo
-    top = redemption(hi)
+    k_hi = _best_discount(q, v, hi)
+    spent_hi = _spend(q, v, k_hi, config.basket_value)
+    top = float(np.sum(spent_hi))
     if top > config.budget:
         raise InfeasibleBudgetError(
             f"redemption {top:.6g} exceeds budget {config.budget:.6g} "
             f"at the interval top {hi}"
         )
+    rows = np.flatnonzero(k_lo != k_hi)
     while hi - lo > TOLERANCE:
         mid = 0.5 * (lo + hi)
-        if redemption(mid) <= config.budget:
-            hi = mid
+        q_open = q[rows]
+        k = _best_discount(q_open, v, mid)
+        spent = spent_hi.copy()
+        spent[rows] = _spend(q_open, v, k, config.basket_value)
+        if float(np.sum(spent)) <= config.budget:
+            hi, spent_hi = mid, spent
+            k_hi[rows] = k
         else:
             lo = mid
+            k_lo[rows] = k
+        rows = rows[k_lo[rows] != k_hi[rows]]
     return hi
 
 
-def _probe(q: np.ndarray, v: np.ndarray, shadow_price: float, basket_value: float) -> float:
-    """Redemption of the myopic choice at ``shadow_price``, scored off the table q.
+def _spend(q: np.ndarray, v: np.ndarray, k: np.ndarray, basket_value: float) -> np.ndarray:
+    """Per-row redemption of the choice k, scored off the table q.
 
-    Equal to ``projected_redemption(model, X, myopic_assign(model, X,
-    shadow_price, discounts), basket_value)`` bit for bit: the same choice
-    rule, and that function's product order on a contiguous 1-D array.
+    For the myopic choice its ``np.sum`` equals ``projected_redemption`` of
+    ``myopic_assign`` bit for bit: that function's product order on a
+    contiguous 1-D array.
     """
-    k = _best_discount(q, v, shadow_price)
-    return float(np.sum(v[k] * basket_value * q[np.arange(q.shape[0]), k]))
+    return v[k] * basket_value * q[np.arange(q.shape[0]), k]

@@ -106,7 +106,8 @@ class CouponDataset:
     def __post_init__(self) -> None:
         rows = len(self.customer_ids)
         if not (
-            self.days.shape == (rows,)
+            self.customer_ids.shape == (rows,)
+            and self.days.shape == (rows,)
             and self.coupons.shape == (rows,)
             and self.purchases.shape == (rows,)
             and self.features.shape == (rows, len(self.feature_names))

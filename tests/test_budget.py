@@ -94,7 +94,8 @@ def test_nonfinite_features_raise_instead_of_returning_uncertified_lambda():
 
 
 # -----------------------------------------------------------------------------
-# every probe off one table: the same numbers as the public functions
+# every probe off one table: the same numbers as the public functions, and
+# the same shadow price as a bisection that rescores every row
 # -----------------------------------------------------------------------------
 
 
@@ -125,7 +126,8 @@ def test_probe_matches_public_functions_exactly(size):
         lambdas = [0.0, 1.0, 10.0, 1.0 / discounts.values[0], *rng.uniform(0.0, 12.0, 6)]
         for lam in lambdas:
             expected = redemption_at(model, X, lam, basket, discounts)
-            assert budget._probe(q, v, lam, basket) == expected
+            spent = budget._spend(q, v, budget._best_discount(q, v, lam), basket)
+            assert float(np.sum(spent)) == expected
     if size >= 7:
         assert negative_rows > 0
 
@@ -203,6 +205,125 @@ def test_same_lambda_as_reference_bisection(monkeypatch):
         else:
             kinds["interior"] += 1
     assert kinds["interior"] >= 100 and kinds["lower bound"] >= 100 and kinds["infeasible"] >= 30
+
+
+def full_probe(q, v, lam, basket):
+    """A probe that rescores every row of the table."""
+    k = budget._best_discount(q, v, lam)
+    return float(np.sum(v[k] * basket * q[np.arange(q.shape[0]), k]))
+
+
+def full_row_bisect(q, v, config, bounds, tolerance, probed=None):
+    """The bisection over ``bounds`` to ``tolerance`` with every probe scored
+    on all rows of the table; ``probed`` collects the shadow prices probed."""
+
+    def redemption(lam):
+        if probed is not None:
+            probed.append(lam)
+        return full_probe(q, v, lam, config.basket_value)
+
+    lo, hi = bounds
+    if redemption(lo) <= config.budget:
+        return lo
+    if redemption(hi) > config.budget:
+        raise InfeasibleBudgetError("infeasible")
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        if redemption(mid) <= config.budget:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def request_table(rng, kind, size):
+    """A table q and discounts v of one of four kinds: a model's table with
+    negative- and zero-sensitivity rows, the same with duplicated columns,
+    and two on the grid k/64 (with dyadic discounts in the last), where
+    (1 - λv)·q ties exactly at many of the shadow prices a bisection probes."""
+    if kind in ("model", "duplicated columns"):
+        X, model = mixed_population(rng, size)
+        X[rng.random(size) < 0.2] = 0.0  # zero sensitivity: q is the same for every v
+        discounts = random_discounts(rng)
+        q = purchase_prob_table(model, X, discounts)
+        v = np.asarray(discounts.values)
+        if kind == "duplicated columns":
+            v = np.sort(rng.choice(np.arange(5, 40), 5, replace=False)) / 100
+            q = q[:, np.sort(rng.integers(0, q.shape[1], 5))]
+        return q, v
+    options = int(rng.integers(2, 6))
+    q = rng.integers(0, 65, size=(size, options)) / 64
+    if kind == "grid, dyadic discounts":
+        v = np.sort(rng.choice(np.arange(1, 32), options, replace=False)) / 32
+    else:
+        v = np.sort(rng.choice(np.arange(5, 40), options, replace=False)) / 100
+    if rng.random() < 0.5:
+        q[:, -1] = q[:, 0]  # a duplicated column
+    return q, v
+
+
+def test_open_row_bisection_matches_full_row_bisection(monkeypatch):
+    rng = np.random.default_rng(23)
+    kinds = ("model", "duplicated columns", "grid", "grid, dyadic discounts")
+    seen = {"interior": 0, "lower bound": 0, "infeasible": 0}
+    probed_ties = 0
+    for case in range(600):
+        size = 5000 if case % 100 == 99 else int(rng.integers(1, 300))
+        q, v = request_table(rng, kinds[case % 4], size)
+        basket = float(rng.uniform(1.0, 200.0))
+        bounds = [(1.0, 10.0), (0.0, 10.0), (1.0, 3.0)][case % 3]
+        top = full_probe(q, v, bounds[1], basket)
+        base = full_probe(q, v, bounds[0], basket)
+        low, high = min(top, base), max(top, base)
+        budget_value = [
+            rng.uniform(low, high), rng.uniform(low, high), rng.uniform(low, high),
+            high * rng.uniform(1.0, 1.5), low * rng.uniform(0.0, 1.0), high, low,
+        ][(case // 4) % 7]
+        config = BudgetConfig(basket, budget_value)
+        monkeypatch.setattr(budget, "LAMBDA_BOUNDS", bounds)
+        for tolerance in (1e-3, 1e-6, 1e-9):
+            monkeypatch.setattr(budget, "TOLERANCE", tolerance)
+            probed = []
+            expected = outcome(full_row_bisect, q, v, config, bounds, tolerance, probed)
+            assert outcome(budget._bisect, q.copy(), v, config) == expected, case
+            for lam in probed:
+                scores = (1.0 - lam * v)[None, :] * q
+                top_scores = scores == scores.max(axis=1, keepdims=True)
+                probed_ties += int(np.sum(top_scores.sum(axis=1) > 1))
+        if expected == "infeasible":
+            seen["infeasible"] += 1
+        elif expected == bounds[0]:
+            seen["lower bound"] += 1
+        else:
+            seen["interior"] += 1
+    assert seen["interior"] >= 250 and seen["lower bound"] >= 100 and seen["infeasible"] >= 50
+    assert probed_ties > 10_000, probed_ties  # rows whose best score ties at a probed λ
+
+
+def test_open_rows_shrink(monkeypatch):
+    """Most of a bisection's row work is on the few rows still open."""
+    rng = np.random.default_rng(5)
+    X, model = population(rng, size=20_000)
+    discounts = DiscountSet()
+    q = purchase_prob_table(model, X, discounts)
+    v = np.asarray(discounts.values)
+    basket = 100.0
+    low, high = (full_probe(q, v, lam, basket) for lam in reversed(LAMBDA_BOUNDS))
+    config = BudgetConfig(basket, 0.5 * (low + high))
+    expected = full_row_bisect(q, v, config, LAMBDA_BOUNDS, TOLERANCE)
+    scored = []
+    best_discount = budget._best_discount
+
+    def counted(q, v, lam):
+        scored.append(q.shape[0])
+        return best_discount(q, v, lam)
+
+    monkeypatch.setattr(budget, "_best_discount", counted)
+    lam = budget._bisect(q, v, config)
+    assert lam == expected
+    assert LAMBDA_BOUNDS[0] < lam < LAMBDA_BOUNDS[1]
+    assert len(scored) > 20
+    assert sum(scored) < len(scored) * len(X) / 3, (sum(scored), len(scored))
 
 
 def test_redemption_never_rises_with_the_shadow_price_for_any_table(rng):

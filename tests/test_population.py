@@ -15,6 +15,7 @@ from refcycle.allocator import (
     simulate_population,
 )
 from refcycle.allocator.model import sigmoid
+from refcycle.fileio import save_dataset
 
 SPEC = PopulationSpec(size=400, horizon=15, memory=3, discounts=(0.12, 0.15, 0.17, 0.20))
 
@@ -44,6 +45,19 @@ def test_dataset_refuses_integer_columns_of_a_float_dtype(column):
         CouponDataset(**{**fields, column: fields[column].astype(np.float64)})
     for dtype in (np.int32, np.uint64, bool):
         CouponDataset(**{**fields, column: fields[column].astype(dtype)})
+
+
+def test_dataset_refuses_ids_that_are_not_one_per_row(tmp_path):
+    # ids of shape (2, 2) pass a check against len(ids) alone, and the CSV
+    # writer then fails on them after writing the header
+    dataset = simulate_population(PopulationSpec(size=1, horizon=2, memory=3),
+                                  default_ground_truth(3), seed=1)
+    fields = {name: getattr(dataset, name) for name in dataset.__dataclass_fields__}
+    panel = tmp_path / "panel.csv"
+    for ids in (np.arange(4).reshape(2, 2), np.arange(2).reshape(2, 1)):
+        with pytest.raises(ValueError, match="inconsistent"):
+            save_dataset(CouponDataset(**{**fields, "customer_ids": ids}), panel)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_deterministic_per_seed():
