@@ -17,7 +17,10 @@ one, states x prices x memory, admit.  Every tenth table also runs one seeded
 then ``analyze`` and the drawn-budget ``allocate`` once more with the panel's
 npz cache deleted, so they parse the CSV; every fifth chain draws 300-600
 customers over 15-30 days, a panel that spans several of the CSV writer's
-blocks.
+blocks.  Each chain comes with ``analyze`` at windows 3, 5 and the longest,
+one day short of the horizon (5-29 days), on a panel written here whose
+small-reference cells fill at every window, which a uniform policy's panels
+leave empty beyond a few days.
 Prints the number of runs, a histogram of exit codes and one sha256 over
 each run's command, exit code, stdout and ``refcycle:`` stderr lines, and
 over the bytes of the files the chain writes (the panel CSV, its sidecar and
@@ -53,6 +56,9 @@ LARGE_CHAIN_EVERY = 50
 LONG_CYCLE_EVERY = 5
 LONG_WINDOW_EVERY = 25
 DISCOUNTS = [0.12, 0.15, 0.17, 0.20]
+# coupons of the written panel: its groups' values, values within 1e-9 of one and just outside
+SMALL_DRAWS = [0.12, 0.15, 0.12 + 9e-10, 0.12 + 1.1e-9, 0.15 - 9e-10, 0.1]
+ALL_DRAWS = SMALL_DRAWS + [0.17, 0.20, 0.20 - 9e-10, 0.17 - 1.1e-9]
 # the planted memory-3 allocation model: baseline and sensitivity fall with the reference
 MODEL = {
     "feature_names": ["emails_clicked_28d", "cart_views_3d", "cart_views_7d",
@@ -135,6 +141,26 @@ def chain(rng: np.random.Generator, large: bool) -> tuple[dict, list]:
     ]
 
 
+def written_panel(rng: np.random.Generator) -> tuple[dict, list]:
+    """A panel of 20-79 customers over 6-30 days in shuffled rows, and
+    ``analyze`` at windows 3, 5 and the longest.  Half the customers get
+    small coupons up to their last day, the others up to a drawn day, so a
+    small trailing max occurs at every window."""
+    size, horizon = int(rng.integers(20, 80)), int(rng.integers(6, 31))
+    coupons = rng.choice(ALL_DRAWS, size=(size, horizon))
+    small_until = np.where(rng.random(size) < 0.5, horizon - 1, rng.integers(0, horizon, size))
+    early = np.arange(horizon) < small_until[:, None]
+    coupons[early] = rng.choice(SMALL_DRAWS, size=int(early.sum()))
+    bought = (rng.random((size, horizon)) < 0.3).astype(int)
+    cells = [f"{c},{d + 1},0.0,{coupons[c, d].item()!r},{bought[c, d]}\n"
+             for c, d in zip(*np.divmod(rng.permutation(size * horizon), horizon))]
+    sidecar = {"feature_columns": ["f"], "reference_feature": "f", "discounts": DISCOUNTS,
+               "memory": 3}
+    return {"long.csv": "customer_id,day,f,coupon_value,purchased\n" + "".join(cells),
+            "long.csv.meta.json": sidecar}, [
+        (["analyze", "--dataset", "long.csv", "--memory", f"3,5,{horizon - 1}"], (), ())]
+
+
 def run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -174,10 +200,14 @@ def main() -> int:
                     batches.append(long_windows(rng, kind))
                 if i % CHAIN_EVERY == 0:
                     batches.append(chain(rng, i % LARGE_CHAIN_EVERY == 0))
+                    batches.append(written_panel(rng))
                 for inputs, runs in batches:
                     for name, payload in inputs.items():
                         with open(name, "w") as handle:
-                            json.dump(payload, handle)
+                            if isinstance(payload, str):
+                                handle.write(payload)
+                            else:
+                                json.dump(payload, handle)
                     for command, written, deleted in runs:
                         # a refused run must not leave an older file, and a run
                         # after its panel's cache is deleted parses the CSV

@@ -8,6 +8,14 @@ Two views of the same question — does a big recent coupon depress purchases?
 * :func:`monotonicity_table`: percent change in purchase rate when the
   trailing max lies in the small-coupon group instead of the large-coupon
   group, split by the current coupon's group.
+
+Both condition on each row's trailing max, the largest coupon of the
+``memory`` days before it: a running ``np.maximum`` over day-shifted slices
+of the panel, which after lag k holds the max of each window's first k + 1
+days, so after the last lag the window's max.  It may keep another NaN or
+signed zero than ``max`` over a window view does; the payloads are the same.
+Group masks are ``|x - c| <= 1e-9``, which is ``np.isclose(x, c, rtol=0,
+atol=1e-9)`` for a finite ``c``.
 """
 
 from __future__ import annotations
@@ -52,8 +60,8 @@ class MonotonicityRow:
 
 def _trailing_windows(dataset: CouponDataset, memory_lengths: Sequence[int]):
     """Per memory length, checked up front: the length, the trailing windows
-    (``windows[:, t]`` covers days t..t+memory-1), the coupons of day
-    t+memory as an (n, days) view and its purchases flattened."""
+    (``windows[:, t]`` covers days t..t+memory-1), their max, the coupons of
+    day t+memory as an (n, days) view and its purchases flattened."""
     if len(memory_lengths) == 0:
         raise ValueError("no memory lengths requested")
     _, coupons, purchases = dataset.panel()
@@ -63,7 +71,10 @@ def _trailing_windows(dataset: CouponDataset, memory_lengths: Sequence[int]):
         raise ValueError("memory lengths must be positive")
     for memory in memory_lengths:
         windows = np.lib.stride_tricks.sliding_window_view(coupons, memory, axis=1)[:, :-1, :]
-        yield memory, windows, coupons[:, memory:], purchases[:, memory:].ravel()
+        peak = coupons[:, :-memory].copy()
+        for lag in range(1, memory):
+            np.maximum(peak, coupons[:, lag:lag - memory], out=peak)
+        yield memory, windows, peak.ravel(), coupons[:, memory:], purchases[:, memory:].ravel()
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float | None:
@@ -83,18 +94,15 @@ def reference_correlations(
     return [
         CorrelationRow(
             memory=memory,
-            corr_max=_pearson(windows.max(axis=2).ravel(), bought),
+            corr_max=_pearson(peak, bought),
             corr_avg=_pearson(windows.mean(axis=2).ravel(), bought),
         )
-        for memory, windows, _, bought in _trailing_windows(dataset, memory_lengths)
+        for memory, windows, peak, _, bought in _trailing_windows(dataset, memory_lengths)
     ]
 
 
 def _group_mask(values: np.ndarray, group: Sequence[float]) -> np.ndarray:
-    mask = np.zeros(values.shape, dtype=bool)
-    for member in group:
-        mask |= np.isclose(values, member, rtol=0.0, atol=1e-9)
-    return mask
+    return np.logical_or.reduce([np.abs(values - member) <= 1e-9 for member in group])
 
 
 def monotonicity_table(dataset: CouponDataset, memory_lengths: Sequence[int]) -> list[MonotonicityRow]:
@@ -108,8 +116,7 @@ def monotonicity_table(dataset: CouponDataset, memory_lengths: Sequence[int]) ->
     large-reference cell has no purchases.
     """
     rows = []
-    for memory, windows, current, bought in _trailing_windows(dataset, memory_lengths):
-        reference = windows.max(axis=2).ravel()
+    for memory, _, reference, current, bought in _trailing_windows(dataset, memory_lengths):
         current = current.ravel()
         ref_small = _group_mask(reference, SMALL_COUPONS)
         ref_large = _group_mask(reference, LARGE_COUPONS)

@@ -122,15 +122,21 @@ class CouponDataset:
         return len(self.customer_ids)
 
     def panel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(customers, coupons, purchases) reshaped to (n, horizon) panels."""
-        ids = np.unique(self.customer_ids)
-        horizon = self.num_rows // len(ids)
-        if len(ids) * horizon != self.num_rows:
-            raise ValueError("dataset is not a rectangular panel")
+        """(customers, coupons, purchases) reshaped to (n, horizon) panels;
+        ``ValueError`` unless every customer has the same days, once each."""
         order = np.lexsort((self.days, self.customer_ids))
-        coupons = self.coupons[order].reshape(len(ids), horizon)
-        purchases = self.purchases[order].reshape(len(ids), horizon)
-        return ids, coupons, purchases
+        ids, days = self.customer_ids[order], self.days[order]
+        first = np.r_[True, ids[1:] != ids[:-1]]
+        horizon = len(ids) // first.sum()  # 0 without rows
+        # lexsorted, so customer k's days are days[k * horizon:][:horizon], ascending
+        if not (horizon and first[::horizon].all()
+                and (days.reshape(-1, horizon) == days[:horizon]).all()
+                and (days[1:horizon] > days[:horizon - 1]).all()):
+            raise ValueError("dataset is not a rectangular panel")
+        customers = ids[first]
+        coupons = self.coupons[order].reshape(len(customers), horizon)
+        purchases = self.purchases[order].reshape(len(customers), horizon)
+        return customers, coupons, purchases
 
 
 def default_ground_truth(memory: int = 7) -> AllocationModel:

@@ -1,16 +1,26 @@
 """Reference-effect diagnostics: correlations and the rate-lift table."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from refcycle.allocator import (
     ConstantPolicy,
+    CouponDataset,
     EmptyCellError,
     PopulationSpec,
     default_ground_truth,
     monotonicity_table,
     reference_correlations,
     simulate_population,
+)
+from refcycle.allocator import analytics
+from refcycle.allocator.analytics import (
+    LARGE_COUPONS,
+    SMALL_COUPONS,
+    CorrelationRow,
+    MonotonicityRow,
 )
 
 WINDOWS = (3, 4, 5, 7)
@@ -91,3 +101,87 @@ def test_monotonicity_empty_cell_error():
     # the trailing max is always 0.17: the small-reference cell is empty
     with pytest.raises(EmptyCellError):
         monotonicity_table(dataset, (3,))
+
+
+def reference_rows(dataset, memory):
+    """Both diagnostics as the window reduction and ``isclose`` masks give
+    them: the rows, or the error each raises, for one window."""
+    _, coupons, purchases = dataset.panel()
+    windows = np.lib.stride_tricks.sliding_window_view(coupons, memory, axis=1)[:, :-1, :]
+    reference, bought = windows.max(axis=2).ravel(), purchases[:, memory:].ravel()
+    current = coupons[:, memory:].ravel()
+
+    def pearson(a):
+        if np.all(a == a[0]) or np.all(bought == bought[0]):
+            return None
+        return float(np.corrcoef(a, bought)[0, 1])
+
+    def in_group(values, group):
+        return np.logical_or.reduce([np.isclose(values, c, rtol=0.0, atol=1e-9) for c in group])
+
+    correlations = [CorrelationRow(memory, pearson(reference), pearson(windows.mean(axis=2).ravel()))]
+    pcts = []
+    for group in (SMALL_COUPONS, LARGE_COUPONS):
+        cells = []
+        for ref_group in (SMALL_COUPONS, LARGE_COUPONS):
+            selected = bought[in_group(current, group) & in_group(reference, ref_group)]
+            if selected.size == 0:
+                return correlations, f"no rows with coupon group {group} for window {memory}"
+            cells.append(float(np.mean(selected)))
+        if cells[1] == 0.0:
+            return correlations, f"no purchases in the large-reference cell for window {memory}"
+        pcts.append(100.0 * (cells[0] / cells[1] - 1.0))
+    return correlations, [MonotonicityRow(memory, *pcts)]
+
+
+def exact(rows):
+    """Each row's fields with floats as ``float.hex`` and NaN as "nan"."""
+    def key(value):
+        if isinstance(value, float):
+            return "nan" if np.isnan(value) else value.hex()
+        return value
+    return rows if isinstance(rows, str) else [tuple(map(key, astuple(row))) for row in rows]
+
+
+# coupons drawn per panel: the four groups, values within 1e-9 of a group and
+# just outside it, and NaN, +-inf and signed zeros, which windows of 9 or more
+# days reduce to a different NaN or zero than the running max keeps
+SMALL_EDGES = (0.12, 0.15, 0.12 + 9e-10, 0.15 - 9e-10, 0.15 + 1e-9, 0.1)
+GROUP_EDGES = SMALL_EDGES + (0.17, 0.20, 0.17 + 1.1e-9, 0.20 - 9e-10)
+SPECIALS = (np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0)
+
+
+@pytest.mark.parametrize("special_share", [0.0, 0.01, 0.3, 0.9])
+@pytest.mark.parametrize("seed", range(3))
+def test_diagnostics_equal_the_window_reduction_exactly(special_share, seed):
+    rng = np.random.default_rng(seed)
+    customers, horizon = 60, 30
+    coupons = rng.choice(GROUP_EDGES, size=(customers, horizon))
+    # small coupons only before a drawn day, so small-reference cells fill at every window
+    early = np.arange(horizon) < rng.integers(1, horizon + 1, size=(customers, 1))
+    coupons[early] = rng.choice(SMALL_EDGES, size=int(early.sum()))
+    special = rng.random(coupons.shape) < special_share
+    # at a high share, windows of only signed zeros and -inf: their max is a signed zero
+    coupons[special] = rng.choice(SPECIALS if special_share < 0.5 else (0.0, -0.0, -np.inf),
+                                  size=int(special.sum()))
+    order = rng.permutation(coupons.size)  # rows need not come customer-major
+    dataset = CouponDataset(
+        ("f",), "f", (0.12, 0.15, 0.17, 0.20), 3,
+        customer_ids=np.repeat(np.arange(customers), horizon)[order],
+        days=np.tile(np.arange(1, horizon + 1), customers)[order],
+        features=np.zeros((coupons.size, 1)),
+        coupons=coupons.ravel()[order],
+        purchases=(rng.random(coupons.size) < 0.3).astype(int)[order],
+    )
+    with np.errstate(invalid="ignore"):
+        for memory in range(1, horizon):
+            correlations, monotonicity = reference_rows(dataset, memory)
+            assert exact(reference_correlations(dataset, [memory])) == exact(correlations)
+            try:
+                rows = monotonicity_table(dataset, [memory])
+            except EmptyCellError as exc:
+                rows = str(exc)
+            assert exact(rows) == exact(monotonicity)
+            # the trailing max itself may keep another NaN or signed zero
+            (_, windows, peak, _, _), = analytics._trailing_windows(dataset, [memory])
+            np.testing.assert_array_equal(peak, windows.max(axis=2).ravel())

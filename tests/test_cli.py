@@ -20,6 +20,7 @@ from refcycle.cli import main
 from refcycle.fileio import gain_table_from_dict, gain_table_to_dict, save_dataset
 from refcycle.allocator import DiscountSet, PopulationSpec, default_ground_truth, simulate_population
 from refcycle.instances import nonmonotone_demo_table
+from test_population import ragged
 
 
 def write_gain_table(table, path):
@@ -499,6 +500,17 @@ def test_analyze_names_an_empty_window_list(capsys, panel):
     code, out, err = run(capsys, "analyze", "--dataset", panel, "--memory", "")
     assert (code, out) == (2, "")
     assert "refcycle: error: no memory lengths requested" in err
+
+
+def test_analyze_refuses_a_ragged_panel(capsys, tmp_path):
+    # customer 0 lacks day 30 and customer 1 has a day 31: 300 x 30 rows
+    # still, but a reshape would mix two customers' days in one history
+    dataset = simulate_population(PopulationSpec(size=300, horizon=30, memory=3), TRUTH, seed=4)
+    save_dataset(ragged(dataset), tmp_path / "panel.csv")
+    code, out, err = run(capsys, "analyze", "--dataset", tmp_path / "panel.csv",
+                         "--memory", "3,7")
+    assert (code, out) == (2, "")
+    assert "refcycle: error: dataset is not a rectangular panel" in err
 
 
 MANIFEST_KEYS = {"command", "inputs", "seed", "version", "wall_time_s", "outputs"}

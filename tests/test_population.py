@@ -60,6 +60,39 @@ def test_dataset_refuses_ids_that_are_not_one_per_row(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def rows_of(dataset: CouponDataset, rows, **columns) -> CouponDataset:
+    """The dataset's rows at ``rows``, in that order, with ``columns`` in place."""
+    fields = {name: getattr(dataset, name) for name in dataset.__dataclass_fields__}
+    picked = {name: fields[name][rows] for name in ("customer_ids", "days", "features",
+                                                    "coupons", "purchases")}
+    return CouponDataset(**{**fields, **picked, **columns})
+
+
+def ragged(dataset: CouponDataset) -> CouponDataset:
+    """The panel with customer 0's last day moved to customer 1, one day
+    later: the row count still splits into equal customers."""
+    ids, days = dataset.customer_ids, dataset.days
+    last = days.max()
+    rows = np.r_[np.flatnonzero((ids != 0) | (days != last)),
+                 np.flatnonzero((ids == 1) & (days == last))]
+    return rows_of(dataset, rows, days=np.r_[days[rows[:-1]], last + 1])
+
+
+def test_panel_refuses_customers_on_other_days():
+    dataset = simulate_population(PopulationSpec(size=4, horizon=5, memory=3),
+                                  default_ground_truth(3), seed=1)
+    ids, coupons, purchases = dataset.panel()
+    assert ids.tolist() == [0, 1, 2, 3] and coupons.shape == purchases.shape == (4, 5)
+    every, days = np.arange(dataset.num_rows), dataset.days
+    for bad in (ragged(dataset),
+                rows_of(dataset, every, days=np.where(dataset.customer_ids == 2, days + 1, days)),
+                rows_of(dataset, every, days=np.where(days == 2, 1, days)),  # day 2 as day 1
+                rows_of(dataset, [0, 0, 5]),  # customer 0 twice on day 1, customer 1 once
+                rows_of(dataset, every[:0])):
+        with pytest.raises(ValueError, match="not a rectangular panel"):
+            bad.panel()
+
+
 def test_deterministic_per_seed():
     truth = default_ground_truth(SPEC.memory)
     a = simulate_population(SPEC, truth, seed=9)

@@ -38,9 +38,10 @@ def test_output_digest_is_reproducible_at_a_tiny_size(monkeypatch, capsys):
         assert digest.main() == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-    # the first table also runs one simulate -> analyze -> allocate chain, and
-    # analyze and one allocate again without the panel's cache
-    assert [commands.count(name) for name in ("simulate", "analyze", "allocate")] == [2, 4, 8]
+    # the first table also runs one simulate -> analyze -> allocate chain,
+    # analyze and one allocate again without the panel's cache, and analyze
+    # at the longest windows on a panel the script writes
+    assert [commands.count(name) for name in ("simulate", "analyze", "allocate")] == [2, 6, 8]
     lines = outputs[0].splitlines()
     runs = int(lines[0].removeprefix("runs "))
     assert runs >= 6 and runs == sum(int(line.split(": ")[1]) for line in lines[1:-1])
