@@ -15,17 +15,17 @@ one, states x prices x memory, admit.  Every tenth table also runs one seeded
 ``simulate -> analyze -> allocate`` chain on a small memory-3 panel, with
 ``allocate`` at an unbounded, a drawn and an infeasible (zero) budget, and
 then ``analyze`` and the drawn-budget ``allocate`` once more with the panel's
-npz cache deleted, so they parse the CSV; every fifth chain draws 300-600
-customers over 15-30 days, a panel that spans several of the CSV writer's
-blocks.  Each chain comes with ``analyze`` at windows 3, 5 and the longest,
-one day short of the horizon (5-29 days), on a panel written here whose
-small-reference cells fill at every window, which a uniform policy's panels
-leave empty beyond a few days.
+cache (the file ``refcycle.fileio.cache_path`` names) deleted, so they parse
+the CSV; every fifth chain draws 300-600 customers over 15-30 days, a panel
+that spans several of the CSV writer's blocks.  Each chain comes with
+``analyze`` at windows 3, 5 and the longest, one day short of the horizon
+(5-29 days), on a panel written here whose small-reference cells fill at every
+window, which a uniform policy's panels leave empty beyond a few days.
 Prints the number of runs, a histogram of exit codes and one sha256 over
 each run's command, exit code, stdout and ``refcycle:`` stderr lines, and
 over the bytes of the files the chain writes (the panel CSV, its sidecar and
-the assignments CSV); the run manifests, which hold timings, and the npz
-cache, which trees without the cache do not write, are left out.
+the assignments CSV); the run manifests, which hold timings, and the panel
+cache, whose name and format differ between trees, are left out.
 
 Tables, specs and the allocation model are drawn with numpy and written as
 JSON here, so the inputs do not depend on the tree under test.  To compare
@@ -48,6 +48,7 @@ from collections import Counter
 import numpy as np
 
 from refcycle.cli import main as cli_main
+from refcycle.fileio import cache_path
 
 MAX_EDGES = 20_000
 KINDS = ("monotone", "non-monotone", "tie-heavy")
@@ -136,7 +137,7 @@ def chain(rng: np.random.Generator, large: bool) -> tuple[dict, list]:
          ("panel.csv", "panel.csv.meta.json"), ()),
         (analyze, (), ()),
         *[(allocate + [b], ("assignments.csv",), ()) for b in ("1e9", budget, "0")],
-        (analyze, (), ("panel.csv.npz",)),
+        (analyze, (), (cache_path("panel.csv").name,)),
         (allocate + [budget], ("assignments.csv",), ()),
     ]
 

@@ -86,10 +86,11 @@ Policy = Union[str, MyopicPolicy, ConstantPolicy]
 class CouponDataset:
     """Per-customer-day rows: features, coupon sent, purchase indicator.
 
-    Rows are customer-major (all days of a customer are contiguous and
-    ordered); every customer covers the same day range 1..horizon.  Ids, days
-    and purchases have an integer or bool dtype.  ``source_sha256`` is the
-    sha256 of the CSV a panel was read from, ``None`` for one built in memory.
+    Rows may come in any order.  :meth:`panel` refuses a panel unless every
+    customer has the same days, once each; ``fileio.customers_from_dataset``
+    takes any, the later of two rows for one customer and day winning.  Ids,
+    days and purchases have an integer or bool dtype.  ``source_sha256`` is
+    the CSV's sha256, ``None`` for a panel built in memory.
     """
 
     feature_names: tuple[str, ...]

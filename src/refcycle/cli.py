@@ -19,7 +19,6 @@ a diagnostic cell with no rows or purchases).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -51,6 +50,7 @@ from .core import GeneratorCycle, PriceCycle, PriceGrid, cycle_objective, expand
 from .fileio import (
     cache_path,
     customers_from_dataset,
+    file_sha256,
     format_cycle,
     format_price,
     gain_table_to_dict,
@@ -118,8 +118,7 @@ def _manifest(args: argparse.Namespace, inputs: list[str | Path],
     already hashed as they were read (a dataset panel), so no file is hashed twice."""
     return {
         "command": args.command,
-        "inputs": {**{str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs},
-                   **(digests or {})},
+        "inputs": {**{str(p): file_sha256(p) for p in inputs}, **(digests or {})},
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "wall_time_s": time.perf_counter(),

@@ -17,12 +17,12 @@ as their shortest ``repr``, each distinct cell of a block formatted once (floats
 keyed by their bits: ``-0.0 == 0.0``, yet the texts differ).  On reading, blank
 lines are skipped and every other row must have the header's width.
 
-Next to the panel, :func:`save_dataset` also writes ``<file>.npz``: the columns
-the CSV reader returns for that panel, its header and the sha256 of the CSV's
-bytes.  It is a cache, never required.  :func:`load_dataset` takes the columns
-from it only when the CSV's sha256 and the sidecar's header match the stored
-ones, and never unpickles; else it parses the CSV.  Deleting the npz never
-changes an answer.
+A panel row is one structured dtype, :func:`_panel_row`, a field per
+:class:`CouponDataset` column.  :func:`save_dataset` also writes the cache
+``<file>.npy``, a stream of ``.npy`` arrays: the CSV's sha256, the header and
+the columns the CSV reader returns, in field order.  :func:`load_dataset` takes
+the columns from it only when the sha256 and the sidecar's header match, and
+never unpickles; else it parses the CSV.  Deleting the cache changes no answer.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "cache_path",
+    "file_sha256",
     "customers_from_dataset",
     "write_csv_rows",
 ]
@@ -174,18 +175,28 @@ def load_gain_table(path: str | Path, memory: int | None = None) -> GainTable:
         if memory is None:
             raise ValueError("CSV gain tables need an explicit memory length")
         with path.open(newline="") as handle:
-            rows = [row for row in csv.reader(handle) if row]
+            try:
+                rows = [row for row in csv.reader(handle) if row]
+            except csv.Error as exc:  # a field over the csv module's size limit
+                raise ValueError(f"CSV gain table {path}: {exc}") from None
         if not rows:
             raise ValueError(f"CSV gain table {path} is empty")
         grid = PriceGrid.from_values([as_price(cell) for cell in rows[0]], memory)
         return GainTable.from_rows(grid, [[float(cell) for cell in row] for row in rows[1:]])
-    payload = json.loads(path.read_text())
-    table = gain_table_from_dict(payload)
+    table = gain_table_from_dict(_read_json(path))
     if memory is not None and memory != table.grid.memory:
         raise ValueError(
             f"--memory {memory} conflicts with the file's memory {table.grid.memory}"
         )
     return table
+
+
+def _read_json(path: str | Path):
+    """The JSON value in the file; ``ValueError`` if malformed or nested too deeply."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def model_from_dict(payload: dict) -> AllocationModel:
@@ -200,8 +211,7 @@ def model_from_dict(payload: dict) -> AllocationModel:
 
 
 def load_model(path: str | Path) -> tuple[AllocationModel, DiscountSet]:
-    payload = _checked(json.loads(Path(path).read_text()), "an allocation model",
-                       **_MODEL_FIELDS)
+    payload = _checked(_read_json(path), "an allocation model", **_MODEL_FIELDS)
     model = model_from_dict(payload)
     discounts = DiscountSet(tuple(payload["discounts"])) if "discounts" in payload else DiscountSet()
     return model, discounts
@@ -222,9 +232,8 @@ def load_simulation_spec(
     policy, the myopic one under the ground truth; any other policy raises
     ``ValueError``.
     """
-    raw = _checked(json.loads(Path(path).read_text()), "a simulation spec",
-                   population=_is_integer, horizon=_is_integer, memory=_is_integer,
-                   discounts=_is_number_list)
+    raw = _checked(_read_json(path), "a simulation spec", population=_is_integer,
+                   horizon=_is_integer, memory=_is_integer, discounts=_is_number_list)
     if "ground_truth" in raw:
         _checked(raw["ground_truth"], "ground_truth", **_MODEL_FIELDS)
     if isinstance(raw.get("policy"), dict):
@@ -282,26 +291,28 @@ def write_csv_rows(handle, columns, newline: str) -> None:
 
 
 def cache_path(path: str | Path) -> Path:
-    """Where :func:`save_dataset` writes the npz cache of the panel at ``path``."""
-    path = Path(path)
-    return path.with_name(path.name + ".npz")
+    """Where :func:`save_dataset` writes the cache of the panel at ``path``."""
+    return Path(f"{path}.npy")
 
 
-def _sha256(path: Path) -> str:
+def file_sha256(path: str | Path) -> str:
     digest = hashlib.sha256()
-    with path.open("rb") as handle:
+    with Path(path).open("rb") as handle:
         while chunk := handle.read(1 << 20):
             digest.update(chunk)
     return digest.hexdigest()
 
 
-# the panel's columns in the order of the CSV reader's result, as stored in the cache
-_CACHED_COLUMNS = ("customer_ids", "days", "features", "coupons", "purchases")
+def _panel_row(feature_names) -> np.dtype:
+    """One panel row: a field per :class:`CouponDataset` column, in the CSV's order."""
+    return np.dtype([("customer_ids", np.int64), ("days", np.int64),
+                     ("features", np.float64, (len(feature_names),)),
+                     ("coupons", np.float64), ("purchases", np.int64)])
 
 
 def save_dataset(dataset: CouponDataset, path: str | Path) -> Path:
     """Write the CSV panel, its JSON sidecar and, where :func:`_read_back`
-    allows, its npz cache; returns the sidecar path."""
+    allows, its cache; returns the sidecar path."""
     path = Path(path)
     cache = cache_path(path)
     cache.unlink(missing_ok=True)  # a panel written here has this cache or none
@@ -319,39 +330,39 @@ def save_dataset(dataset: CouponDataset, path: str | Path) -> Path:
     }, indent=2) + "\n")
     columns = _read_back(dataset)
     if columns is not None:
-        with cache.open("wb") as handle:
-            np.savez(handle, sha256=np.array(_sha256(path)), header=np.array(header),
-                     **dict(zip(_CACHED_COLUMNS, columns)))
+        with cache.open("wb") as handle:  # np.save writes a file's arrays with tofile
+            for array in (np.array(file_sha256(path)), np.array(header), *columns):
+                np.save(handle, array)
     return sidecar
 
 
-def _read_back(dataset: CouponDataset) -> tuple[np.ndarray, ...] | None:
-    """The columns the CSV reader returns for the panel :func:`save_dataset`
-    writes, or ``None`` where the reader refuses it or a column could differ.
+def _read_back(dataset: CouponDataset) -> list[np.ndarray] | None:
+    """The columns, in field order, that the CSV reader returns for the panel
+    :func:`save_dataset` writes, or ``None`` where the reader refuses it or a
+    column could differ.
 
-    The CSV holds ``str(int(x))`` and ``str(float(x))``, so an integer column
-    reads back as its int64 cast and a float column as its float64 cast, with
-    every NaN the canonical ``float("nan")``; -0.0, infinities and subnormals
-    keep their bits.  Refused: a panel without rows (the reader refuses it), a
-    uint64 id, day or purchase of 2**63 or more (likewise), a float column of
-    another kind, and a header that is not ASCII (the CSV is read in the
-    locale's encoding, which may not be the writer's).
+    The CSV holds ``str(int(x))`` and ``str(float(x))``, so a column reads
+    back as its cast to its field's dtype, with every NaN the canonical
+    ``float("nan")``; -0.0, infinities and subnormals keep their bits.
+    Refused: a panel without rows (the reader refuses it), a uint64 id, day
+    or purchase of 2**63 or more (likewise), a float column of another kind,
+    and a header that is not ASCII (the CSV is read in the locale's encoding,
+    which may not be the writer's).
     """
-    ints = (dataset.customer_ids, dataset.days, dataset.purchases)
-    floats = (dataset.features, dataset.coupons)
-    if (dataset.num_rows == 0 or not "".join(_dataset_header(dataset.feature_names)).isascii()
-            or any(c.dtype.kind == "u" and c.max() >= 2**63 for c in ints)
-            or any(c.dtype.kind != "f" for c in floats)):
+    if dataset.num_rows == 0 or not "".join(_dataset_header(dataset.feature_names)).isascii():
         return None
-    ids, days, purchases = (c.astype(np.int64, copy=False) for c in ints)
-    features, coupons = (_canonical_nans(c.astype(np.float64, copy=False)) for c in floats)
-    return ids, days, features, coupons, purchases
-
-
-def _canonical_nans(column: np.ndarray) -> np.ndarray:
-    """``column`` with every NaN ``float("nan")``; copied only if it holds a NaN."""
-    nans = np.isnan(column)
-    return np.where(nans, np.nan, column) if nans.any() else column
+    row = _panel_row(dataset.feature_names)
+    columns = []
+    for name in row.names:
+        column, base = getattr(dataset, name), row[name].base
+        if (base.kind == "f" and column.dtype.kind != "f"
+                or column.dtype.kind == "u" and column.max() >= 2**63):
+            return None
+        column = column.astype(base, copy=False)
+        if base.kind == "f" and np.isnan(column).any():  # copied only if it holds a NaN
+            column = np.where(np.isnan(column), np.nan, column)
+        columns.append(column)
+    return columns
 
 
 def load_dataset(path: str | Path) -> CouponDataset:
@@ -359,72 +370,70 @@ def load_dataset(path: str | Path) -> CouponDataset:
     a sidecar without a field ``KeyError``; both exit 2 from the CLI.
 
     The CSV's bytes are read once for their sha256, which the dataset carries
-    as ``source_sha256``.  The columns come from the npz cache where
+    as ``source_sha256``.  The columns come from the cache where
     :func:`_cached_columns` accepts it, else from one ``np.loadtxt`` pass where
     numpy reads the file as the row loop :func:`_read_panel_rows` would, else
     from that loop, which then also gives every error."""
     path = Path(path)
-    meta = _checked(json.loads(_sidecar_path(path).read_text()), "a dataset sidecar",
+    meta = _checked(_read_json(_sidecar_path(path)), "a dataset sidecar",
                     feature_columns=_is_string_list, reference_feature=lambda v: isinstance(v, str),
                     discounts=_is_number_list, memory=_is_integer)
     feature_names = tuple(meta["feature_columns"])
-    digest = _sha256(path)
-    columns = _cached_columns(path, digest, feature_names)
+    header, row = _dataset_header(feature_names), _panel_row(feature_names)
+    digest = file_sha256(path)
+    columns = _cached_columns(path, digest, header, row)
     if columns is None:
         with path.open(newline="") as handle:
-            columns = _loadtxt_columns(handle, feature_names)
-    if columns is None:
-        columns = _read_panel_rows(path, feature_names)
-    ids, days, features, coupons, purchases = columns
+            try:
+                columns = _loadtxt_rows(handle, header, row)
+                if columns is None:
+                    handle.seek(0)
+                    columns = _read_panel_rows(handle, header, row)
+            except csv.Error as exc:  # a field over the csv module's size limit
+                raise ValueError(f"dataset {path}: {exc}") from None
     return CouponDataset(
         feature_names=feature_names,
         reference_feature=meta["reference_feature"],
         discounts=tuple(float(v) for v in meta["discounts"]),
         memory=int(meta["memory"]),
-        customer_ids=ids,
-        days=days,
-        features=features,
-        coupons=coupons,
-        purchases=purchases,
+        **{name: columns[name] for name in row.names},
         source_sha256=digest,
     )
 
 
-def _cached_columns(path: Path, digest: str, feature_names: tuple[str, ...]
-                    ) -> tuple[np.ndarray, ...] | None:
-    """The panel's columns from its npz cache, or ``None`` unless the cache
-    was written for these CSV bytes and feature columns and holds one int64 or
-    float64 column of the panel's shape under each name.
+def _cached_columns(path: Path, digest: str, header: list[str], row: np.dtype) -> dict | None:
+    """The panel's columns by field name from its cache, or ``None`` unless
+    the cache was written for these CSV bytes and header and holds, in field
+    order, a column of each field's dtype and shape over the same rows, one
+    or more, as the CSV reader returns.
 
-    The cache is loaded without pickles.  Whatever reading a missing,
+    Each array is loaded without pickles.  Whatever reading a missing,
     truncated or foreign file raises leaves the answer to the CSV.
     """
     try:
-        with np.load(cache_path(path), allow_pickle=False) as cache:
-            if (cache["sha256"].tolist() != digest
-                    or cache["header"].tolist() != _dataset_header(feature_names)):
+        with cache_path(path).open("rb") as handle:
+            if (np.load(handle, allow_pickle=False).tolist() != digest
+                    or np.load(handle, allow_pickle=False).tolist() != header):
                 return None
-            columns = tuple(cache[name] for name in _CACHED_COLUMNS)
+            columns = {name: np.load(handle, allow_pickle=False) for name in row.names}
+        rows = len(columns[row.names[0]])
     except Exception:  # noqa: BLE001 -- a cache that cannot be read is a cache miss
         return None
-    rows = columns[0].size
-    shapes = ((rows,), (rows,), (rows, len(feature_names)), (rows,), (rows,))
-    dtypes = (np.int64, np.int64, np.float64, np.float64, np.int64)
-    if any(c.shape != shape or c.dtype != dtype
-           for c, shape, dtype in zip(columns, shapes, dtypes)):
-        return None
-    return columns
+    if rows and all(column.dtype == row[name].base and column.shape == (rows, *row[name].shape)
+                    for name, column in columns.items()):
+        return columns
+    return None
 
 
 def _dataset_header(feature_names) -> list[str]:
     return ["customer_id", "day", *feature_names, "coupon_value", "purchased"]
 
 
-def _loadtxt_columns(handle, feature_names: tuple[str, ...]) -> tuple[np.ndarray, ...] | None:
-    """The panel's columns parsed by ``np.loadtxt`` after the header, or
+def _loadtxt_rows(handle, header: list[str], row: np.dtype) -> np.ndarray | None:
+    """The panel's rows parsed by ``np.loadtxt`` after the header, or
     ``None`` where numpy's reading could differ from ``int`` and ``float``.
 
-    Integer columns are parsed as int64, so ``1.0`` or an id of 2**63 is
+    Integer fields are parsed as int64, so ``1.0`` or an id of 2**63 is
     refused, not rounded; ``comments=None``, so a ``#`` row is refused, not
     skipped.  A warning (a panel with no rows) refuses too.  numpy strips
     the separators U+001C..U+001F around a number as whitespace, which
@@ -436,50 +445,39 @@ def _loadtxt_columns(handle, feature_names: tuple[str, ...]) -> tuple[np.ndarray
         if not chunk.isascii() or any(sep in chunk for sep in "\x1c\x1d\x1e\x1f"):
             return None
     handle.seek(0)
-    if next(csv.reader(handle), None) != _dataset_header(feature_names):
+    if next(csv.reader(handle), None) != header:
         return None
-    row = np.dtype([("id", np.int64), ("day", np.int64),
-                    ("features", np.float64, (len(feature_names),)),
-                    ("coupon", np.float64), ("purchased", np.int64)])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(handle, delimiter=",", comments=None, dtype=row, ndmin=1)
+            return np.loadtxt(handle, delimiter=",", comments=None, dtype=row, ndmin=1)
     except (ValueError, Warning):
         return None
-    return tuple(np.ascontiguousarray(rows[name]) for name in row.names)
 
 
-def _read_panel_rows(path: Path, feature_names: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+def _read_panel_rows(handle, header: list[str], row: np.dtype) -> np.ndarray:
     """The row-by-row reader behind :func:`load_dataset`: blank rows are
     skipped, any other row must have the header's width, parse with ``int``
     and ``float`` and keep its integers within int64, or ``ValueError``
-    names it."""
-    ids, days, coupons, purchases = [], [], [], []
-    features = []
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        expected = _dataset_header(feature_names)
-        header = next(reader, None)
-        if header != expected:
-            raise ValueError(f"unexpected dataset header {header!r}")
-        width = len(expected)
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                raise ValueError(f"dataset line {reader.line_num} has {len(row)} fields, "
-                                 f"the header {width}")
-            ids.append(int(row[0]))
-            days.append(int(row[1]))
-            features.append([float(cell) for cell in row[2:-2]])
-            coupons.append(float(row[-2]))
-            purchases.append(int(row[-1]))
-            if not all(-2**63 <= v < 2**63 for v in (ids[-1], days[-1], purchases[-1])):
-                raise ValueError(f"dataset line {reader.line_num} has an integer outside int64")
-    return (np.asarray(ids, dtype=np.int64), np.asarray(days, dtype=np.int64),
-            np.asarray(features, dtype=float), np.asarray(coupons, dtype=float),
-            np.asarray(purchases, dtype=np.int64))
+    names it; a panel without rows raises ``ValueError`` too."""
+    reader = csv.reader(handle)
+    if (found := next(reader, None)) != header:
+        raise ValueError(f"unexpected dataset header {found!r}")
+    rows = []
+    for cells in reader:
+        if len(cells) != len(header):
+            if not cells:
+                continue
+            raise ValueError(f"dataset line {reader.line_num} has {len(cells)} fields, "
+                             f"the header {len(header)}")
+        values = (int(cells[0]), int(cells[1]), [float(cell) for cell in cells[2:-2]],
+                  float(cells[-2]), int(cells[-1]))
+        if not all(-2**63 <= v < 2**63 for v in (values[0], values[1], values[4])):
+            raise ValueError(f"dataset line {reader.line_num} has an integer outside int64")
+        rows.append(values)
+    if not rows:
+        raise ValueError("the dataset has no rows")
+    return np.array(rows, dtype=row)
 
 
 def customers_from_dataset(dataset: CouponDataset) -> tuple[np.ndarray, np.ndarray]:

@@ -310,6 +310,8 @@ MALFORMED_GAIN_TABLES = {
     "gain-huge.json": '{"prices": [1, 2], "memory": 2, "gains": [[1%s, 1], [1, 0]]}' % ("0" * 400),
     "empty.csv": "",
     "price-zero-denominator.json": '{"prices": ["1/0", 2], "memory": 2, "gains": [[0, 1], [1, 0]]}',
+    # the csv module refuses a field over 131 072 characters
+    "long-cell.csv": "1,2\n" + "1" * 200_000 + ",0\n0,1\n",
 }
 
 
@@ -320,7 +322,7 @@ def test_malformed_gain_table_exit_code(capsys, tmp_path, name):
     memory = ["--memory", 2] if name.endswith(".csv") else []
     code, _, err = run(capsys, "solve", "--gains", path, *memory)
     assert code == 2
-    assert "error" in err
+    assert "refcycle: error:" in err
 
 
 TRUTH = default_ground_truth(3)  # the panel's schema
@@ -368,6 +370,11 @@ DATASET_DEFECTS = {
     # numpy's pass refuses it as int64; the row loop must not turn the ids into floats
     "customer-id-2**63": lambda panel, sidecar: (
         panel.replace("\n0,", f"\n{2**63},", 1), sidecar),
+    # the csv module refuses a field over 131 072 characters, in a row or the header
+    "long-cell": lambda panel, sidecar: (panel.replace("\n0,", "\n" + "1" * 200_000 + ",", 1),
+                                         sidecar),
+    "long-feature-name": lambda panel, sidecar: (panel.replace(FEATURES[0], "x" * 200_000, 1),
+                                                 sidecar.replace(FEATURES[0], "x" * 200_000, 1)),
 }
 
 
@@ -387,9 +394,32 @@ def test_malformed_dataset_exit_code(capsys, recwarn, tmp_path, panel, command, 
                      "--budget", 1e9, "--W", 100, "--out", tmp_path / "out.json"],
     }[command])
     assert code == (0 if name == "valid" else 2)
-    assert name == "valid" or "error" in err
+    assert name == "valid" or "refcycle: error:" in err
+    assert name != "header-only" or "the dataset has no rows" in err
     # the panel reader's numpy pass warns about nothing, a panel without rows included
     assert "Warning" not in err and not recwarn.list
+
+
+@pytest.mark.parametrize("name", ["gains", "model", "spec", "sidecar"])
+def test_deeply_nested_json_exit_code(capsys, tmp_path, panel, name):
+    # nested past the JSON parser's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(VALID_MODEL))
+    copy = tmp_path / "panel.csv"
+    copy.write_bytes(panel.read_bytes())
+    Path(f"{copy}.meta.json").write_bytes(deep.read_bytes())
+    code, out, err = run(capsys, *{
+        "gains": ["solve", "--gains", deep],
+        "model": ["allocate", "--model", deep, "--customers", panel, "--budget", 1e9,
+                  "--W", 100, "--out", tmp_path / "out.json"],
+        "spec": ["simulate", "--spec", deep, "--out", tmp_path / "simulated.csv"],
+        "sidecar": ["allocate", "--model", model, "--customers", copy, "--budget", 1e9,
+                    "--W", 100, "--out", tmp_path / "out.json"],
+    }[name])
+    assert (code, out) == (2, "")
+    assert "refcycle: error:" in err and "nested too deeply" in err
 
 
 VALID_SPEC = {"population": 2, "horizon": 3}
@@ -555,7 +585,7 @@ def test_a_panel_reads_the_same_with_its_cache_stale_or_missing(capsys, tmp_path
     Path("model.json").write_text(json.dumps(VALID_MODEL))
     _, _, err = run(capsys, "simulate", "--spec", "spec.json", "--out", "panel.csv")
     assert json.loads(err.splitlines()[-1])["outputs"] == [
-        "panel.csv", "panel.csv.meta.json", "panel.csv.npz"]
+        "panel.csv", "panel.csv.meta.json", "panel.csv.npy"]
 
     def results():
         """Each panel's output, and its manifest's record of the panel's sha256."""

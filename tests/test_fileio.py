@@ -305,6 +305,8 @@ def reference_read_panel(path):
             purchases.append(int(row[-1]))
             if not all(-2**63 <= v < 2**63 for v in (ids[-1], days[-1], purchases[-1])):
                 raise ValueError(f"dataset line {reader.line_num} has an integer outside int64")
+    if not ids:
+        raise ValueError("the dataset has no rows")
     return (np.asarray(ids, dtype=np.int64), np.asarray(days, dtype=np.int64),
             np.asarray(features, dtype=float), np.asarray(coupons, dtype=float),
             np.asarray(purchases, dtype=np.int64))
@@ -532,7 +534,7 @@ def test_load_dataset_same_with_and_without_its_cache(tmp_path, monkeypatch, row
     assert cache.exists() == (rows > 0 and variant in ("edge", "cast"))
     with monkeypatch.context() as patched:
         if cache.exists():  # the columns come from the cache alone
-            patched.setattr(fileio, "_loadtxt_columns", parse_nothing)
+            patched.setattr(fileio, "_loadtxt_rows", parse_nothing)
             patched.setattr(fileio, "_read_panel_rows", parse_nothing)
         cached = load_outcome(loaded_panel, path)
     cache.unlink(missing_ok=True)
@@ -555,13 +557,19 @@ def saved_panel(path):
     return columns(dataset)
 
 
+# the arrays of a panel's cache, in the order of its stream
+CACHE_ENTRIES = ("sha256", "header", "customer_ids", "days", "features", "coupons", "purchases")
+
+
 def rewrite_cache(path, **changes):
     """The cache of the panel at ``path`` written again with some entries changed."""
     cache = fileio.cache_path(path)
-    with np.load(cache) as stored:
-        entries = {name: stored[name] for name in stored.files}
+    with cache.open("rb") as handle:
+        entries = {name: np.load(handle) for name in CACHE_ENTRIES}
+        assert handle.read() == b""
     with cache.open("wb") as handle:
-        np.savez(handle, **{**entries, **changes})
+        for name in CACHE_ENTRIES:
+            np.save(handle, changes.get(name, entries[name]))
 
 
 def edit_last_row(path, _):
@@ -577,12 +585,18 @@ def write_npy(path, array):
         np.save(handle, array)
 
 
+def write_npz(path, **arrays):
+    with path.open("wb") as handle:  # np.load reads a zip archive as an NpzFile
+        np.savez(handle, **arrays)
+
+
 FOREIGN_CACHES = {
     "stale": edit_last_row,
-    "garbage": lambda path, cache: cache.write_bytes(b"PK\x03\x04 not a zip archive"),
+    "garbage": lambda path, cache: cache.write_bytes(b"\x93NUMPY not an npy stream"),
     "truncated": lambda path, cache: cache.write_bytes(cache.read_bytes()[:1000]),
     "empty": lambda path, cache: cache.write_bytes(b""),
     "npy": lambda path, cache: write_npy(cache, np.arange(3)),
+    "npz": lambda path, cache: write_npz(cache, sha256=np.array(fileio.file_sha256(path))),
     "pickled": lambda path, cache: rewrite_cache(
         path, customer_ids=np.array([{"id": 0}] * SAVED_ROWS, dtype=object)),
     "other-features": lambda path, cache: rewrite_cache(
