@@ -31,10 +31,10 @@ from .model import (
     AllocationModel,
     DiscountSet,
     _best_discount,
+    _purchase_prob,
     feature_matrix,
     myopic_assign,  # noqa: F401 -- perfbench/tracing.py wraps this name here
     projected_redemption,
-    purchase_prob_table,
 )
 
 __all__ = ["InfeasibleBudgetError", "BudgetConfig", "LAMBDA_BOUNDS", "TOLERANCE", "tune_lambda"]
@@ -100,15 +100,17 @@ def _tuned_choice(
     at them, bit for bit: they come from the same table."""
     discounts = discounts or DiscountSet()
     X = feature_matrix(X)
-    negative = float(np.mean(model.sensitivity(X) < 0)) if X.shape[0] else 0.0
+    beta = model.sensitivity(X)
+    negative = float(np.mean(beta < 0)) if X.shape[0] else 0.0
     if negative > 0:
         logger.warning(
             "%.1f%% of customers have negative coupon sensitivity: "
             "their purchase probability falls as the discount rises",
             100.0 * negative,
         )
-    q = purchase_prob_table(model, X, discounts)
     v = np.asarray(discounts.values)
+    # purchase_prob_table's q, with the sensitivity computed once for the share above
+    q = _purchase_prob(model.alpha_values(X)[:, None], beta[:, None], v[None, :], model.pivot)
     lam = _bisect(q, v, config)
     chosen = _best_discount(q, v, lam)
     chosen_q = q[np.arange(q.shape[0]), chosen]

@@ -64,7 +64,7 @@ from .fileio import (
     write_csv_rows,
 )
 from .instances import integer_grid, nonmonotone_demo_table, random_monotone_table
-from .oracle import StateGraph, max_mean_cycle, optimal_cycles_unique, simulate
+from .oracle import StateGraph, check_node_budget, max_mean_cycle, optimal_cycles_unique, simulate
 from .reduce import ReductionViolationError, reduce_to_l_up_1_down
 from .solver import bellman_residual, solve
 from .tightness import build as build_tightness
@@ -210,6 +210,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_tightness(args) -> int:
     grid = PriceGrid(tuple(parse_price_list(args.prices)), args.memory)
     target = GeneratorCycle.from_prices(grid, parse_price_list(args.target))
+    check_node_budget(len(grid), grid.memory)  # before the n x n table is built
     manifest = _manifest(args, [])
     inst = build_tightness(target, grid)
     unique = verify_uniqueness(inst)
@@ -218,8 +219,8 @@ def _cmd_tightness(args) -> int:
         "gain_table": gain_table_to_dict(inst.table),
         "target": format_cycle(target, grid),
         "expansion": format_cycle(expand(target, grid), grid),
-        "optimal_value": float(inst.optimal_value),
-        "bias": [float(b) for b in inst.bias],
+        "optimal_value": inst.optimal_value,
+        "bias": inst.bias,
         "penalty": inst.penalty,
         "verified_unique": unique,
         "oracle_value": graph_value,

@@ -36,6 +36,7 @@ from .kernel import least_tight_cycle, max_ratio_cycle
 __all__ = [
     "NodeBudgetError",
     "NODE_BUDGET",
+    "check_node_budget",
     "StateGraph",
     "MeanCycleResult",
     "GeneratorSearchResult",
@@ -53,6 +54,18 @@ class NodeBudgetError(ValueError):
 
 
 NODE_BUDGET = 10**6
+
+
+def check_node_budget(prices: int, memory: int) -> None:
+    """Raise :class:`NodeBudgetError` unless the state graph of ``prices``
+    prices at ``memory`` fits :data:`NODE_BUDGET`, which bounds states times
+    prices times memory: each of a state's ``prices`` edges builds a
+    ``memory``-long tuple.  Callers check before building anything."""
+    states = math.comb(prices + memory - 1, memory)
+    size = states * prices * memory
+    if size > NODE_BUDGET:
+        raise NodeBudgetError(f"state graph needs {states} states x {prices} prices x "
+                              f"memory {memory} = {size}, budget is {NODE_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -78,15 +91,9 @@ class StateGraph:
 
     @classmethod
     def build(cls, table: GainTable) -> "StateGraph":
-        """:data:`NODE_BUDGET` bounds states times prices times memory,
-        checked before anything is materialized: each of a state's ``prices``
-        edges builds a ``memory``-long tuple."""
+        """Materialize the states, once :func:`check_node_budget` admits the grid."""
         n, memory = len(table.grid), table.grid.memory
-        states = math.comb(n + memory - 1, memory)
-        size = states * n * memory
-        if size > NODE_BUDGET:
-            raise NodeBudgetError(f"state graph needs {states} states x {n} prices x "
-                                  f"memory {memory} = {size}, budget is {NODE_BUDGET}")
+        check_node_budget(n, memory)
         return cls(table, tuple(itertools.combinations_with_replacement(range(n), memory)))
 
     @property

@@ -133,31 +133,31 @@ TIGHTNESS_1_3_2_STDOUT = """\
       [
         0,
         0,
-        1
+        2
       ],
       [
-        3,
+        6,
         0,
-        1
+        2
       ],
       [
-        3,
-        3,
-        1
+        6,
+        6,
+        2
       ]
     ]
   },
   "target": "1 3 2",
   "expansion": "1 3 3 2",
-  "optimal_value": 2,
+  "optimal_value": 4,
   "bias": [
     0,
-    1,
-    2
+    2,
+    4
   ],
-  "penalty": -10,
+  "penalty": -19,
   "verified_unique": true,
-  "oracle_value": 2
+  "oracle_value": 4
 }
 """
 
@@ -172,31 +172,31 @@ TIGHTNESS_2_STDOUT = """\
     "memory": 2,
     "gains": [
       [
-        -2,
-        1,
-        -2
+        -3,
+        2,
+        -3
       ],
       [
-        -2,
-        1,
-        -2
+        -3,
+        2,
+        -3
       ],
       [
-        -2,
-        1,
-        -2
+        -3,
+        2,
+        -3
       ]
     ]
   },
   "target": "2",
   "expansion": "2",
-  "optimal_value": 1,
+  "optimal_value": 2,
   "bias": [
     0
   ],
-  "penalty": -2,
+  "penalty": -3,
   "verified_unique": true,
-  "oracle_value": 1
+  "oracle_value": 2
 }
 """
 
@@ -240,6 +240,21 @@ def test_tightness_command_emits_reloadable_table(capsys):
     table = gain_table_from_dict(payload["gain_table"])
     assert table.reference_monotone()
     assert table.grid.memory == 2
+
+
+def test_tightness_over_budget_exits_before_building_the_table(capsys, monkeypatch):
+    # 3 000 prices at memory 1: 3 000 states x 3 000 prices, over the state-graph
+    # budget; the n x n table alone would take seconds and tens of MB to build
+    def refuse(*args):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr("refcycle.cli.build_tightness", refuse)
+    prices = " ".join(str(p) for p in range(1, 3001))
+    code, out, err = run(capsys, "tightness", "--prices", prices, "--memory", 1,
+                         "--target", "1 3000")
+    assert code == 2
+    assert out == ""
+    assert "state graph needs 3000 states x 3000 prices x memory 1 = 9000000" in err
 
 
 def test_simulate_analyze_allocate_chain(tmp_path, capsys, monkeypatch):

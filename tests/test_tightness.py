@@ -22,25 +22,25 @@ def all_targets(n):
 def test_pinned_two_price_instance():
     grid = integer_grid(2, 2)
     inst = build(GeneratorCycle((0, 1)), grid)
-    assert inst.table.gains == ((0.0, 1.0), (2.5, 1.0))
-    assert inst.optimal_value == Fraction(3, 2)
-    assert inst.penalty == -6.0
+    assert inst.table.gains == ((0.0, 2.0), (5.0, 2.0))
+    assert inst.optimal_value == 3
+    assert inst.penalty == -11
     result = solve(inst.table)
-    assert result.opt == 1.5
+    assert result.opt == 3.0
     assert result.generator.values == (0, 1)
     assert result.cycle.tokens == (0, 1, 1)
     assert verify_uniqueness(inst)
     # exact check on the state graph: no cycle beats the expansion
     best = max_mean_cycle(StateGraph.build(inst.table))
-    assert best.value == 1.5
+    assert best.value == 3.0
     assert best.cycle.tokens == (0, 1, 1)
 
 
 def test_default_parameters():
     grid = integer_grid(2, 2)
     inst = build(GeneratorCycle((0, 1)), grid)
-    assert inst.optimal_value == Fraction(3, 2)  # bias range / memory + 1
-    assert inst.bias == (Fraction(0), Fraction(1))
+    assert inst.optimal_value == 3  # memory + d - 1
+    assert inst.bias == (0, 2)  # memory * i
     assert verify_uniqueness(inst)
 
 
@@ -62,10 +62,11 @@ def test_build_validation():
 def test_single_price_target():
     grid = integer_grid(3, 2)
     inst = build(GeneratorCycle((1,)), grid)
-    assert inst.optimal_value == 1
+    assert inst.optimal_value == 2  # memory
+    assert inst.table.gains == ((-3.0, 2.0, -3.0),) * 3
     assert verify_uniqueness(inst)
     result = solve(inst.table)
-    assert result.opt == 1.0
+    assert result.opt == 2.0
     assert result.generator.values == (1,)
 
 
@@ -90,9 +91,9 @@ def test_tied_bias_breaks_uniqueness():
     tied = TightnessInstance(
         table=table,
         target=GeneratorCycle((0, 1)),
-        bias=(Fraction(0), Fraction(0)),
-        optimal_value=Fraction(1),
-        penalty=-2.0,
+        bias=(0, 0),
+        optimal_value=1,
+        penalty=-2,
     )
     assert not verify_uniqueness(tied)
 
@@ -120,19 +121,19 @@ def test_optimality_equation_equality_pattern():
             successor = {
                 target.values[(t - 1) % d]: target.values[t] for t in range(d)
             }
-            value = float(inst.optimal_value)
+            value = Fraction(inst.optimal_value)
             # the bias is aligned with the target's values sorted by price
             bias = dict(zip(sorted(target.values), inst.bias))
             for r in target.values:
                 for p in target.values:
-                    lhs = (inst.table.gains[r][p] - value) * expansion_count(
+                    lhs = (Fraction(inst.table.gains[r][p]) - value) * expansion_count(
                         memory, r, p
-                    ) + float(bias[p])
-                    rhs = float(bias[r])
+                    ) + bias[p]
+                    rhs = Fraction(bias[r])
                     if successor[r] == p:
-                        assert lhs == pytest.approx(rhs, abs=1e-9)
+                        assert lhs == rhs
                     else:
-                        assert lhs < rhs - 1e-9
+                        assert lhs < rhs
 
 
 def test_desk_scale_certification_small():
@@ -145,20 +146,21 @@ def test_desk_scale_certification_small():
                 assert verify_uniqueness(inst), (n, memory, target.values)
                 result = solve(inst.table)
                 assert result.generator == target.canonical()
-                assert result.opt_exact == pytest.approx(float(inst.optimal_value), abs=1e-12)
+                assert result.opt_exact == inst.optimal_value
 
 
-def test_certification_allows_float_rounding():
-    # gains such as 1 + 2/7 - 1/7 are stored as floats, so the optimal mean can
-    # sit off the constructed C by rounding; every target is still uniquely optimal
-    cases = moved = 0
+def test_certification_is_exact_on_integer_gains():
+    # every gain is an integer, so the oracle's exact optimum is the constructed C
+    # itself, with no rounding allowance; every target is uniquely optimal
+    cases = 0
     for n in range(1, 5):
         for memory in (1, 2, 3, 5) if n == 4 else (1, 2, 3, 5, 7):
             grid = integer_grid(n, memory)
             for target in all_targets(n):
                 inst = build(target, grid)
+                assert all(g == int(g) for row in inst.table.gains for g in row)
                 assert verify_uniqueness(inst), (n, memory, target.values)
                 found = max_mean_cycle(StateGraph.build(inst.table)).value_exact
+                assert found == inst.optimal_value, (n, memory, target.values)
                 cases += 1
-                moved += found != inst.optimal_value
-    assert cases == 156 and moved >= 50
+    assert cases == 156
