@@ -122,14 +122,23 @@ class CouponDataset:
     def num_rows(self) -> int:
         return len(self.customer_ids)
 
+    def row_order(self) -> np.ndarray:
+        """The stable sort of the rows by customer, then day: ``np.arange`` when
+        they already run so, as :func:`simulate_population` writes them."""
+        ids, days = self.customer_ids, self.days
+        same = ids[1:] == ids[:-1]
+        if (ids[1:] >= ids[:-1]).all() and (days[1:] >= days[:-1])[same].all():
+            return np.arange(len(ids))
+        return np.lexsort((days, ids))
+
     def panel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(customers, coupons, purchases) reshaped to (n, horizon) panels;
         ``ValueError`` unless every customer has the same days, once each."""
-        order = np.lexsort((self.days, self.customer_ids))
+        order = self.row_order()
         ids, days = self.customer_ids[order], self.days[order]
         first = np.r_[True, ids[1:] != ids[:-1]]
         horizon = len(ids) // first.sum()  # 0 without rows
-        # lexsorted, so customer k's days are days[k * horizon:][:horizon], ascending
+        # sorted, so customer k's days are days[k * horizon:][:horizon], ascending
         if not (horizon and first[::horizon].all()
                 and (days.reshape(-1, horizon) == days[:horizon]).all()
                 and (days[1:horizon] > days[:horizon - 1]).all()):

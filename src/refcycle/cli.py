@@ -6,6 +6,10 @@ identical inputs plus --seed give byte-identical results.  A run manifest
 (command, input hashes, seed, version, timing, output paths) goes to stderr,
 and next to --out when set.
 
+Each command is parsed by its own parser, built from :data:`COMMANDS`; the
+full ``refcycle`` parser is built only for help, an unknown command and
+unrecognized arguments, so those messages read as they always have.
+
 Each command reads its inputs, starts the manifest, computes, and hands its
 payload to :func:`_emit`, the one report path; ``wall_time_s`` is the time
 from reading the inputs to writing the result, for every command.
@@ -338,74 +342,68 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_GAINS = ("--gains", {"required": True})
+_OUT = ("--out", {"help": "write the JSON result to this path"})
+_SEED = ("--seed", {"type": int, "default": 0})
+
+# command -> (handler, help, its arguments as (flag, add_argument keywords))
+COMMANDS = {
+    "solve": (_cmd_solve, "optimal distinct-price cycle for a gain table", [
+        _GAINS, ("--memory", {"type": int, "help": "memory length for CSV gain tables"}), _OUT]),
+    "oracle": (_cmd_oracle, "exact optimum over the suffix-minimum state graph", [
+        _GAINS, ("--memory", {"type": int}),
+        ("--horizon", {"type": int, "help": "also replay the witness this many steps"}), _OUT]),
+    "reduce": (_cmd_reduce, "rewrite a cycle into l-up-1-down form", [
+        _GAINS, ("--cycle", {"required": True, "help": "whitespace-separated price values"}),
+        ("--memory", {"type": int}), _OUT]),
+    "tightness": (_cmd_tightness, "build a table whose unique optimum is a chosen cycle", [
+        ("--prices", {"required": True, "help": "whitespace-separated price values"}),
+        ("--memory", {"type": int, "required": True}),
+        ("--target", {"required": True, "help": "generator cycle of distinct prices"}), _OUT]),
+    "allocate": (_cmd_allocate, "assign coupons under a redemption budget", [
+        ("--model", {"required": True}),
+        ("--customers", {"required": True, "help": "dataset CSV with sidecar"}),
+        ("--budget", {"type": float, "required": True}),
+        ("--W", {"type": float, "required": True, "help": "average basket value"}), _OUT]),
+    "simulate": (_cmd_simulate, "generate a synthetic coupon dataset", [
+        ("--spec", {"required": True}),
+        ("--out", {"help": "write the panel CSV to this path (default dataset.csv) and "
+                           "its sidecar next to it; the JSON result goes to stdout"}), _SEED]),
+    "analyze": (_cmd_analyze, "reference-effect diagnostics on a dataset", [
+        ("--dataset", {"required": True}),
+        ("--memory", {"required": True, "help": "comma-separated window lengths"}), _OUT]),
+    "selftest": (_cmd_selftest, "run the bundled fixture checks", [_SEED]),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give ``parser`` the arguments of command ``name`` and its handler."""
+    handler, _, arguments = COMMANDS[name]
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(command=name, func=handler)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="refcycle",
         description="Price-cycle optimization under peak-end reference effects.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--out", help="write the JSON result to this path")
-
-    p = sub.add_parser("solve", help="optimal distinct-price cycle for a gain table")
-    p.add_argument("--gains", required=True)
-    p.add_argument("--memory", type=int, help="memory length for CSV gain tables")
-    add_common(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("oracle", help="exact optimum over the suffix-minimum state graph")
-    p.add_argument("--gains", required=True)
-    p.add_argument("--memory", type=int)
-    p.add_argument("--horizon", type=int, help="also replay the witness this many steps")
-    add_common(p)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("reduce", help="rewrite a cycle into l-up-1-down form")
-    p.add_argument("--gains", required=True)
-    p.add_argument("--cycle", required=True, help="whitespace-separated price values")
-    p.add_argument("--memory", type=int)
-    add_common(p)
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("tightness", help="build a table whose unique optimum is a chosen cycle")
-    p.add_argument("--prices", required=True, help="whitespace-separated price values")
-    p.add_argument("--memory", type=int, required=True)
-    p.add_argument("--target", required=True, help="generator cycle of distinct prices")
-    add_common(p)
-    p.set_defaults(func=_cmd_tightness)
-
-    p = sub.add_parser("allocate", help="assign coupons under a redemption budget")
-    p.add_argument("--model", required=True)
-    p.add_argument("--customers", required=True, help="dataset CSV with sidecar")
-    p.add_argument("--budget", type=float, required=True)
-    p.add_argument("--W", type=float, required=True, help="average basket value")
-    add_common(p)
-    p.set_defaults(func=_cmd_allocate)
-
-    p = sub.add_parser("simulate", help="generate a synthetic coupon dataset")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out", help="write the panel CSV to this path (default dataset.csv) and "
-                                 "its sidecar next to it; the JSON result goes to stdout")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("analyze", help="reference-effect diagnostics on a dataset")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--memory", required=True, help="comma-separated window lengths")
-    add_common(p)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("selftest", help="run the bundled fixture checks")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_selftest)
-
+    for name, (_, help_text, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, extra = None, None
+    if argv and argv[0] in COMMANDS:
+        parser = _add_command(argparse.ArgumentParser(prog=f"refcycle {argv[0]}"), argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+    if args is None or extra:  # no command, or arguments left over: the full parser reports it
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ReductionViolationError, InfeasibleBudgetError, EmptyCellError) as exc:

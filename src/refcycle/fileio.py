@@ -487,9 +487,9 @@ def customers_from_dataset(dataset: CouponDataset) -> tuple[np.ndarray, np.ndarr
     folded into the reference feature.  Of two rows with the same customer and
     day, the later one in the panel wins.
     """
-    order = np.lexsort((dataset.days, dataset.customer_ids))
+    order = dataset.row_order()
     ids = dataset.customer_ids[order]
-    # lexsort is stable: each id group ends with its latest day's last row in the panel
+    # the sort is stable: each id group ends with its latest day's last row in the panel
     last = np.ones(len(ids), dtype=bool)
     last[:-1] = ids[1:] != ids[:-1]
     return ids[last], dataset.features[order[last]]

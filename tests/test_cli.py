@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from refcycle import cli
 from refcycle.cli import main
 from refcycle.fileio import gain_table_from_dict, gain_table_to_dict, save_dataset
 from refcycle.allocator import DiscountSet, PopulationSpec, default_ground_truth, simulate_population
@@ -942,3 +943,44 @@ def test_the_module_runs_in_a_fresh_process(tmp_path):
     assert solved.returncode == 0, solved.stderr
     assert json.loads(solved.stdout)["opt"] == 1.0
     assert json.loads(solved.stderr.splitlines()[-1])["command"] == "solve"
+
+
+def parse_outcome(capsys, parse, argv):
+    """Exit code, stdout and stderr of a parse that ends the program."""
+    with pytest.raises(SystemExit) as exit_info:
+        parse(list(argv))
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
+
+
+def usage_errors(name):
+    """``-h``, an unknown option, a missing required option and each bad
+    ``type=`` value of command ``name``, in an argv otherwise complete."""
+    _, _, arguments = cli.COMMANDS[name]
+    complete = [token for flag, options in arguments if options.get("required")
+                for token in (flag, "1")]
+    cases = [[name, "-h"], [name, *complete, "--bogus", "1"]]
+    cases += [[name, *complete[2:]]] if complete else []
+    return cases + [[name, *complete, flag, "x"] for flag, options in arguments if "type" in options]
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"],
+                                  *(argv for name in cli.COMMANDS for argv in usage_errors(name))])
+def test_a_command_parser_reports_as_the_full_parser(argv, capsys):
+    # main parses a command with its own parser; help and usage errors keep their bytes
+    expected = parse_outcome(capsys, lambda a: cli.build_parser().parse_args(a), argv)
+    assert expected[1] or expected[2]
+    assert parse_outcome(capsys, main, argv) == expected
+
+
+def test_the_full_parser_lists_every_command():
+    assert "{" + ",".join(cli.COMMANDS) + "}" in cli.build_parser().format_usage()
+
+
+def test_a_command_runs_without_the_full_parser(demo_file, capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("the full refcycle parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert run(capsys, "selftest")[0] == 0
+    assert run(capsys, "solve", "--gains", demo_file)[0] == 0

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cli import CELL, FEATURES, HEADER, panel_rows, write_gain_table, write_model
+from test_population import rows_of
 
 from refcycle.allocator import (
     ConstantPolicy,
@@ -261,6 +262,25 @@ def test_customers_from_dataset_matches_per_row_walk():
         assert ids.tolist() == expected_ids
         assert np.array_equal(X, expected_X)
     assert repeated > 10
+
+
+def test_row_order_is_the_stable_sort_by_customer_then_day():
+    for seed in range(60):
+        dataset = messy_panel(np.random.default_rng(seed))
+        ids, days = dataset.customer_ids, dataset.days
+        ordered = rows_of(dataset, np.lexsort((days, ids)))
+        assert np.array_equal(ordered.row_order(), np.arange(dataset.num_rows))
+        for rows in (dataset, ordered, rows_of(dataset, np.lexsort((-days, ids)))):
+            assert np.array_equal(rows.row_order(), np.lexsort((rows.days, rows.customer_ids)))
+
+
+def test_shuffled_and_ordered_panels_read_the_same():
+    dataset = simulate_population(PopulationSpec(size=30, horizon=6, memory=3),
+                                  default_ground_truth(3), seed=4)
+    shuffled = rows_of(dataset, np.random.default_rng(0).permutation(dataset.num_rows))
+    for ordered, mixed in zip((*customers_from_dataset(dataset), *dataset.panel()),
+                              (*customers_from_dataset(shuffled), *shuffled.panel())):
+        assert np.array_equal(ordered, mixed)
 
 
 def test_demo_cycle_objective_from_files(tmp_path, demo_table):
