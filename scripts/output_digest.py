@@ -21,6 +21,10 @@ that spans several of the CSV writer's blocks.  Each chain comes with
 ``analyze`` at windows 3, 5 and the longest, one day short of the horizon
 (5-29 days), on a panel written here whose small-reference cells fill at every
 window, which a uniform policy's panels leave empty beyond a few days.
+Every fiftieth table, counting from the fiftieth, also runs ``simulate`` on
+5 000-12 000 customers over 3-5 days and ``allocate`` on that panel at a
+drawn budget, a table large enough for the shadow-price search to seed its
+bisection from a strided sample; no smaller run reaches that path.
 Prints the number of runs, a histogram of exit codes and one sha256 over
 each run's command, exit code, stdout and ``refcycle:`` stderr lines, and
 over the bytes of the files the chain writes (the panel CSV, its sidecar and
@@ -54,6 +58,7 @@ MAX_EDGES = 20_000
 KINDS = ("monotone", "non-monotone", "tie-heavy")
 CHAIN_EVERY = 10
 LARGE_CHAIN_EVERY = 50
+LARGE_ALLOCATION_EVERY = 50
 LONG_CYCLE_EVERY = 5
 LONG_WINDOW_EVERY = 25
 DISCOUNTS = [0.12, 0.15, 0.17, 0.20]
@@ -142,6 +147,21 @@ def chain(rng: np.random.Generator, large: bool) -> tuple[dict, list]:
     ]
 
 
+def large_allocation(rng: np.random.Generator) -> tuple[dict, list]:
+    """A seeded simulate -> allocate chain on 5 000-12 000 customers over 3-5
+    days, at a budget of 0.15-0.8 per customer: a table large enough that
+    ``tune_lambda`` seeds its bisection from a strided sample."""
+    size, horizon = int(rng.integers(5000, 12001)), int(rng.integers(3, 6))
+    spec = {"population": size, "horizon": horizon, "memory": 3, "discounts": DISCOUNTS}
+    seed, budget = str(int(rng.integers(1000))), repr(size * float(rng.uniform(0.15, 0.8)))
+    return {"large.json": spec, "model.json": MODEL}, [
+        (["simulate", "--spec", "large.json", "--seed", seed, "--out", "large.csv"],
+         ("large.csv", "large.csv.meta.json"), ()),
+        (["allocate", "--model", "model.json", "--customers", "large.csv", "--W", "10",
+          "--budget", budget], ("assignments.csv",), ()),
+    ]
+
+
 def written_panel(rng: np.random.Generator) -> tuple[dict, list]:
     """A panel of 20-79 customers over 6-30 days in shuffled rows, and
     ``analyze`` at windows 3, 5 and the longest.  Half the customers get
@@ -202,6 +222,8 @@ def main() -> int:
                 if i % CHAIN_EVERY == 0:
                     batches.append(chain(rng, i % LARGE_CHAIN_EVERY == 0))
                     batches.append(written_panel(rng))
+                if i % LARGE_ALLOCATION_EVERY == LARGE_ALLOCATION_EVERY - 1:
+                    batches.append(large_allocation(rng))
                 for inputs, runs in batches:
                     for name, payload in inputs.items():
                         with open(name, "w") as handle:

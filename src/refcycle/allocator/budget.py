@@ -18,6 +18,17 @@ probe sums the full per-customer redemption array, in the order
 ``projected_redemption`` sums it; the returned shadow price's choice is read
 off the table for every customer; and that choice is certified with
 ``projected_redemption``.
+
+A table of at least 2·SAMPLE_ROWS rows first bisects its strided sample
+``q[::n // SAMPLE_ROWS]`` under the budget scaled by the sample's share of
+rows, walks GUESS_DEPTH levels of the bisection tree toward that guess (the
+top if the sample overspends there) and probes the ends of the node it
+reaches, the top one first.  The bisection then runs from the root, but a
+midpoint at or above the least point known to meet the budget, or at or
+below the greatest known to overspend, is decided without a probe, as a
+probe would decide it.  So the decisions, the probed floats and λ are those
+without the guess; a wrong guess costs at most two probes, a right one
+spares the first ones, which score nearly every row.
 """
 
 from __future__ import annotations
@@ -43,6 +54,8 @@ logger = logging.getLogger(__name__)
 
 LAMBDA_BOUNDS = (1.0, 10.0)
 TOLERANCE = 1e-6
+SAMPLE_ROWS = 2048  # rows of the strided sample that seeds the bisection on a large table
+GUESS_DEPTH = 8  # levels of the bisection tree walked toward the sample's shadow price
 
 
 class InfeasibleBudgetError(RuntimeError):
@@ -78,9 +91,10 @@ def tune_lambda(
 
     The purchase-probability table is built once per call.  Each probe
     rescores only the customers whose choice still differs between the
-    bisection's ends (see the module docstring) and sums the full
-    per-customer redemption array.  The returned shadow price is certified
-    once: the choice it makes for every customer is scored with
+    bisection's ends and sums the full per-customer redemption array; on a
+    large table a strided sample picks the first two probes, and the result
+    is the same float (see the module docstring).  The returned shadow price
+    is certified once: the choice it makes for every customer is scored with
     :func:`projected_redemption`, and a result that fails that check raises
     :class:`InfeasibleBudgetError` instead of being returned.
     """
@@ -126,13 +140,15 @@ def _tuned_choice(
 
 def _bisect(q: np.ndarray, v: np.ndarray, config: BudgetConfig) -> float:
     """The bisection of :func:`tune_lambda` off the table q of q(x, v) over
-    the discounts v, each probe rescoring only the rows still open."""
+    the discounts v, each probe rescoring only the rows still open; a large
+    table first probes the ends of the node its strided sample guesses."""
     lo, hi = LAMBDA_BOUNDS
+    basket = config.basket_value
     k_lo = _best_discount(q, v, lo)
-    if float(np.sum(_spend(q, v, k_lo, config.basket_value))) <= config.budget:
+    if float(np.sum(_spend(q, v, k_lo, basket))) <= config.budget:
         return lo
     k_hi = _best_discount(q, v, hi)
-    spent_hi = _spend(q, v, k_hi, config.basket_value)
+    spent_hi = _spend(q, v, k_hi, basket)
     top = float(np.sum(spent_hi))
     if top > config.budget:
         raise InfeasibleBudgetError(
@@ -140,19 +156,40 @@ def _bisect(q: np.ndarray, v: np.ndarray, config: BudgetConfig) -> float:
             f"at the interval top {hi}"
         )
     rows = np.flatnonzero(k_lo != k_hi)
-    while hi - lo > TOLERANCE:
-        mid = 0.5 * (lo + hi)
+    fits, over = hi, lo  # least λ known to meet the budget, greatest known to overspend
+
+    def probe(lam: float) -> None:  # moves fits or over, with k_hi and spent_hi or k_lo, to lam
+        nonlocal rows, spent_hi, fits, over
         q_open = q[rows]
-        k = _best_discount(q_open, v, mid)
+        k = _best_discount(q_open, v, lam)
         spent = spent_hi.copy()
-        spent[rows] = _spend(q_open, v, k, config.basket_value)
+        spent[rows] = _spend(q_open, v, k, basket)
         if float(np.sum(spent)) <= config.budget:
-            hi, spent_hi = mid, spent
+            fits, spent_hi = lam, spent
             k_hi[rows] = k
         else:
-            lo = mid
+            over = lam
             k_lo[rows] = k
         rows = rows[k_lo[rows] != k_hi[rows]]
+
+    if q.shape[0] >= 2 * SAMPLE_ROWS:
+        sample = q[:: q.shape[0] // SAMPLE_ROWS]
+        try:
+            guess = _bisect(sample, v, BudgetConfig(basket, config.budget * len(sample) / len(q)))
+        except InfeasibleBudgetError:
+            guess = hi
+        a, b = lo, hi
+        for _ in range(GUESS_DEPTH):
+            mid = 0.5 * (a + b)
+            a, b = (a, mid) if guess <= mid else (mid, b)
+        for end in (b, a):
+            if over < end < fits:
+                probe(end)
+    while hi - lo > TOLERANCE:
+        mid = 0.5 * (lo + hi)
+        if over < mid < fits:
+            probe(mid)
+        lo, hi = (lo, mid) if mid >= fits else (mid, hi)
     return hi
 
 

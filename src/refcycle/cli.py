@@ -38,16 +38,17 @@ from .allocator import (
     BudgetConfig,
     EmptyCellError,
     InfeasibleBudgetError,
-    monotonicity_table,
-    reference_correlations,
     simulate_population,
 )
+from .allocator.analytics import _diagnostics
 from .allocator.budget import _tuned_choice
 # perfbench/tracing.py wraps these names in this module
 from .allocator import (  # noqa: F401
+    monotonicity_table,
     myopic_assign,
     projected_redemption,
     purchase_prob_table,
+    reference_correlations,
     tune_lambda,
 )
 from .core import GeneratorCycle, PriceCycle, PriceGrid, cycle_objective, expand, is_l_up_1_down
@@ -283,9 +284,10 @@ def _cmd_analyze(args) -> int:
     dataset = load_dataset(args.dataset)
     windows = [int(tok) for tok in str(args.memory).replace(",", " ").split()]
     manifest = _manifest(args, [], {args.dataset: dataset.source_sha256})
+    correlations, monotonicity = _diagnostics(dataset, windows)
     return _emit({
-        "correlations": [asdict(row) for row in reference_correlations(dataset, windows)],
-        "monotonicity": [asdict(row) for row in monotonicity_table(dataset, windows)],
+        "correlations": [asdict(row) for row in correlations],
+        "monotonicity": [asdict(row) for row in monotonicity],
     }, args.out, manifest)
 
 

@@ -185,3 +185,50 @@ def test_diagnostics_equal_the_window_reduction_exactly(special_share, seed):
             # the trailing max itself may keep another NaN or signed zero
             (_, windows, peak, _, _), = analytics._trailing_windows(dataset, [memory])
             np.testing.assert_array_equal(peak, windows.max(axis=2).ravel())
+
+
+def outcome_of(diagnostic, *args):
+    try:
+        return diagnostic(*args)
+    except (EmptyCellError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("windows", [WINDOWS, (1, 7, 2), (3, 3), (40,), (0,), ()])
+def test_one_pass_gives_both_diagnostics(reference_dataset, null_dataset, windows):
+    spec = PopulationSpec(size=100, horizon=10, memory=3, discounts=(0.12, 0.15, 0.17, 0.20))
+    constant = simulate_population(spec, default_ground_truth(3), ConstantPolicy(0.17), seed=5)
+    for dataset in (reference_dataset, null_dataset, constant):
+        correlations = outcome_of(reference_correlations, dataset, windows)
+        monotonicity = outcome_of(monotonicity_table, dataset, windows)
+        both = outcome_of(analytics._diagnostics, dataset, windows)
+        if isinstance(correlations, tuple):  # a refused window list: both refuse it alike
+            assert both == correlations == monotonicity
+        elif isinstance(monotonicity, tuple):  # an empty cell: the pass raises the same error
+            assert both == monotonicity
+        else:
+            assert exact(both[0]) == exact(correlations)
+            assert exact(both[1]) == exact(monotonicity)
+
+
+@pytest.mark.parametrize("customers", [1, 2, 9])
+def test_shared_running_max_serves_every_window_in_any_order(customers):
+    """One running max feeds all requested windows, in any order and with
+    repeats; each window's max is kept before later lags overwrite it."""
+    rng = np.random.default_rng(customers)
+    for _ in range(20):
+        horizon = int(rng.integers(2, 25))
+        coupons = rng.choice(GROUP_EDGES, size=(customers, horizon))
+        dataset = CouponDataset(
+            ("f",), "f", (0.12, 0.15, 0.17, 0.20), 3,
+            customer_ids=np.repeat(np.arange(customers), horizon),
+            days=np.tile(np.arange(1, horizon + 1), customers),
+            features=np.zeros((coupons.size, 1)),
+            coupons=coupons.ravel(),
+            purchases=(rng.random(coupons.size) < 0.3).astype(int),
+        )
+        windows = rng.integers(1, horizon, size=int(rng.integers(1, 6))).tolist()
+        yielded = list(analytics._trailing_windows(dataset, windows))
+        assert [memory for memory, *_ in yielded] == windows
+        for _, view, peak, _, _ in yielded:
+            np.testing.assert_array_equal(peak, view.max(axis=2).ravel())

@@ -351,3 +351,100 @@ def test_redemption_never_rises_with_the_shadow_price_for_any_table(rng):
             if trial % 2 and len(set(spent)) > 1:
                 switches += 1
     assert switches > 20, switches  # the falling tables do change their choice with λ
+
+
+def interleaved_by_best_spend(q, v):
+    """The rows sorted by the most each can redeem, then the two halves
+    interleaved, so that a strided sample with an even stride sees only the
+    lower half."""
+    order = np.argsort((v[None, :] * q).max(axis=1), kind="stable")
+    half = (len(order) + 1) // 2
+    mixed = np.empty_like(order)
+    mixed[0::2], mixed[1::2] = order[:half], order[half:]
+    return q[mixed]
+
+
+def test_sampled_bisection_matches_full_row_bisection(monkeypatch):
+    """Tables large enough to be seeded from a strided sample, some ordered
+    so that the sample is biased: the same outcome as the full-row
+    bisection, whether the guessed node's ends hold or the loop falls back."""
+    rng = np.random.default_rng(31)
+    kinds = ("model", "duplicated columns", "grid", "grid, dyadic discounts")
+    guessed = {"confirmed": 0, "fallback": 0}
+    bisect = budget._bisect
+    guesses = []  # the sample's shadow price, None when it overspends at the top
+
+    def recorded(q, v, config):
+        sample = q.shape[0] < 2 * budget.SAMPLE_ROWS
+        try:
+            lam = bisect(q, v, config)
+        except InfeasibleBudgetError:
+            if sample:
+                guesses.append(None)
+            raise
+        if sample:
+            guesses.append(lam)
+        return lam
+
+    monkeypatch.setattr(budget, "_bisect", recorded)
+    for case in range(80):
+        size = int(np.exp(rng.uniform(np.log(2 * budget.SAMPLE_ROWS), np.log(40_000))))
+        q, v = request_table(rng, kinds[case % 4], size)
+        if case // 3 % 3 == 2:  # a third of the tables, under each of the bounds
+            q = interleaved_by_best_spend(q, v)
+        basket = float(rng.uniform(1.0, 200.0))
+        bounds = [(1.0, 10.0), (0.0, 10.0), (1.0, 3.0)][case % 3]
+        top = full_probe(q, v, bounds[1], basket)
+        base = full_probe(q, v, bounds[0], basket)
+        low, high = min(top, base), max(top, base)
+        # most budgets inside the interval, every eighth outside one of its ends
+        outside = [high * 1.1, low * 0.9][case % 16 // 8]
+        budget_value = rng.uniform(low, high) if case % 8 else outside
+        config = BudgetConfig(basket, budget_value)
+        monkeypatch.setattr(budget, "LAMBDA_BOUNDS", bounds)
+        for tolerance in (1e-3, 1e-6, 1e-9):
+            monkeypatch.setattr(budget, "TOLERANCE", tolerance)
+            expected = outcome(full_row_bisect, q, v, config, bounds, tolerance)
+            guesses.clear()
+            assert outcome(budget._bisect, q.copy(), v, config) == expected, case
+            if not guesses:  # returned at an end of the interval before any guess
+                continue
+            # the node the program walks to, and whether its ends are on the right sides
+            a, b = bounds
+            guess = bounds[1] if guesses[0] is None else guesses[0]
+            for _ in range(budget.GUESS_DEPTH):
+                mid = 0.5 * (a + b)
+                a, b = (a, mid) if guess <= mid else (mid, b)
+            right = ((a == bounds[0] or full_probe(q, v, a, basket) > config.budget)
+                     and (b == bounds[1] or full_probe(q, v, b, basket) <= config.budget))
+            guessed["confirmed" if right else "fallback"] += 1
+    assert guessed["confirmed"] >= 10 and guessed["fallback"] >= 10, guessed
+
+
+@pytest.mark.parametrize("share", [0.2, 0.5, 0.8])
+def test_sampled_bisection_scores_fewer_rows(monkeypatch, share):
+    """The guessed node spares the first probes, which score nearly every row."""
+    rng = np.random.default_rng(5)
+    X, model = population(rng, size=20_000)
+    discounts = DiscountSet()
+    q = purchase_prob_table(model, X, discounts)
+    v = np.asarray(discounts.values)
+    basket = 100.0
+    low, high = (full_probe(q, v, lam, basket) for lam in reversed(LAMBDA_BOUNDS))
+    config = BudgetConfig(basket, low + share * (high - low))
+    scored = []
+    best_discount = budget._best_discount
+
+    def counted(q, v, lam):
+        scored.append(q.shape[0])
+        return best_discount(q, v, lam)
+
+    monkeypatch.setattr(budget, "_best_discount", counted)
+    guided = budget._bisect(q, v, config)
+    guided_rows = sum(scored)
+    scored.clear()
+    monkeypatch.setattr(budget, "SAMPLE_ROWS", len(X))  # the table is under 2·SAMPLE_ROWS rows
+    unguided = budget._bisect(q, v, config)
+    assert guided == unguided
+    assert LAMBDA_BOUNDS[0] < guided < LAMBDA_BOUNDS[1]
+    assert guided_rows <= 0.75 * sum(scored), (guided_rows, sum(scored))
