@@ -23,8 +23,9 @@ that spans several of the CSV writer's blocks.  Each chain comes with
 window, which a uniform policy's panels leave empty beyond a few days.
 Every fiftieth table, counting from the fiftieth, also runs ``simulate`` on
 5 000-12 000 customers over 3-5 days and ``allocate`` on that panel at a
-drawn budget, a table large enough for the shadow-price search to seed its
-bisection from a strided sample; no smaller run reaches that path.
+drawn, an unbounded and an infeasible (zero) budget, a table large enough
+for the shadow-price search to start from its strided sample's bracket; no
+smaller run reaches that path.
 Prints the number of runs, a histogram of exit codes and one sha256 over
 each run's command, exit code, stdout and ``refcycle:`` stderr lines, and
 over the bytes of the files the chain writes (the panel CSV, its sidecar and
@@ -149,16 +150,17 @@ def chain(rng: np.random.Generator, large: bool) -> tuple[dict, list]:
 
 def large_allocation(rng: np.random.Generator) -> tuple[dict, list]:
     """A seeded simulate -> allocate chain on 5 000-12 000 customers over 3-5
-    days, at a budget of 0.15-0.8 per customer: a table large enough that
-    ``tune_lambda`` seeds its bisection from a strided sample."""
+    days, at a budget of 0.15-0.8 per customer, then at an unbounded budget
+    (the early return) and at zero (exit 3): a table large enough that
+    ``tune_lambda`` starts from a strided sample's bracket."""
     size, horizon = int(rng.integers(5000, 12001)), int(rng.integers(3, 6))
     spec = {"population": size, "horizon": horizon, "memory": 3, "discounts": DISCOUNTS}
     seed, budget = str(int(rng.integers(1000))), repr(size * float(rng.uniform(0.15, 0.8)))
     return {"large.json": spec, "model.json": MODEL}, [
         (["simulate", "--spec", "large.json", "--seed", seed, "--out", "large.csv"],
          ("large.csv", "large.csv.meta.json"), ()),
-        (["allocate", "--model", "model.json", "--customers", "large.csv", "--W", "10",
-          "--budget", budget], ("assignments.csv",), ()),
+        *[(["allocate", "--model", "model.json", "--customers", "large.csv", "--W", "10",
+            "--budget", b], ("assignments.csv",), ()) for b in (budget, "1e9", "0")],
     ]
 
 

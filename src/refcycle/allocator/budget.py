@@ -10,25 +10,27 @@ when the budget is exceeded, until the interval is at most TOLERANCE wide.
 The table of purchase probabilities q(x, v) is computed once per call and
 every probe is answered from it.  A customer's myopic score at λ is the upper
 envelope of K lines, (1 - λ·v)·q(v), which is convex in λ: a discount that
-wins at both ends of [lo, hi] wins throughout, and ties still go to the first
+wins at two shadow prices wins between them, and ties still go to the first
 index (in the reals; the tests compare floats with a full-row bisection).  So
-each probe rescores only the open customers, whose choices at lo and hi
-differ; every other customer keeps its choice at hi.  What stays exact: each
-probe sums the full per-customer redemption array, in the order
-``projected_redemption`` sums it; the returned shadow price's choice is read
-off the table for every customer; and that choice is certified with
-``projected_redemption``.
+once a probe on each side of the budget is known, each probe rescores only
+the open customers, whose choices there differ; every other customer keeps
+its choice.  What stays exact: each probe sums the full per-customer
+redemption array, in the order ``projected_redemption`` sums it, and the
+choice returned with the shadow price is certified with ``projected_redemption``.
 
-A table of at least 2·SAMPLE_ROWS rows first bisects its strided sample
-``q[::n // SAMPLE_ROWS]`` under the budget scaled by the sample's share of
-rows, walks GUESS_DEPTH levels of the bisection tree toward that guess (the
-top if the sample overspends there) and probes the ends of the node it
-reaches, the top one first.  The bisection then runs from the root, but a
-midpoint at or above the least point known to meet the budget, or at or
-below the greatest known to overspend, is decided without a probe, as a
-probe would decide it.  So the decisions, the probed floats and λ are those
-without the guess; a wrong guess costs at most two probes, a right one
-spares the first ones, which score nearly every row.
+The first probes score every row.  A table under 2·SAMPLE_ROWS rows probes
+the interval's ends, the bottom first.  A larger one first bisects its
+strided sample ``q[::n // SAMPLE_ROWS]`` under the budget scaled by the
+sample's share of rows, to λₛ (the top if the sample overspends there), and
+probes the bisection tree's points just above λₛ·(1 + BRACKET_MARGIN), then
+just below λₛ·(1 - BRACKET_MARGIN).  An end of the interval is probed only
+where that bracket leaves it undecided (first, if the sample stops there).
+The bisection then runs from the root, deciding a midpoint at or above the
+least point known to meet the budget, or at or below the greatest known to
+overspend, without a probe, as a probe would.  So λ is the plain
+bisection's float, and since every probed point is a tree point, it is the
+last point found to meet the budget: the search returns the choice it holds
+there.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .model import (
     AllocationModel,
     DiscountSet,
     _best_discount,
-    _purchase_prob,
+    _purchase_table,
     feature_matrix,
     myopic_assign,  # noqa: F401 -- perfbench/tracing.py wraps this name here
     projected_redemption,
@@ -55,7 +57,7 @@ logger = logging.getLogger(__name__)
 LAMBDA_BOUNDS = (1.0, 10.0)
 TOLERANCE = 1e-6
 SAMPLE_ROWS = 2048  # rows of the strided sample that seeds the bisection on a large table
-GUESS_DEPTH = 8  # levels of the bisection tree walked toward the sample's shadow price
+BRACKET_MARGIN = 0.005  # relative half-width of the bracket around the sample's shadow price
 
 
 class InfeasibleBudgetError(RuntimeError):
@@ -89,14 +91,16 @@ def tune_lambda(
     Redemption does not rise with the shadow price for any model (see the
     module docstring); the share of customers with negative sensitivity is logged.
 
-    The purchase-probability table is built once per call.  Each probe
-    rescores only the customers whose choice still differs between the
-    bisection's ends and sums the full per-customer redemption array; on a
-    large table a strided sample picks the first two probes, and the result
-    is the same float (see the module docstring).  The returned shadow price
-    is certified once: the choice it makes for every customer is scored with
-    :func:`projected_redemption`, and a result that fails that check raises
-    :class:`InfeasibleBudgetError` instead of being returned.
+    The purchase-probability table is built once per call.  The first probes
+    are the bracket a strided sample gives on a large table, and the
+    interval's ends only where that bracket leaves them undecided; later
+    probes rescore only the customers whose choice still differs on the two
+    sides of the budget, and each sums the full per-customer redemption
+    array.  The result is the float of the plain bisection (see the module
+    docstring).  The search returns each customer's choice with the shadow
+    price; that choice is certified once, with :func:`projected_redemption`,
+    and a result that fails the check raises :class:`InfeasibleBudgetError`
+    instead of being returned.
     """
     return _tuned_choice(model, X, config, discounts)[0]
 
@@ -123,10 +127,8 @@ def _tuned_choice(
             100.0 * negative,
         )
     v = np.asarray(discounts.values)
-    # purchase_prob_table's q, with the sensitivity computed once for the share above
-    q = _purchase_prob(model.alpha_values(X)[:, None], beta[:, None], v[None, :], model.pivot)
-    lam = _bisect(q, v, config)
-    chosen = _best_discount(q, v, lam)
+    q = _purchase_table(model.alpha_values(X), beta, v, model.pivot)
+    lam, chosen = _bisect(q, v, config)
     chosen_q = q[np.arange(q.shape[0]), chosen]
     assignments = v[chosen]
     spent = projected_redemption(model, X, assignments, config.basket_value)
@@ -138,33 +140,28 @@ def _tuned_choice(
     return lam, assignments, chosen_q, spent
 
 
-def _bisect(q: np.ndarray, v: np.ndarray, config: BudgetConfig) -> float:
+def _bisect(q: np.ndarray, v: np.ndarray, config: BudgetConfig) -> tuple[float, np.ndarray]:
     """The bisection of :func:`tune_lambda` off the table q of q(x, v) over
-    the discounts v, each probe rescoring only the rows still open; a large
-    table first probes the ends of the node its strided sample guesses."""
+    the discounts v, bracket first on a large table (see the module
+    docstring), and each row's choice at the shadow price it returns."""
     lo, hi = LAMBDA_BOUNDS
-    basket = config.basket_value
-    k_lo = _best_discount(q, v, lo)
-    if float(np.sum(_spend(q, v, k_lo, basket))) <= config.budget:
-        return lo
-    k_hi = _best_discount(q, v, hi)
-    spent_hi = _spend(q, v, k_hi, basket)
-    top = float(np.sum(spent_hi))
-    if top > config.budget:
-        raise InfeasibleBudgetError(
-            f"redemption {top:.6g} exceeds budget {config.budget:.6g} "
-            f"at the interval top {hi}"
-        )
-    rows = np.flatnonzero(k_lo != k_hi)
-    fits, over = hi, lo  # least λ known to meet the budget, greatest known to overspend
+    basket, n = config.basket_value, q.shape[0]
+    k_lo, k_hi = np.full(n, -1), np.full(n, -1)  # the choices at over and fits; -1: none known
+    spent_hi, rows = np.zeros(n), np.arange(n)
+    fits, over = np.inf, -np.inf  # least λ known to meet the budget, greatest known to overspend
 
     def probe(lam: float) -> None:  # moves fits or over, with k_hi and spent_hi or k_lo, to lam
         nonlocal rows, spent_hi, fits, over
-        q_open = q[rows]
+        q_open = q if len(rows) == n else q[rows]
         k = _best_discount(q_open, v, lam)
         spent = spent_hi.copy()
         spent[rows] = _spend(q_open, v, k, basket)
-        if float(np.sum(spent)) <= config.budget:
+        total = float(np.sum(spent))
+        top = lam == LAMBDA_BOUNDS[1]  # a NaN total there counts as meeting the budget
+        if top and total > config.budget:  # and goes on to the certificate
+            raise InfeasibleBudgetError(f"redemption {total:.6g} exceeds budget "
+                                        f"{config.budget:.6g} at the interval top {lam}")
+        if total <= config.budget or top:
             fits, spent_hi = lam, spent
             k_hi[rows] = k
         else:
@@ -172,25 +169,37 @@ def _bisect(q: np.ndarray, v: np.ndarray, config: BudgetConfig) -> float:
             k_lo[rows] = k
         rows = rows[k_lo[rows] != k_hi[rows]]
 
-    if q.shape[0] >= 2 * SAMPLE_ROWS:
-        sample = q[:: q.shape[0] // SAMPLE_ROWS]
+    guess, lower, upper = lo, lo, hi  # a small table's bracket is the interval, lo probed first
+    if n >= 2 * SAMPLE_ROWS:
+        sample = q[:: n // SAMPLE_ROWS]
         try:
-            guess = _bisect(sample, v, BudgetConfig(basket, config.budget * len(sample) / len(q)))
+            guess = _bisect(sample, v, BudgetConfig(basket, config.budget * len(sample) / n))[0]
         except InfeasibleBudgetError:
             guess = hi
-        a, b = lo, hi
-        for _ in range(GUESS_DEPTH):
-            mid = 0.5 * (a + b)
-            a, b = (a, mid) if guess <= mid else (mid, b)
-        for end in (b, a):
-            if over < end < fits:
-                probe(end)
+        lower = _leaf(guess * (1 - BRACKET_MARGIN))[0]
+        upper = _leaf(guess * (1 + BRACKET_MARGIN))[1]
+    for end in ((lower, upper) if guess == lo else (upper, lower)) + (lo, hi):
+        if over < end < fits:
+            probe(end)
+    if fits == lo:
+        return lo, k_hi
     while hi - lo > TOLERANCE:
         mid = 0.5 * (lo + hi)
         if over < mid < fits:
             probe(mid)
         lo, hi = (lo, mid) if mid >= fits else (mid, hi)
-    return hi
+    assert hi == fits, "the bracket's points are points of the bisection tree"
+    return hi, k_hi
+
+
+def _leaf(target: float) -> tuple[float, float]:
+    """The leaf (a, b] of the bisection tree holding target (or its first or
+    last leaf), walked with the bisection's own midpoints and stopping rule."""
+    a, b = LAMBDA_BOUNDS
+    while b - a > TOLERANCE:
+        mid = 0.5 * (a + b)
+        a, b = (a, mid) if target <= mid else (mid, b)
+    return a, b
 
 
 def _spend(q: np.ndarray, v: np.ndarray, k: np.ndarray, basket_value: float) -> np.ndarray:

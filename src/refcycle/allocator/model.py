@@ -107,8 +107,20 @@ def feature_matrix(X: np.ndarray) -> np.ndarray:
 def _purchase_prob(alpha, beta, v, pivot: float) -> np.ndarray:
     """q = sigmoid(alpha + (v - pivot) * beta), with alpha and beta the baseline
     logit and sensitivity of each customer.  The one place the logit is formed,
-    so every caller's probabilities agree bit for bit."""
-    return np.asarray(sigmoid(alpha + (v - pivot) * beta))
+    so every caller's probabilities agree bit for bit; ``sigmoid``'s ops run in
+    place on it."""
+    t = np.asarray(alpha + (v - pivot) * beta, dtype=float)
+    t *= 0.5
+    np.tanh(t, out=t)
+    t += 1.0
+    t *= 0.5
+    return t
+
+
+def _purchase_table(alpha: np.ndarray, beta: np.ndarray, v: np.ndarray, pivot: float) -> np.ndarray:
+    """The (customers, discounts) table of ``_purchase_prob``, formed along
+    the long axis as a (discounts, customers) array and returned in C order."""
+    return np.ascontiguousarray(_purchase_prob(alpha[None, :], beta[None, :], v[:, None], pivot).T)
 
 
 def purchase_prob_table(
@@ -116,9 +128,8 @@ def purchase_prob_table(
 ) -> np.ndarray:
     """Matrix of q(x_i, v) for every customer and discount."""
     X = feature_matrix(X)
-    v = np.asarray(discounts.values)[None, :]
-    return _purchase_prob(model.alpha_values(X)[:, None], model.sensitivity(X)[:, None],
-                          v, model.pivot)
+    return _purchase_table(model.alpha_values(X), model.sensitivity(X),
+                           np.asarray(discounts.values), model.pivot)
 
 
 def myopic_assign(

@@ -93,6 +93,26 @@ def test_nonfinite_features_raise_instead_of_returning_uncertified_lambda():
         tune_lambda(model, X, BudgetConfig(basket_value=10.0, budget=1.0))
 
 
+@pytest.mark.parametrize("row", [0, 1])
+def test_nonfinite_features_raise_on_a_sampled_table(row):
+    """The same on a table large enough to be bisected from its strided
+    sample, with the NaN row in the sample (row 0) or outside it (row 1, the
+    stride being 2): every probe's sum is NaN, the top is not refused, and
+    the certificate refuses the interval's top, as on a small table."""
+    rng = np.random.default_rng(3)
+    X, model = population(rng, size=5_000)
+    basket = 100.0
+    low, high = (redemption_at(model, X, lam, basket, DiscountSet())
+                 for lam in reversed(LAMBDA_BOUNDS))
+    config = BudgetConfig(basket_value=basket, budget=0.5 * (low + high))
+    assert LAMBDA_BOUNDS[0] < tune_lambda(model, X, config) < LAMBDA_BOUNDS[1]
+    X[row, 1] = np.nan
+    assert 5_000 // budget.SAMPLE_ROWS == 2
+    with pytest.raises(InfeasibleBudgetError,
+                       match=rf"shadow price {LAMBDA_BOUNDS[1]} does not meet budget"):
+        tune_lambda(model, X, config)
+
+
 # -----------------------------------------------------------------------------
 # every probe off one table: the same numbers as the public functions, and
 # the same shadow price as a bisection that rescores every row
@@ -159,6 +179,17 @@ def outcome(tune, *args):
         return tune(*args)
     except InfeasibleBudgetError:
         return "infeasible"
+
+
+BEST_DISCOUNT = budget._best_discount  # the tests below count calls to a patched copy
+
+
+def bisected(q, v, config):
+    """``budget._bisect``'s shadow price, once the choice it returns with it
+    is checked to be the table's choice there, byte for byte."""
+    lam, chosen = budget._bisect(q, v, config)
+    assert chosen.tobytes() == BEST_DISCOUNT(q, v, lam).tobytes(), lam
+    return lam
 
 
 def test_same_lambda_as_reference_bisection(monkeypatch):
@@ -285,7 +316,7 @@ def test_open_row_bisection_matches_full_row_bisection(monkeypatch):
             monkeypatch.setattr(budget, "TOLERANCE", tolerance)
             probed = []
             expected = outcome(full_row_bisect, q, v, config, bounds, tolerance, probed)
-            assert outcome(budget._bisect, q.copy(), v, config) == expected, case
+            assert outcome(bisected, q.copy(), v, config) == expected, case
             for lam in probed:
                 scores = (1.0 - lam * v)[None, :] * q
                 top_scores = scores == scores.max(axis=1, keepdims=True)
@@ -319,7 +350,7 @@ def test_open_rows_shrink(monkeypatch):
         return best_discount(q, v, lam)
 
     monkeypatch.setattr(budget, "_best_discount", counted)
-    lam = budget._bisect(q, v, config)
+    lam = bisected(q, v, config)
     assert lam == expected
     assert LAMBDA_BOUNDS[0] < lam < LAMBDA_BOUNDS[1]
     assert len(scored) > 20
@@ -364,10 +395,26 @@ def interleaved_by_best_spend(q, v):
     return q[mixed]
 
 
+def bracket(guess, bounds, tolerance):
+    """The tree points just below guess·(1 - m) and just above guess·(1 + m),
+    m = ``BRACKET_MARGIN``: walked down the bisection over ``bounds`` to
+    ``tolerance``, midpoint by midpoint."""
+    points = []
+    for target, side in ((guess * (1 - budget.BRACKET_MARGIN), 0),
+                         (guess * (1 + budget.BRACKET_MARGIN), 1)):
+        a, b = bounds
+        while b - a > tolerance:
+            mid = 0.5 * (a + b)
+            a, b = (a, mid) if target <= mid else (mid, b)
+        points.append((a, b)[side])
+    return points
+
+
 def test_sampled_bisection_matches_full_row_bisection(monkeypatch):
     """Tables large enough to be seeded from a strided sample, some ordered
     so that the sample is biased: the same outcome as the full-row
-    bisection, whether the guessed node's ends hold or the loop falls back."""
+    bisection, whether the sample's bracket holds or an end of the interval
+    is probed after all."""
     rng = np.random.default_rng(31)
     kinds = ("model", "duplicated columns", "grid", "grid, dyadic discounts")
     guessed = {"confirmed": 0, "fallback": 0}
@@ -377,14 +424,14 @@ def test_sampled_bisection_matches_full_row_bisection(monkeypatch):
     def recorded(q, v, config):
         sample = q.shape[0] < 2 * budget.SAMPLE_ROWS
         try:
-            lam = bisect(q, v, config)
+            result = bisect(q, v, config)
         except InfeasibleBudgetError:
             if sample:
                 guesses.append(None)
             raise
         if sample:
-            guesses.append(lam)
-        return lam
+            guesses.append(result[0])
+        return result
 
     monkeypatch.setattr(budget, "_bisect", recorded)
     for case in range(80):
@@ -406,24 +453,45 @@ def test_sampled_bisection_matches_full_row_bisection(monkeypatch):
             monkeypatch.setattr(budget, "TOLERANCE", tolerance)
             expected = outcome(full_row_bisect, q, v, config, bounds, tolerance)
             guesses.clear()
-            assert outcome(budget._bisect, q.copy(), v, config) == expected, case
-            if not guesses:  # returned at an end of the interval before any guess
-                continue
-            # the node the program walks to, and whether its ends are on the right sides
-            a, b = bounds
-            guess = bounds[1] if guesses[0] is None else guesses[0]
-            for _ in range(budget.GUESS_DEPTH):
-                mid = 0.5 * (a + b)
-                a, b = (a, mid) if guess <= mid else (mid, b)
-            right = ((a == bounds[0] or full_probe(q, v, a, basket) > config.budget)
-                     and (b == bounds[1] or full_probe(q, v, b, basket) <= config.budget))
+            assert outcome(bisected, q.copy(), v, config) == expected, case
+            assert len(guesses) == 1, case  # every run bisects its sample, once
+            # the bracket the program probes first, and whether it decides both ends
+            lower, upper = bracket(bounds[1] if guesses[0] is None else guesses[0], bounds,
+                                   tolerance)
+            right = full_probe(q, v, upper, basket) <= config.budget < full_probe(q, v, lower,
+                                                                                   basket)
             guessed["confirmed" if right else "fallback"] += 1
     assert guessed["confirmed"] >= 10 and guessed["fallback"] >= 10, guessed
 
 
+def counted_bisection(monkeypatch, q, v, config, with_sample=False):
+    """``_bisect``'s outcome, and the rows each of its probes scored; the
+    probes of its bisection of the sample are left out unless ``with_sample``."""
+    scored, nested = [], []
+    bisect = budget._bisect
+
+    def entered(table, v, config):
+        nested.append(table)
+        try:
+            return bisect(table, v, config)
+        finally:
+            nested.pop()
+
+    def counted(table, v, lam):
+        if with_sample or len(nested) == 1:
+            scored.append(table.shape[0])
+        return BEST_DISCOUNT(table, v, lam)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(budget, "_bisect", entered)
+        patched.setattr(budget, "_best_discount", counted)
+        return outcome(bisected, q, v, config), scored
+
+
 @pytest.mark.parametrize("share", [0.2, 0.5, 0.8])
 def test_sampled_bisection_scores_fewer_rows(monkeypatch, share):
-    """The guessed node spares the first probes, which score nearly every row."""
+    """The sample's bracket spares the probes at the interval's ends and the
+    first midpoints, which score nearly every row."""
     rng = np.random.default_rng(5)
     X, model = population(rng, size=20_000)
     discounts = DiscountSet()
@@ -432,19 +500,78 @@ def test_sampled_bisection_scores_fewer_rows(monkeypatch, share):
     basket = 100.0
     low, high = (full_probe(q, v, lam, basket) for lam in reversed(LAMBDA_BOUNDS))
     config = BudgetConfig(basket, low + share * (high - low))
-    scored = []
-    best_discount = budget._best_discount
-
-    def counted(q, v, lam):
-        scored.append(q.shape[0])
-        return best_discount(q, v, lam)
-
-    monkeypatch.setattr(budget, "_best_discount", counted)
-    guided = budget._bisect(q, v, config)
-    guided_rows = sum(scored)
-    scored.clear()
+    guided, guided_rows = counted_bisection(monkeypatch, q, v, config, with_sample=True)
     monkeypatch.setattr(budget, "SAMPLE_ROWS", len(X))  # the table is under 2·SAMPLE_ROWS rows
-    unguided = budget._bisect(q, v, config)
+    unguided, unguided_rows = counted_bisection(monkeypatch, q, v, config)
     assert guided == unguided
     assert LAMBDA_BOUNDS[0] < guided < LAMBDA_BOUNDS[1]
-    assert guided_rows <= 0.75 * sum(scored), (guided_rows, sum(scored))
+    assert sum(guided_rows) <= 0.75 * sum(unguided_rows), (guided_rows, unguided_rows)
+
+
+@pytest.mark.parametrize("interleaved", [False, True])
+def test_bracket_probes_the_full_table_at_most_twice_when_it_holds(monkeypatch, interleaved):
+    """A bracket that holds decides both ends of the interval: two probes
+    score every row, and the rest only the rows open inside the bracket.  One
+    that misses adds one full probe, at the end of the interval it leaves
+    undecided.  (Probing both ends first, as a bisection without the
+    sample does, takes two full probes before the first midpoint.)"""
+    rng = np.random.default_rng(7)
+    X, model = population(rng, size=8 * budget.SAMPLE_ROWS)  # an even stride, 8
+    discounts = DiscountSet()
+    q = purchase_prob_table(model, X, discounts)
+    v = np.asarray(discounts.values)
+    if interleaved:  # a sample biased toward the rows that redeem least
+        q = interleaved_by_best_spend(q, v)
+    basket = 100.0
+    low, high = (full_probe(q, v, lam, basket) for lam in reversed(LAMBDA_BOUNDS))
+    seen = {"confirmed": 0, "fallback": 0}
+    for share in np.linspace(0.02, 0.98, 25):
+        config = BudgetConfig(basket, low + share * (high - low))
+        lam, scored = counted_bisection(monkeypatch, q, v, config)
+        assert lam == full_row_bisect(q, v, config, LAMBDA_BOUNDS, TOLERANCE)
+        stride = len(q) // budget.SAMPLE_ROWS
+        sample_config = BudgetConfig(basket, config.budget * len(q[::stride]) / len(q))
+        guess = outcome(full_row_bisect, q[::stride], v, sample_config, LAMBDA_BOUNDS, TOLERANCE)
+        lower, upper = bracket(LAMBDA_BOUNDS[1] if guess == "infeasible" else guess,
+                               LAMBDA_BOUNDS, TOLERANCE)
+        confirmed = full_probe(q, v, upper, basket) <= config.budget < full_probe(q, v, lower,
+                                                                                   basket)
+        seen["confirmed" if confirmed else "fallback"] += 1
+        full = scored.count(len(q))
+        assert full <= (2 if confirmed else 3), (share, scored)
+        assert scored[:full] == [len(q)] * full, scored  # the full probes come first
+        if confirmed:
+            assert sum(scored[full:]) < 0.5 * len(q), (share, scored)  # 0.03-0.35 here
+    assert seen["fallback" if interleaved else "confirmed"] >= 20, seen
+    # a budget the sample meets at the bottom, or overspends at the top: that end, probed first
+    for share, end in ((1.2, LAMBDA_BOUNDS[0]), (-0.2, "infeasible")):
+        config = BudgetConfig(basket, max(0.0, low + share * (high - low)))
+        assert counted_bisection(monkeypatch, q, v, config) == (end, [len(q)])
+
+
+def test_bracket_is_made_of_tree_points(monkeypatch):
+    """A sample whose λ·(1 + m) falls inside the answer's leaf of the
+    bisection tree, past the least shadow price that meets the budget: the
+    upper point is the leaf's top, the answer itself, so the search ends on
+    a probed point.  (The point λ·(1 + m) itself would meet the budget, and
+    the answer above it would be decided without a probe.)"""
+    rng = np.random.default_rng(11)
+    X, model = population(rng, size=2 * budget.SAMPLE_ROWS)
+    discounts = DiscountSet()
+    q = purchase_prob_table(model, X, discounts)
+    v = np.asarray(discounts.values)
+    basket = 100.0
+    low, high = (full_probe(q, v, lam, basket) for lam in reversed(LAMBDA_BOUNDS))
+    config = BudgetConfig(basket, 0.5 * (low + high))
+    expected = full_row_bisect(q, v, config, LAMBDA_BOUNDS, TOLERANCE)
+    over, fits = expected - TOLERANCE, expected  # the answer's leaf holds the least such price
+    for _ in range(60):
+        mid = 0.5 * (over + fits)
+        over, fits = (over, mid) if full_probe(q, v, mid, basket) <= config.budget else (mid, fits)
+    assert fits < expected
+    guess = 0.5 * (fits + expected) / (1 + budget.BRACKET_MARGIN)
+    bisect = budget._bisect
+    monkeypatch.setattr(budget, "_bisect", lambda table, v, config: (
+        (guess, None) if len(table) < len(q) else bisect(table, v, config)))
+    assert bracket(guess, LAMBDA_BOUNDS, TOLERANCE)[1] == expected
+    assert bisected(q, v, config) == expected
