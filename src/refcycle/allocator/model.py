@@ -85,8 +85,9 @@ class AllocationModel:
             raise ValueError("alpha_weights must be intercept plus one weight per feature")
         if beta.shape != (d,):
             raise ValueError("beta_weights must have one weight per feature")
-        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
-            raise ValueError("model weights must be finite")
+        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))
+                and np.isfinite(self.pivot)):
+            raise ValueError("model weights and pivot must be finite")
 
     def alpha_values(self, features: np.ndarray) -> np.ndarray:
         """Baseline logit alpha(x) per row."""

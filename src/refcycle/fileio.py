@@ -18,11 +18,12 @@ keyed by their bits: ``-0.0 == 0.0``, yet the texts differ).  On reading, blank
 lines are skipped and every other row must have the header's width.
 
 A panel row is one structured dtype, :func:`_panel_row`, a field per
-:class:`CouponDataset` column.  :func:`save_dataset` also writes the cache
-``<file>.npy``, a stream of ``.npy`` arrays: the CSV's sha256, the header and
-the columns the CSV reader returns, in field order.  :func:`load_dataset` takes
-the columns from it only when the sha256 and the sidecar's header match, and
-never unpickles; else it parses the CSV.  Deleting the cache changes no answer.
+:class:`CouponDataset` column.  Where the CSV reader would return the
+dataset's own columns unchanged, :func:`save_dataset` also writes them as the
+cache ``<file>.npy``, a stream of ``.npy`` arrays: the CSV's sha256, the header
+and the columns in field order.  :func:`load_dataset` takes the columns from it
+only when the sha256 and the sidecar's header match, and never unpickles; else
+it parses the CSV.  Deleting the cache changes no answer.
 """
 
 from __future__ import annotations
@@ -311,8 +312,16 @@ def _panel_row(feature_names) -> np.dtype:
 
 
 def save_dataset(dataset: CouponDataset, path: str | Path) -> Path:
-    """Write the CSV panel, its JSON sidecar and, where :func:`_read_back`
-    allows, its cache; returns the sidecar path."""
+    """Write the CSV panel, its JSON sidecar and, where the CSV reads back as
+    the dataset's own columns, those columns as its cache; returns the sidecar path.
+
+    It does when the panel has a row, an ASCII header (the CSV is read in the
+    locale's encoding, which may not be the writer's) and every column in its
+    field's dtype with no NaN: ``str(int(x))`` and the shortest ``repr`` read
+    back bit for bit, but every NaN as ``float("nan")``.  The columns are
+    cached in C order, the row layout the CSV readers give, which a matmul's
+    rounding can depend on.  Any other panel gets no cache.
+    """
     path = Path(path)
     cache = cache_path(path)
     cache.unlink(missing_ok=True)  # a panel written here has this cache or none
@@ -328,41 +337,16 @@ def save_dataset(dataset: CouponDataset, path: str | Path) -> Path:
         "discounts": list(dataset.discounts),
         "memory": dataset.memory,
     }, indent=2) + "\n")
-    columns = _read_back(dataset)
-    if columns is not None:
+    row = _panel_row(dataset.feature_names)
+    columns = [getattr(dataset, name) for name in row.names]
+    if (dataset.num_rows and "".join(header).isascii()
+            and all(column.dtype == row[name].base for name, column in zip(row.names, columns))
+            and not (np.isnan(dataset.features).any() or np.isnan(dataset.coupons).any())):
         with cache.open("wb") as handle:  # np.save writes a file's arrays with tofile
-            for array in (np.array(file_sha256(path)), np.array(header), *columns):
+            for array in (np.array(file_sha256(path)), np.array(header),
+                          *map(np.ascontiguousarray, columns)):
                 np.save(handle, array)
     return sidecar
-
-
-def _read_back(dataset: CouponDataset) -> list[np.ndarray] | None:
-    """The columns, in field order, that the CSV reader returns for the panel
-    :func:`save_dataset` writes, or ``None`` where the reader refuses it or a
-    column could differ.
-
-    The CSV holds ``str(int(x))`` and ``str(float(x))``, so a column reads
-    back as its cast to its field's dtype, with every NaN the canonical
-    ``float("nan")``; -0.0, infinities and subnormals keep their bits.
-    Refused: a panel without rows (the reader refuses it), a uint64 id, day
-    or purchase of 2**63 or more (likewise), a float column of another kind,
-    and a header that is not ASCII (the CSV is read in the locale's encoding,
-    which may not be the writer's).
-    """
-    if dataset.num_rows == 0 or not "".join(_dataset_header(dataset.feature_names)).isascii():
-        return None
-    row = _panel_row(dataset.feature_names)
-    columns = []
-    for name in row.names:
-        column, base = getattr(dataset, name), row[name].base
-        if (base.kind == "f" and column.dtype.kind != "f"
-                or column.dtype.kind == "u" and column.max() >= 2**63):
-            return None
-        column = column.astype(base, copy=False)
-        if base.kind == "f" and np.isnan(column).any():  # copied only if it holds a NaN
-            column = np.where(np.isnan(column), np.nan, column)
-        columns.append(column)
-    return columns
 
 
 def load_dataset(path: str | Path) -> CouponDataset:

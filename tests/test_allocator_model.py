@@ -42,6 +42,14 @@ def test_model_validation():
         AllocationModel(("a",), np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         AllocationModel(("a",), np.array([0.0, np.inf]), np.array([1.0]))
+    with pytest.raises(ValueError, match="one weight per feature"):
+        AllocationModel(("a",), np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("pivot", [np.nan, np.inf, -np.inf])
+def test_model_refuses_a_non_finite_pivot(pivot):
+    with pytest.raises(ValueError, match="pivot must be finite"):
+        AllocationModel(("a",), np.array([0.0, 1.0]), np.array([1.0]), pivot=pivot)
 
 
 def test_purchase_prob_zero_sensitivity():
@@ -116,6 +124,8 @@ def test_projected_redemption_examples():
     assert projected_redemption(model, empty, np.empty(0), 100.0) == 0.0
     one = np.array([[1.0]])
     assert projected_redemption(model, one, np.array([0.20]), 100.0) == pytest.approx(10.0)
+    with pytest.raises(ValueError, match="one assignment per customer"):
+        projected_redemption(model, one, np.array([0.20, 0.10]), 100.0)
 
 
 def test_redemption_weakly_decreasing_in_shadow_price(rng):

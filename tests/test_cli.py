@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from refcycle import cli
+from refcycle import cli, fileio
 from refcycle.cli import main
 from refcycle.fileio import gain_table_from_dict, gain_table_to_dict, save_dataset
 from refcycle.allocator import DiscountSet, PopulationSpec, default_ground_truth, simulate_population
@@ -629,6 +629,53 @@ def test_a_panel_reads_the_same_with_its_cache_stale_or_missing(capsys, tmp_path
         Path(name).write_bytes(b"\r\n".join([*rows, last, end]))
     edited = results()
     assert edited[0] == edited[1] != fresh[0]
+
+
+@pytest.mark.parametrize("policy", ["uniform", {"type": "constant", "value": 0.15},
+                                    {"type": "myopic", "shadow_price": 1.0}])
+def test_a_simulated_panel_is_read_from_its_cache(capsys, tmp_path, monkeypatch, policy):
+    monkeypatch.chdir(tmp_path)
+    Path("spec.json").write_text(json.dumps({"population": 40, "horizon": 6, "memory": 3,
+                                             "policy": policy}))
+    Path("model.json").write_text(json.dumps(VALID_MODEL))
+    code, _, err = run(capsys, "simulate", "--spec", "spec.json", "--out", "panel.csv")
+    assert code == 0
+    assert json.loads(err.splitlines()[-1])["outputs"][-1] == "panel.csv.npy"
+
+    def parse_nothing(*_):
+        raise AssertionError("the CSV was parsed although its cache holds the panel")
+
+    def outcomes():
+        # analyze may exit 3 on a constant-policy panel, whose coupon groups are empty
+        return [run(capsys, *dataset_command(command, "panel.csv"))[:2]
+                for command in ("analyze", "allocate")]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(fileio, "_loadtxt_rows", parse_nothing)
+        patched.setattr(fileio, "_read_panel_rows", parse_nothing)
+        cached = outcomes()
+    Path("panel.csv.npy").unlink()
+    assert cached == outcomes()
+    assert cached[1][0] == 0
+
+
+@pytest.mark.parametrize("pivot", [0.15, float("nan"), float("inf"), -float("inf")])
+def test_non_finite_pivot_exit_code(capsys, tmp_path, panel, pivot):
+    expected = 0 if np.isfinite(pivot) else 2
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**VALID_SPEC, "memory": 3, "ground_truth": {
+        "alpha_weights": TRUTH.alpha_weights.tolist(),
+        "beta_weights": TRUTH.beta_weights.tolist(), "pivot": pivot}}))
+    simulated = tmp_path / "simulated.csv"
+    code, _, err = run(capsys, "simulate", "--spec", spec, "--out", simulated)
+    assert code == expected and simulated.exists() == (expected == 0)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({**VALID_MODEL, "pivot": pivot}))
+    out = tmp_path / "out.json"
+    code, _, err = run(capsys, "allocate", "--model", model, "--customers", panel,
+                       "--budget", 5, "--W", 100, "--out", out)
+    assert code == expected and out.exists() == (expected == 0)
+    assert expected == 0 or "refcycle: error: model weights and pivot must be finite" in err
 
 
 @pytest.mark.parametrize("budget, basket, expected", [

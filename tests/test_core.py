@@ -305,6 +305,8 @@ def test_generator_validation():
         GeneratorCycle((0, 0))
     with pytest.raises(ValueError):
         GeneratorCycle(())
+    with pytest.raises(ValueError, match="nonnegative"):
+        GeneratorCycle((1, -1))
 
 
 # --- l-up-1-down recognition -------------------------------------------------

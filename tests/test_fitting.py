@@ -97,6 +97,26 @@ def test_iteration_cap_raises(rng, monkeypatch):
         fit_beta(X, v, y, alpha)
 
 
+def test_singular_hessian_takes_the_ridge_step(rng, monkeypatch):
+    # an all-zero feature column makes every Hessian exactly singular
+    X, v, y, alpha = synthetic_rows(rng, 5_000, np.array([6.0, 0.0, -4.0]))
+    X[:, 1] = 0.0
+    solve, singular = np.linalg.solve, []
+
+    def counting_solve(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(a)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    beta = fit_beta(X, v, y, alpha)
+    assert len(singular) >= 1
+    assert beta[1] == 0.0
+    assert np.max(np.abs(likelihood_gradient(beta, X, v, y, alpha))) <= fitting.GRAD_TOL
+
+
 def test_input_validation(rng):
     X = rng.standard_normal((10, 2))
     v = np.full(10, 0.15)
