@@ -47,10 +47,13 @@ def _check_inputs(features, coupons, outcomes, alpha):
 def likelihood_gradient(beta, features, coupons, outcomes, alpha, pivot: float = 0.15) -> np.ndarray:
     """Gradient of the mean log-likelihood with respect to ``beta``."""
     X, v, y, a = _check_inputs(features, coupons, outcomes, alpha)
-    z = (v - pivot)[:, None] * X
-    logits = a + z @ np.asarray(beta, dtype=float)
-    p = np.asarray(sigmoid(logits))
-    return z.T @ (y - p) / len(y)
+    s = v - pivot
+    p = np.asarray(sigmoid(a + s * (X @ np.asarray(beta, dtype=float))))
+    return X.T @ (s * (y - p)) / len(y)
+
+
+# rows of X per block of the Hessian's sum
+_BLOCK_ROWS = 4096
 
 
 def fit_beta(features, coupons, outcomes, alpha, pivot: float = 0.15) -> np.ndarray:
@@ -58,20 +61,24 @@ def fit_beta(features, coupons, outcomes, alpha, pivot: float = 0.15) -> np.ndar
 
     Deterministic: zero start, full-batch Newton steps, stop when the
     gradient max-norm falls below :data:`GRAD_TOL`.  Raises
-    :class:`FitConvergenceError` after :data:`MAX_ITER` steps.
+    :class:`FitConvergenceError` after :data:`MAX_ITER` steps.  The features
+    (v - pivot) * x are never formed; the Hessian is summed over row blocks.
     """
     X, v, y, a = _check_inputs(features, coupons, outcomes, alpha)
     n, d = X.shape
-    z = (v - pivot)[:, None] * X
+    s = v - pivot
     beta = np.zeros(d)
     for _ in range(MAX_ITER):
-        logits = a + z @ beta
-        p = np.asarray(sigmoid(logits))
-        grad = z.T @ (y - p) / n
+        p = np.asarray(sigmoid(a + s * (X @ beta)))
+        grad = X.T @ (s * (y - p)) / n
         if np.max(np.abs(grad)) <= GRAD_TOL:
             return beta
-        weights = p * (1.0 - p)
-        hessian = (z * weights[:, None]).T @ z / n
+        weights = p * (1.0 - p) * s * s
+        hessian = np.zeros((d, d))
+        for start in range(0, n, _BLOCK_ROWS):
+            block = X[start:start + _BLOCK_ROWS]
+            hessian += block.T @ (block * weights[start:start + _BLOCK_ROWS, None])
+        hessian /= n
         try:
             step = np.linalg.solve(hessian, grad)
         except np.linalg.LinAlgError:

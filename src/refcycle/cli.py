@@ -120,7 +120,8 @@ def _manifest(args: argparse.Namespace, inputs: list[str | Path],
     here, and ``wall_time_s`` holds the start until :func:`_emit` stops it.
 
     Each of ``inputs`` is hashed here; ``digests`` gives the sha256 of inputs
-    already hashed as they were read (a dataset panel), so no file is hashed twice."""
+    already hashed as they were read (a gain table, a dataset panel), so no
+    file is read twice."""
     return {
         "command": args.command,
         "inputs": {**{str(p): file_sha256(p) for p in inputs}, **(digests or {})},
@@ -157,8 +158,8 @@ def _emit(payload: dict, out: str | None, manifest: dict, write_files=None) -> i
 
 
 def _cmd_solve(args) -> int:
-    table = load_gain_table(args.gains, args.memory)
-    manifest = _manifest(args, [args.gains])
+    table, digest = load_gain_table(args.gains, args.memory, with_digest=True)
+    manifest = _manifest(args, [], {args.gains: digest})
     result = solve(table)
     return _emit({
         "opt": result.opt,
@@ -171,8 +172,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    table = load_gain_table(args.gains, args.memory)
-    manifest = _manifest(args, [args.gains])
+    table, digest = load_gain_table(args.gains, args.memory, with_digest=True)
+    manifest = _manifest(args, [], {args.gains: digest})
     result = max_mean_cycle(StateGraph.build(table))
     payload = {
         "value": result.value,
@@ -188,14 +189,14 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    table = load_gain_table(args.gains, args.memory)
+    table, digest = load_gain_table(args.gains, args.memory, with_digest=True)
     cycle = parse_cycle_text(args.cycle, table.grid)
-    manifest = _manifest(args, [args.gains])
+    manifest = _manifest(args, [], {args.gains: digest})
     final, steps = reduce_to_l_up_1_down(cycle, table)
     _, generator = is_l_up_1_down(final, table.grid)
     return _emit({
         "initial": format_cycle(cycle, table.grid),
-        "initial_objective": cycle_objective(cycle, table),
+        "initial_objective": steps[0].objective_before if steps else cycle_objective(final, table),
         "final": format_cycle(final, table.grid),
         "final_objective": cycle_objective(final, table),
         "generator": format_cycle(generator, table.grid) if generator else None,

@@ -128,7 +128,7 @@ class GainTable:
         )
 
 
-def _least_rotation(tokens: tuple[int, ...]) -> int:
+def _least_rotation(tokens: Sequence[int]) -> int:
     """Start of the lexicographically least rotation, in linear time.
 
     Two candidate starts i and j are compared token by token.  At the first
@@ -152,6 +152,14 @@ def _least_rotation(tokens: tuple[int, ...]) -> int:
             j += 1
         k = 0
     return min(i, j)
+
+
+def _canonical_span(tokens: Sequence[int]) -> tuple[int, int]:
+    """``(start, period)``: the canonical form of the cycle ``tokens`` is the
+    primitive period ``tokens[:period]`` rotated to begin at ``start``."""
+    c = len(tokens)
+    period = next(p for p in range(1, c + 1) if not c % p and tokens[p:] == tokens[:c - p])
+    return _least_rotation(tokens[:period]), period
 
 
 @dataclass(frozen=True)
@@ -179,12 +187,9 @@ class PriceCycle:
         return len(self.tokens)
 
     def canonical(self) -> "PriceCycle":
-        tokens, c = self.tokens, len(self.tokens)
-        start = _least_rotation(tokens)
-        least = tokens[start:] + tokens[:start]
-        # the least rotation of a repetition repeats the base's least rotation
-        period = next(p for p in range(1, c + 1) if not c % p and least[p:] == least[:c - p])
-        return PriceCycle(least[:period])
+        start, period = _canonical_span(self.tokens)
+        base = self.tokens[:period]
+        return PriceCycle(base[start:] + base[:start])
 
     def equivalent(self, other: "PriceCycle") -> bool:
         return self.canonical().tokens == other.canonical().tokens
@@ -256,17 +261,21 @@ def _offer_gains(cycle: PriceCycle, table: GainTable) -> list[float]:
     return [table.gains[ref][tok] for ref, tok in zip(refs, canon.tokens)]
 
 
+def _mean(gains: Sequence[float]) -> float:
+    """The float mean of ``gains``, summed in order from 0.0."""
+    total = 0.0
+    for gain in gains:
+        total += gain
+    return total / len(gains)
+
+
 def cycle_objective(cycle: PriceCycle, table: GainTable) -> float:
     """Long-run average gain of a price cycle.
 
     Evaluated on the canonical form, so the result is exactly invariant under
     rotation and under repeating the cycle.
     """
-    gains = _offer_gains(cycle, table)
-    total = 0.0
-    for gain in gains:
-        total += gain
-    return total / len(gains)
+    return _mean(_offer_gains(cycle, table))
 
 
 def exact_objective(cycle: PriceCycle, table: GainTable) -> Fraction:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import sys
 import warnings
@@ -170,32 +171,38 @@ def gain_table_from_dict(payload: dict) -> GainTable:
     return GainTable.from_rows(grid, payload["gains"])
 
 
-def load_gain_table(path: str | Path, memory: int | None = None) -> GainTable:
+def load_gain_table(path: str | Path, memory: int | None = None, *,
+                    with_digest: bool = False) -> GainTable | tuple[GainTable, str]:
+    """The gain table in the file and, with ``with_digest``, the sha256 of the bytes parsed."""
     path = Path(path)
-    if path.suffix.lower() == ".csv":
-        if memory is None:
-            raise ValueError("CSV gain tables need an explicit memory length")
-        with path.open(newline="") as handle:
-            try:
-                rows = [row for row in csv.reader(handle) if row]
-            except csv.Error as exc:  # a field over the csv module's size limit
-                raise ValueError(f"CSV gain table {path}: {exc}") from None
+    is_csv = path.suffix.lower() == ".csv"
+    if is_csv and memory is None:
+        raise ValueError("CSV gain tables need an explicit memory length")
+    data = path.read_bytes()
+    text = io.TextIOWrapper(io.BytesIO(data), newline="" if is_csv else None)  # as open() reads
+    if is_csv:
+        try:
+            rows = [row for row in csv.reader(text) if row]
+        except csv.Error as exc:  # a field over the csv module's size limit
+            raise ValueError(f"CSV gain table {path}: {exc}") from None
         if not rows:
             raise ValueError(f"CSV gain table {path} is empty")
         grid = PriceGrid.from_values([as_price(cell) for cell in rows[0]], memory)
-        return GainTable.from_rows(grid, [[float(cell) for cell in row] for row in rows[1:]])
-    table = gain_table_from_dict(_read_json(path))
-    if memory is not None and memory != table.grid.memory:
-        raise ValueError(
-            f"--memory {memory} conflicts with the file's memory {table.grid.memory}"
-        )
-    return table
+        table = GainTable.from_rows(grid, [[float(cell) for cell in row] for row in rows[1:]])
+    else:
+        table = gain_table_from_dict(_read_json(path, text))
+        if memory is not None and memory != table.grid.memory:
+            raise ValueError(
+                f"--memory {memory} conflicts with the file's memory {table.grid.memory}"
+            )
+    return (table, hashlib.sha256(data).hexdigest()) if with_digest else table
 
 
-def _read_json(path: str | Path):
-    """The JSON value in the file; ``ValueError`` if malformed or nested too deeply."""
+def _read_json(path: str | Path, text: io.TextIOBase | None = None):
+    """The JSON value in the file, or in ``text``, the file opened;
+    ``ValueError`` if malformed or nested too deeply."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text() if text is None else text.read())
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
 

@@ -15,19 +15,25 @@ in two phases:
    price, the cycle splits at the pair whose longer subcycle is shortest
    into two shorter cycles, the better of which is kept.
 
-Candidates are scored by the actual full-cycle objective
-(:func:`~refcycle.core.cycle_objective`), and each cycle is scored once: its
-objective is carried through both phases.  A step's two objectives are
-therefore the float objectives of its ``before`` and ``after`` cycles (a
-constant collapse records the diagonal gain g(t, t)), and every step is a
-checked certificate: the objective never decreases (beyond float noise) and
-the final cycle parses as a distinct-price expansion.  On tables that are not
-reference-monotone a step with no non-decreasing choice raises
-:class:`ReductionViolationError`.
+Normalization scores candidates exactly, on gains in integers over one
+common denominator: a rewrite changes only its stretch and the references of
+the ``memory`` positions after it, so only those are walked, with the
+``memory`` tokens before the stretch as history (the whole candidate when the
+rest of the cycle is shorter than 2 * ``memory``), and candidates compare by
+cross-multiplied (total, length), the first maximum winning.  Only an accepted
+rewrite builds its canonical cycle and float objective, from the kept
+references: a step's two objectives are those of
+:func:`~refcycle.core.cycle_objective` on its ``before`` and ``after`` cycles
+(a constant collapse records the diagonal gain g(t, t)).  Every step is a
+checked certificate: a rewrite never lowers the exact objective, a reset split
+lowers the float one by float noise at most, and the final cycle parses as a
+distinct-price expansion.  On tables that are not reference-monotone a step
+with no non-decreasing choice raises :class:`ReductionViolationError`.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -35,6 +41,9 @@ from .core import (
     GainTable,
     PriceCycle,
     PriceGrid,
+    _canonical_span,
+    _mean,
+    _reference_walk,
     cycle_objective,
     is_l_up_1_down,
     reference_indices,
@@ -87,35 +96,24 @@ def _strided_replacements(gap: tuple[int, ...], memory: int) -> list[tuple[int, 
     ))
 
 
-def _assemble(anchors: list[int], gaps: list[tuple[int, ...]]) -> PriceCycle:
-    return PriceCycle(tuple(tok for anchor, gap in zip(anchors, gaps) for tok in (anchor, *gap)))
-
-
-def _record(steps: list[ReductionStep], kind: str, before: PriceCycle, before_obj: float,
-            after: PriceCycle, after_obj: float) -> tuple[PriceCycle, float]:
-    """Check one rewrite against the non-decrease rule (it may lower the
-    objective by float noise only), append it to ``steps`` and return its
-    result with the result's objective."""
-    if after_obj < before_obj - 1e-12 * (1.0 + abs(before_obj)):
-        raise ReductionViolationError(
-            "neither subcycle preserves the objective" if kind == "reset-split"
-            else "no candidate preserves the objective; the gain table is not reference-monotone"
-        )
-    steps.append(ReductionStep(kind, before, after, before_obj, after_obj))
-    return after, after_obj
-
-
 def _normalize(
-    work: PriceCycle, objective: float, table: GainTable, steps: list[ReductionStep]
+    work: PriceCycle, table: GainTable, steps: list[ReductionStep]
 ) -> tuple[PriceCycle, float]:
-    """Normalize the canonical cycle ``work`` of objective ``objective``,
-    recording each rewrite; returns the canonical result and its objective."""
-    memory = table.grid.memory
+    """Normalize the canonical cycle ``work``, recording each rewrite; returns
+    the canonical result and its objective.  ``tokens``, ``refs`` and
+    ``total`` hold the rewritten cycle in ``work``'s positions."""
+    memory, gains = table.grid.memory, table.gains
+    ratios = [[gain.as_integer_ratio() for gain in row] for row in gains]
+    unit = math.lcm(*{d for row in ratios for _, d in row})
+    exact = [[p * (unit // d) for p, d in row] for row in ratios]
+    tokens, refs = list(work.tokens), reference_indices(work, table.grid)
+    objective = _mean([gains[r][tok] for r, tok in zip(refs, tokens)])
+    total = sum(exact[r][tok] for r, tok in zip(refs, tokens))
     # a canonical cycle starts at its minimum price, which is always a low point
-    lows = sorted(low_points(work, table.grid))
-    anchors = [work.tokens[a] for a in lows]
-    gaps = [work.tokens[a + 1:b] for a, b in zip(lows, lows[1:] + [len(work)])]
-    for i, gap in enumerate(gaps):
+    lows = [t for t, tok in enumerate(tokens) if tok <= refs[t]]
+    original, shift = work.tokens, 0
+    for a, b in zip(lows, lows[1:] + [len(original)]):
+        gap = original[a + 1:b]
         if not gap:
             continue
         if len(gap) < memory:
@@ -123,23 +121,44 @@ def _normalize(
             candidates += [("constant-collapse", (tok,)) for tok in sorted(set(gap))]
         else:
             candidates = [("gap-rewrite", repl) for repl in _strided_replacements(gap, memory)]
+        s, e, c = a + 1 + shift, b + shift, len(tokens)
+        rest = tokens[e:] + tokens[:s]
+        # the positions after the stretch whose references a rewrite can move
+        tail = rest if len(rest) < 2 * memory else rest[:memory]
+        kept = total - sum(exact[refs[t % c]][tokens[t % c]] for t in range(s, e + len(tail)))
         best = None
         for kind, repl in candidates:
             if kind == "constant-collapse":
-                obj = table.gains[repl[0]][repl[0]]
+                score = (exact[repl[0]][repl[0]], 1, None)
             elif repl == gap:
-                obj = objective
+                score = (total, c, None)
             else:
-                obj = cycle_objective(_assemble(anchors, gaps[:i] + [repl] + gaps[i + 1:]), table)
-            if best is None or obj > best[0]:
-                best = (obj, kind, repl)
-        obj, kind, repl = best
+                window = min(memory, len(repl) + len(rest))
+                history = ([*repl] + rest[-memory:])[-window:]
+                walk = list(_reference_walk(history + [*repl, *tail], window))
+                score = (kept + sum(exact[r][tok] for r, tok in walk), len(repl) + len(rest), walk)
+            if best is None or score[0] * best[1] > best[0] * score[1]:
+                best = (*score, kind, repl)
+        best_total, length, walk, kind, repl = best
+        if best_total * c < total * length:
+            raise ReductionViolationError(
+                "no candidate preserves the objective; the gain table is not reference-monotone")
         if kind == "constant-collapse":
-            return _record(steps, kind, work, objective, PriceCycle(repl), obj)
-        if repl != gap:
-            gaps[i] = repl
-            work, objective = _record(steps, kind, work, objective,
-                                      _assemble(anchors, gaps).canonical(), obj)
+            t = repl[0]
+            steps.append(ReductionStep(kind, work, PriceCycle(repl), objective, gains[t][t]))
+            return PriceCycle(repl), gains[t][t]
+        if repl == gap:
+            continue
+        tokens[s:e] = refs[s:e] = repl  # the walk gives the references from s on
+        for k, (r, _) in enumerate(walk):
+            refs[(s + k) % length] = r
+        total, shift = best_total, shift + len(repl) - len(gap)
+        start, period = _canonical_span(tokens)
+        order = [*range(start, period), *range(start)]
+        after = PriceCycle(tuple(tokens[t] for t in order))
+        after_obj = _mean([gains[refs[t]][tokens[t]] for t in order])
+        steps.append(ReductionStep(kind, work, after, objective, after_obj))
+        work, objective = after, after_obj
     return work, objective
 
 
@@ -191,13 +210,15 @@ def reduce_to_l_up_1_down(
     checked inequality.  Each split strictly shortens the cycle, so the loop
     ends."""
     grid = table.grid
-    start = cycle.canonical()
     steps: list[ReductionStep] = []
-    current, objective = _normalize(start, cycle_objective(start, table), table, steps)
+    current, objective = _normalize(cycle.canonical(), table, steps)
     while (pair := _duplicate_reset_pair(current, grid)) is not None:
         _, _, better, better_obj = _split(current, table, *pair)
-        current, objective = _record(steps, "reset-split", current, objective,
-                                     better.canonical(), better_obj)
+        # a split may lower the float objective by float noise only
+        if better_obj < objective - 1e-12 * (1.0 + abs(objective)):
+            raise ReductionViolationError("neither subcycle preserves the objective")
+        steps.append(ReductionStep("reset-split", current, better.canonical(), objective, better_obj))
+        current, objective = steps[-1].after, better_obj
     if not is_l_up_1_down(current, grid)[0]:
         raise ReductionViolationError("reduction terminated on a cycle that is not l-up-1-down")
     return current, tuple(steps)

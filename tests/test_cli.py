@@ -20,7 +20,8 @@ from refcycle import cli, fileio
 from refcycle.cli import main
 from refcycle.fileio import gain_table_from_dict, gain_table_to_dict, save_dataset
 from refcycle.allocator import DiscountSet, PopulationSpec, default_ground_truth, simulate_population
-from refcycle.instances import nonmonotone_demo_table
+from refcycle.core import GeneratorCycle, PriceCycle, cycle_objective, expand
+from refcycle.instances import nonmonotone_demo_table, random_monotone_table
 from test_population import ragged
 
 
@@ -72,7 +73,7 @@ def test_solve_output(demo_file, capsys):
     assert payload["generator"] == "1 2 3"
     manifest = json.loads(err)
     assert manifest["command"] == "solve"
-    assert str(demo_file) in manifest["inputs"]
+    assert manifest["inputs"] == {str(demo_file): hashlib.sha256(demo_file.read_bytes()).hexdigest()}
 
 
 def test_oracle_and_solve_agree(demo_file, capsys):
@@ -228,6 +229,29 @@ def test_reduce_command(demo_file, capsys):
     assert payload["final_objective"] >= payload["initial_objective"] - 1e-12
     for step in payload["steps"]:
         assert step["kind"] in {"gap-rewrite", "constant-collapse", "reset-split"}
+
+
+def test_reduce_initial_objective_is_the_input_objective(capsys, tmp_path):
+    """``initial_objective`` is read off the trace's first step, or off the
+    final cycle when there is no step; either way it is the input's objective."""
+    rng = np.random.default_rng(32)
+    path = tmp_path / "gains.json"
+    stepless = 0
+    for case in range(24):
+        n, memory = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        table = random_monotone_table(rng, n, memory)
+        write_gain_table(table, path)
+        if case % 4:
+            cycle = PriceCycle(tuple(int(x) for x in rng.integers(0, n, int(rng.integers(1, 41)))))
+        else:  # an expansion takes no step
+            cycle = expand(GeneratorCycle(tuple(int(v) for v in rng.permutation(n)[:2])), table.grid)
+        code, out, _ = run(capsys, "reduce", "--gains", path, "--cycle",
+                           fileio.format_cycle(cycle, table.grid))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["initial_objective"] == cycle_objective(cycle, table)
+        stepless += not payload["steps"]
+    assert stepless >= 6
 
 
 def test_tightness_command_emits_reloadable_table(capsys):

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import pickle
@@ -27,6 +28,7 @@ from refcycle import fileio
 from refcycle.core import PriceGrid
 from refcycle.fileio import (
     customers_from_dataset,
+    file_sha256,
     format_cycle,
     format_price,
     gain_table_from_dict,
@@ -101,6 +103,17 @@ def test_gain_table_csv_round_trip(tmp_path, demo_table):
     assert load_gain_table(path, memory=2) == demo_table
     with pytest.raises(ValueError):
         load_gain_table(path)  # CSV needs an explicit memory length
+
+
+def test_gain_table_digest_is_that_of_the_bytes_parsed(tmp_path, demo_table):
+    json_path, csv_path = tmp_path / "table.json", tmp_path / "table.csv"
+    write_gain_table(demo_table, json_path)
+    csv_path.write_bytes(b"1,2,3,4\r\n" + b"\r\n".join(
+        ",".join(map(repr, row)).encode() for row in demo_table.gains) + b"\r\n")
+    for path, memory in ((json_path, None), (csv_path, 2)):
+        table, digest = load_gain_table(path, memory, with_digest=True)
+        assert table == load_gain_table(path, memory) == demo_table
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest() == file_sha256(path)
 
 
 def test_gain_table_memory_conflict(tmp_path, demo_table):

@@ -80,6 +80,32 @@ def test_fit_is_deterministic(rng):
     assert np.array_equal(first, second)
 
 
+def full_hessian_fit(X, v, y, alpha):
+    """Newton ascent on the formed features z = (v - pivot) * x, with the
+    Hessian in one product: the reference for the blocked fit."""
+    z = (v - PIVOT)[:, None] * X
+    beta, steps = np.zeros(X.shape[1]), 0
+    while True:
+        p = sigmoid(alpha + z @ beta)
+        grad = z.T @ (y - p) / len(y)
+        if np.max(np.abs(grad)) <= fitting.GRAD_TOL:
+            return beta, steps
+        beta = beta + np.linalg.solve((z * (p * (1 - p))[:, None]).T @ z / len(y), grad)
+        steps += 1
+
+
+def test_blocked_fit_matches_the_full_hessian_reference(rng, monkeypatch):
+    # 10 000 rows: two whole blocks and a partial one; the sums run in another
+    # order, so the weights agree to a tolerance, and the step count exactly
+    X, v, y, alpha = synthetic_rows(rng, 10_000, np.array([9.0, -7.0, 5.0, 0.0]))
+    calls = []
+    monkeypatch.setattr(fitting, "sigmoid", lambda x: calls.append(1) or sigmoid(x))
+    beta = fit_beta(X, v, y, alpha)
+    expected, steps = full_hessian_fit(X, v, y, alpha)
+    assert len(calls) == steps + 1
+    np.testing.assert_allclose(beta, expected, rtol=1e-10, atol=1e-12)
+
+
 def test_likelihood_increases_from_zero(rng):
     beta_true = np.array([6.0, -4.0, 3.0])
     X, v, y, alpha = synthetic_rows(rng, 20_000, beta_true)

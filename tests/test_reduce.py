@@ -12,7 +12,9 @@ from conftest import random_table
 from refcycle.core import GainTable, GeneratorCycle, PriceCycle, cycle_objective, expand, is_l_up_1_down
 from refcycle.instances import integer_grid, random_monotone_table
 from refcycle.oracle import StateGraph, max_mean_cycle
+from refcycle import reduce as reduce_module
 from refcycle.reduce import (
+    ReductionStep,
     ReductionViolationError,
     _duplicate_reset_pair,
     _normalize,
@@ -34,8 +36,80 @@ WORKED_NORMALIZED = PriceCycle.from_prices(
 def normalize_runs(cycle, table):
     """The reduction's first phase alone: rewrite the stretches between low
     points of the canonical cycle; returns the canonical result."""
+    return _normalize(cycle.canonical(), table, [])[0]
+
+
+def legacy_normalize(work, objective, table, steps):
+    """The first phase as it was before exact scoring: every candidate is
+    rescored by a full float ``cycle_objective``, the first float maximum
+    wins, and a rewrite may lower the objective by 1e-12 relative."""
+    memory = table.grid.memory
+    lows = sorted(low_points(work, table.grid))
+    anchors = [work.tokens[a] for a in lows]
+    gaps = [work.tokens[a + 1:b] for a, b in zip(lows, lows[1:] + [len(work)])]
+
+    def assemble(parts):
+        return PriceCycle(tuple(tok for anchor, gap in zip(anchors, parts) for tok in (anchor, *gap)))
+
+    def record(kind, after, after_obj):
+        if after_obj < objective - 1e-12 * (1.0 + abs(objective)):
+            raise ReductionViolationError(
+                "no candidate preserves the objective; the gain table is not reference-monotone")
+        steps.append(ReductionStep(kind, work, after, objective, after_obj))
+        return after, after_obj
+
+    for i, gap in enumerate(gaps):
+        if not gap:
+            continue
+        if len(gap) < memory:
+            candidates = [("gap-rewrite", ())]
+            candidates += [("constant-collapse", (tok,)) for tok in sorted(set(gap))]
+        else:
+            candidates = [("gap-rewrite", repl) for repl in _strided_replacements(gap, memory)]
+        best = None
+        for kind, repl in candidates:
+            if kind == "constant-collapse":
+                obj = table.gains[repl[0]][repl[0]]
+            elif repl == gap:
+                obj = objective
+            else:
+                obj = cycle_objective(assemble(gaps[:i] + [repl] + gaps[i + 1:]), table)
+            if best is None or obj > best[0]:
+                best = (obj, kind, repl)
+        obj, kind, repl = best
+        if kind == "constant-collapse":
+            return record(kind, PriceCycle(repl), obj)
+        if repl != gap:
+            gaps[i] = repl
+            work, objective = record(kind, assemble(gaps).canonical(), obj)
+    return work, objective
+
+
+def legacy_reduce(cycle, table):
+    """``reduce_to_l_up_1_down`` with :func:`legacy_normalize` as its first phase."""
     start = cycle.canonical()
-    return _normalize(start, cycle_objective(start, table), table, [])[0]
+    steps = []
+    current, objective = legacy_normalize(start, cycle_objective(start, table), table, steps)
+    while (pair := _duplicate_reset_pair(current, table.grid)) is not None:
+        _, _, better, better_obj = _split(current, table, *pair)
+        if better_obj < objective - 1e-12 * (1.0 + abs(objective)):
+            raise ReductionViolationError("neither subcycle preserves the objective")
+        steps.append(ReductionStep("reset-split", current, better.canonical(), objective, better_obj))
+        current, objective = better.canonical(), better_obj
+    if not is_l_up_1_down(current, table.grid)[0]:
+        raise ReductionViolationError("reduction terminated on a cycle that is not l-up-1-down")
+    return current, tuple(steps)
+
+
+def outcome(reduce, cycle, table):
+    """The final cycle and every step, objectives as hex, or the exception raised."""
+    try:
+        final, steps = reduce(cycle, table)
+    except ReductionViolationError as exc:
+        return "raise", str(exc)
+    return final.tokens, [(step.kind, step.before.tokens, step.after.tokens,
+                           step.objective_before.hex(), step.objective_after.hex())
+                          for step in steps]
 
 
 def split_at_resets(cycle, table, i, j):
@@ -219,6 +293,96 @@ def test_normalize_runs_constant_collapse():
     assert final.tokens == (1,)
     assert [step.kind for step in steps] == ["constant-collapse"]
     assert steps[0].objective_after == 0.9
+
+
+def walk_spy(monkeypatch):
+    """Record, per candidate walk of ``_normalize``, how many offers it scores."""
+    walked, walk = [], reduce_module._reference_walk
+
+    def spy(values, window):
+        walked.append(len(values) - window)
+        return walk(values, window)
+
+    monkeypatch.setattr("refcycle.reduce._reference_walk", spy)
+    return walked
+
+
+def test_normalize_scores_a_stretch_at_the_cycle_end_locally(monkeypatch):
+    # memory 2: the stretch of tokens 2 1 2 runs to the cycle's end, so its rewrite
+    # moves the references of the first two positions, across the wrap
+    table = GainTable.from_rows(integer_grid(3, 2), [[0.0, 2.0, 5.0], [7.0, 7.0, 7.0],
+                                                     [8.0, 7.0, 8.0]])
+    cycle = PriceCycle((0, 0, 0, 0, 2, 1, 2))
+    walked = walk_spy(monkeypatch)
+    steps = []
+    final, objective = _normalize(cycle, table, steps)
+    # two candidates, 2 2 2 2 and 1 1, each walked over itself and the 2 positions after it
+    assert walked == [2 + 4, 2 + 2]
+    assert final.tokens == (0, 0, 0, 0, 2, 2, 2, 2)
+    assert [step.kind for step in steps] == ["gap-rewrite"]
+    assert objective.hex() == cycle_objective(final, table).hex()
+    assert outcome(reduce_to_l_up_1_down, cycle, table) == outcome(legacy_reduce, cycle, table)
+
+
+def test_normalize_walks_the_whole_candidate_when_the_rest_is_short(monkeypatch):
+    # memory 3: the 2 tokens outside the stretch 2 2 1 1 are fewer than 2 * 3
+    table = GainTable.from_rows(integer_grid(3, 3), [[1.0, 1.0, 1.0], [2.0, 4.0, 1.0],
+                                                     [2.0, 7.0, 2.0]])
+    cycle = PriceCycle((0, 2, 2, 1, 1))
+    walked = walk_spy(monkeypatch)
+    steps = []
+    final, objective = _normalize(cycle, table, steps)
+    # the candidates 2 2 2 and 1 1 1 each walked with the rest: 2 + 3 offers
+    assert walked == [2 + 3, 2 + 3]
+    assert final.tokens == (0, 2, 2, 2, 1)
+    assert objective.hex() == cycle_objective(final, table).hex()
+    assert outcome(reduce_to_l_up_1_down, cycle, table) == outcome(legacy_reduce, cycle, table)
+
+
+def test_normalize_raises_on_an_exact_loss_below_the_float_guard():
+    # value 1 + 2**-41; both candidates give exactly 1, a loss the float
+    # guard's 1e-12 relative allowance let through
+    table = GainTable.from_rows(integer_grid(2, 2), [[1.0, 1.0 + 2**-40], [0.0, 1.0]])
+    cycle = PriceCycle((0, 1))
+    with pytest.raises(ReductionViolationError, match="not reference-monotone"):
+        normalize_runs(cycle, table)
+    _, steps = legacy_reduce(cycle, table)
+    assert steps[0].objective_after < steps[0].objective_before
+
+
+def test_normalize_keeps_the_first_exact_maximum():
+    # every offer gains the double 0.1, so every candidate ties the cycle
+    # exactly; the float sum of the cycle rounds one ulp below 0.1, which
+    # made the float rule prefer the constant collapse to 1 over the first
+    # candidate
+    table = GainTable.from_rows(integer_grid(2, 4), [[0.1, 0.1], [-0.1, 0.1]])
+    cycle = PriceCycle((1, 0, 1, 1, 0, 0, 1, 0, 1, 0))
+    final, steps = reduce_to_l_up_1_down(cycle, table)
+    assert final.tokens == (0,)
+    assert [step.kind for step in steps] == ["gap-rewrite"] * 4
+    assert legacy_reduce(cycle, table)[0].tokens == (1,)
+
+
+def test_exact_reduction_matches_the_float_scored_one(rng):
+    """On monotone, tie-heavy and non-monotone tables the exact, local scoring
+    chooses as the float rescoring did: the same final cycle, the same steps
+    with the same objectives bit for bit, and the same exceptions."""
+    kinds = set()
+    for case in range(2100):
+        n, memory = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        if case % 3 == 0:
+            table = random_monotone_table(rng, n, memory)
+        elif case % 3 == 1:  # tie-heavy: a few integer levels, columns sorted
+            levels = np.sort(rng.integers(0, 3, (n, n)), axis=0)
+            table = GainTable.from_rows(integer_grid(n, memory), levels.tolist())
+        else:
+            table = random_table(rng, n, memory)
+        length = int(rng.integers(1, 131)) if case % 4 else int(rng.integers(1, 13))
+        cycle = PriceCycle(tuple(int(x) for x in rng.integers(0, n, size=length)))
+        expected = outcome(legacy_reduce, cycle, table)
+        assert outcome(reduce_to_l_up_1_down, cycle, table) == expected
+        kinds.update(["raise"] if expected[0] == "raise" else [step[0] for step in expected[1]])
+    assert kinds == {"gap-rewrite", "constant-collapse", "reset-split", "raise"}
 
 
 def test_normalize_runs_raises_without_monotonicity():
