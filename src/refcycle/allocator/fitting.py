@@ -52,7 +52,7 @@ def likelihood_gradient(beta, features, coupons, outcomes, alpha, pivot: float =
     return X.T @ (s * (y - p)) / len(y)
 
 
-# rows of X per block of the Hessian's sum
+# rows of X per block of the Hessian's sum, so that a block's weighted copy stays in cache
 _BLOCK_ROWS = 4096
 
 
@@ -62,23 +62,20 @@ def fit_beta(features, coupons, outcomes, alpha, pivot: float = 0.15) -> np.ndar
     Deterministic: zero start, full-batch Newton steps, stop when the
     gradient max-norm falls below :data:`GRAD_TOL`.  Raises
     :class:`FitConvergenceError` after :data:`MAX_ITER` steps.  The features
-    (v - pivot) * x are never formed; the Hessian is summed over row blocks.
+    (v - pivot) * x are never formed.
     """
     X, v, y, a = _check_inputs(features, coupons, outcomes, alpha)
     n, d = X.shape
     s = v - pivot
     beta = np.zeros(d)
+    blocks = [slice(i, i + _BLOCK_ROWS) for i in range(0, n, _BLOCK_ROWS)]
     for _ in range(MAX_ITER):
         p = np.asarray(sigmoid(a + s * (X @ beta)))
         grad = X.T @ (s * (y - p)) / n
         if np.max(np.abs(grad)) <= GRAD_TOL:
             return beta
         weights = p * (1.0 - p) * s * s
-        hessian = np.zeros((d, d))
-        for start in range(0, n, _BLOCK_ROWS):
-            block = X[start:start + _BLOCK_ROWS]
-            hessian += block.T @ (block * weights[start:start + _BLOCK_ROWS, None])
-        hessian /= n
+        hessian = sum((X[b].T @ (X[b] * weights[b, None]) for b in blocks), np.zeros((d, d))) / n
         try:
             step = np.linalg.solve(hessian, grad)
         except np.linalg.LinAlgError:

@@ -120,8 +120,7 @@ def _manifest(args: argparse.Namespace, inputs: list[str | Path],
     here, and ``wall_time_s`` holds the start until :func:`_emit` stops it.
 
     Each of ``inputs`` is hashed here; ``digests`` gives the sha256 of inputs
-    already hashed as they were read (a gain table, a dataset panel), so no
-    file is read twice."""
+    already hashed as they were read (a gain table, a panel), so no file is read twice."""
     return {
         "command": args.command,
         "inputs": {**{str(p): file_sha256(p) for p in inputs}, **(digests or {})},
@@ -158,7 +157,7 @@ def _emit(payload: dict, out: str | None, manifest: dict, write_files=None) -> i
 
 
 def _cmd_solve(args) -> int:
-    table, digest = load_gain_table(args.gains, args.memory, with_digest=True)
+    table, digest = load_gain_table(args.gains, args.memory)
     manifest = _manifest(args, [], {args.gains: digest})
     result = solve(table)
     return _emit({
@@ -172,7 +171,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    table, digest = load_gain_table(args.gains, args.memory, with_digest=True)
+    table, digest = load_gain_table(args.gains, args.memory)
     manifest = _manifest(args, [], {args.gains: digest})
     result = max_mean_cycle(StateGraph.build(table))
     payload = {
@@ -189,7 +188,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    table, digest = load_gain_table(args.gains, args.memory, with_digest=True)
+    table, digest = load_gain_table(args.gains, args.memory)
     cycle = parse_cycle_text(args.cycle, table.grid)
     manifest = _manifest(args, [], {args.gains: digest})
     final, steps = reduce_to_l_up_1_down(cycle, table)

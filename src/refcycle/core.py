@@ -23,6 +23,7 @@ operations are safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -188,8 +189,7 @@ class PriceCycle:
 
     def canonical(self) -> "PriceCycle":
         start, period = _canonical_span(self.tokens)
-        base = self.tokens[:period]
-        return PriceCycle(base[start:] + base[:start])
+        return PriceCycle(self.tokens[start:period] + self.tokens[:start])
 
     def equivalent(self, other: "PriceCycle") -> bool:
         return self.canonical().tokens == other.canonical().tokens
@@ -259,6 +259,13 @@ def _offer_gains(cycle: PriceCycle, table: GainTable) -> list[float]:
     canon = cycle.canonical()
     refs = reference_indices(canon, table.grid)
     return [table.gains[ref][tok] for ref, tok in zip(refs, canon.tokens)]
+
+
+def _common_denominator(rows: Iterable[Iterable[float]]) -> tuple[int, list[list[int]]]:
+    """``(unit, integers)``: the values of ``rows`` over their least common denominator."""
+    ratios = [[value.as_integer_ratio() for value in row] for row in rows]
+    unit = math.lcm(*{d for row in ratios for _, d in row})
+    return unit, [[p * (unit // d) for p, d in row] for row in ratios]
 
 
 def _mean(gains: Sequence[float]) -> float:

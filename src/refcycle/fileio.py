@@ -171,9 +171,8 @@ def gain_table_from_dict(payload: dict) -> GainTable:
     return GainTable.from_rows(grid, payload["gains"])
 
 
-def load_gain_table(path: str | Path, memory: int | None = None, *,
-                    with_digest: bool = False) -> GainTable | tuple[GainTable, str]:
-    """The gain table in the file and, with ``with_digest``, the sha256 of the bytes parsed."""
+def load_gain_table(path: str | Path, memory: int | None = None) -> tuple[GainTable, str]:
+    """The gain table in the file and the sha256 of the bytes parsed."""
     path = Path(path)
     is_csv = path.suffix.lower() == ".csv"
     if is_csv and memory is None:
@@ -191,16 +190,13 @@ def load_gain_table(path: str | Path, memory: int | None = None, *,
         table = GainTable.from_rows(grid, [[float(cell) for cell in row] for row in rows[1:]])
     else:
         table = gain_table_from_dict(_read_json(path, text))
-        if memory is not None and memory != table.grid.memory:
-            raise ValueError(
-                f"--memory {memory} conflicts with the file's memory {table.grid.memory}"
-            )
-    return (table, hashlib.sha256(data).hexdigest()) if with_digest else table
+    if memory is not None and memory != table.grid.memory:
+        raise ValueError(f"--memory {memory} conflicts with the file's memory {table.grid.memory}")
+    return table, hashlib.sha256(data).hexdigest()
 
 
 def _read_json(path: str | Path, text: io.TextIOBase | None = None):
-    """The JSON value in the file, or in ``text``, the file opened;
-    ``ValueError`` if malformed or nested too deeply."""
+    """The JSON value in the file (or ``text``); ``ValueError`` if malformed or nested too deeply."""
     try:
         return json.loads(Path(path).read_text() if text is None else text.read())
     except RecursionError:

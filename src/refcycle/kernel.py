@@ -36,6 +36,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from .core import _common_denominator
+
 __all__ = ["Edge", "max_ratio_cycle", "least_tight_cycle"]
 
 Edge = tuple[int, float | Fraction, int]
@@ -105,9 +107,9 @@ def max_ratio_cycle(edges: Sequence[Sequence[Edge]], policy: Sequence[int] | Non
     edge is among them, so no list is empty.
     """
     # gains over their common denominator ``unit``: integer weights gain * unit * steps
-    ratios = [[(v, *gain.as_integer_ratio(), steps) for v, gain, steps in row] for row in edges]
-    unit = math.lcm(*{d for row in ratios for _, _, d, _ in row})
-    graph = [[(v, p * (unit // d) * steps, steps) for v, p, d, steps in row] for row in ratios]
+    unit, weights = _common_denominator([gain for _, gain, _ in row] for row in edges)
+    graph = [[(v, w * steps, steps) for (v, _, steps), w in zip(row, ws)]
+             for row, ws in zip(edges, weights)]
     if policy is None:
         policy = [max(range(len(row)), key=lambda k: row[k][1]) for row in edges]
     policy = list(policy)

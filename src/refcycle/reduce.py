@@ -18,8 +18,7 @@ in two phases:
 Normalization scores candidates exactly, on gains in integers over one
 common denominator: a rewrite changes only its stretch and the references of
 the ``memory`` positions after it, so only those are walked, with the
-``memory`` tokens before the stretch as history (the whole candidate when the
-rest of the cycle is shorter than 2 * ``memory``), and candidates compare by
+``memory`` tokens before the stretch as history, and candidates compare by
 cross-multiplied (total, length), the first maximum winning.  Only an accepted
 rewrite builds its canonical cycle and float objective, from the kept
 references: a step's two objectives are those of
@@ -33,7 +32,6 @@ with no non-decreasing choice raises :class:`ReductionViolationError`.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -42,6 +40,7 @@ from .core import (
     PriceCycle,
     PriceGrid,
     _canonical_span,
+    _common_denominator,
     _mean,
     _reference_walk,
     cycle_objective,
@@ -74,8 +73,12 @@ class ReductionStep:
 def low_points(cycle: PriceCycle, grid: PriceGrid) -> set[int]:
     """Positions priced at or below their reference; never empty (the global
     minimum always qualifies)."""
-    refs = reference_indices(cycle, grid)
-    return {t for t, tok in enumerate(cycle.tokens) if tok <= refs[t]}
+    return set(_lows(cycle.tokens, reference_indices(cycle, grid)))
+
+
+def _lows(tokens: tuple[int, ...], refs: list[int]) -> list[int]:
+    """The low points of a cycle with references ``refs``, in order."""
+    return [t for t, tok in enumerate(tokens) if tok <= refs[t]]
 
 
 def reset_points(cycle: PriceCycle, grid: PriceGrid) -> set[int]:
@@ -102,15 +105,12 @@ def _normalize(
     """Normalize the canonical cycle ``work``, recording each rewrite; returns
     the canonical result and its objective.  ``tokens``, ``refs`` and
     ``total`` hold the rewritten cycle in ``work``'s positions."""
-    memory, gains = table.grid.memory, table.gains
-    ratios = [[gain.as_integer_ratio() for gain in row] for row in gains]
-    unit = math.lcm(*{d for row in ratios for _, d in row})
-    exact = [[p * (unit // d) for p, d in row] for row in ratios]
+    memory, gains, exact = table.grid.memory, table.gains, _common_denominator(table.gains)[1]
     tokens, refs = list(work.tokens), reference_indices(work, table.grid)
     objective = _mean([gains[r][tok] for r, tok in zip(refs, tokens)])
     total = sum(exact[r][tok] for r, tok in zip(refs, tokens))
     # a canonical cycle starts at its minimum price, which is always a low point
-    lows = [t for t, tok in enumerate(tokens) if tok <= refs[t]]
+    lows = _lows(work.tokens, refs)
     original, shift = work.tokens, 0
     for a, b in zip(lows, lows[1:] + [len(original)]):
         gap = original[a + 1:b]
@@ -123,8 +123,7 @@ def _normalize(
             candidates = [("gap-rewrite", repl) for repl in _strided_replacements(gap, memory)]
         s, e, c = a + 1 + shift, b + shift, len(tokens)
         rest = tokens[e:] + tokens[:s]
-        # the positions after the stretch whose references a rewrite can move
-        tail = rest if len(rest) < 2 * memory else rest[:memory]
+        tail = rest[:memory]  # the positions whose references a rewrite can move
         kept = total - sum(exact[refs[t % c]][tokens[t % c]] for t in range(s, e + len(tail)))
         best = None
         for kind, repl in candidates:

@@ -89,7 +89,7 @@ def test_parse_cycle_text_repeated_tokens_and_first_error(demo_table):
 def test_gain_table_json_round_trip(tmp_path, demo_table):
     path = tmp_path / "table.json"
     write_gain_table(demo_table, path)
-    assert load_gain_table(path) == demo_table
+    assert load_gain_table(path)[0] == demo_table
     # dict form round-trips too
     assert gain_table_from_dict(gain_table_to_dict(demo_table)) == demo_table
 
@@ -100,7 +100,7 @@ def test_gain_table_csv_round_trip(tmp_path, demo_table):
         writer = csv.writer(handle)
         writer.writerow([format_price(p) for p in demo_table.grid.prices])
         writer.writerows([[repr(g) for g in row] for row in demo_table.gains])
-    assert load_gain_table(path, memory=2) == demo_table
+    assert load_gain_table(path, memory=2)[0] == demo_table
     with pytest.raises(ValueError):
         load_gain_table(path)  # CSV needs an explicit memory length
 
@@ -111,8 +111,8 @@ def test_gain_table_digest_is_that_of_the_bytes_parsed(tmp_path, demo_table):
     csv_path.write_bytes(b"1,2,3,4\r\n" + b"\r\n".join(
         ",".join(map(repr, row)).encode() for row in demo_table.gains) + b"\r\n")
     for path, memory in ((json_path, None), (csv_path, 2)):
-        table, digest = load_gain_table(path, memory, with_digest=True)
-        assert table == load_gain_table(path, memory) == demo_table
+        table, digest = load_gain_table(path, memory)
+        assert table == demo_table
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest() == file_sha256(path)
 
 
@@ -130,7 +130,7 @@ def test_fractional_prices_survive_round_trip(tmp_path):
     table = GainTable.from_rows(grid, [[0.5] * 3] * 3)
     path = tmp_path / "frac.json"
     write_gain_table(table, path)
-    assert load_gain_table(path).grid.prices == grid.prices
+    assert load_gain_table(path)[0].grid.prices == grid.prices
 
 
 def test_model_round_trip(tmp_path):
@@ -302,7 +302,7 @@ def test_demo_cycle_objective_from_files(tmp_path, demo_table):
 
     path = tmp_path / "t.json"
     write_gain_table(demo_table, path)
-    table = load_gain_table(path)
+    table, _ = load_gain_table(path)
     cycle = parse_cycle_text("4 1 4 2 4 3", table.grid)
     assert cycle_objective(cycle, table) == 1.0
 

@@ -325,7 +325,8 @@ def test_normalize_scores_a_stretch_at_the_cycle_end_locally(monkeypatch):
 
 
 def test_normalize_walks_the_whole_candidate_when_the_rest_is_short(monkeypatch):
-    # memory 3: the 2 tokens outside the stretch 2 2 1 1 are fewer than 2 * 3
+    # memory 3: the 2 tokens outside the stretch 2 2 1 1 are fewer than 3, so the
+    # positions after the stretch are the whole rest
     table = GainTable.from_rows(integer_grid(3, 3), [[1.0, 1.0, 1.0], [2.0, 4.0, 1.0],
                                                      [2.0, 7.0, 2.0]])
     cycle = PriceCycle((0, 2, 2, 1, 1))
