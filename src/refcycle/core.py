@@ -106,14 +106,12 @@ class GainTable:
         n = len(self.grid)
         if len(self.gains) != n or any(len(row) != n for row in self.gains):
             raise ValueError(f"gain matrix must be {n}x{n}")
-        for row in self.gains:
-            for value in row:
-                if value != value or value in (float("inf"), float("-inf")):
-                    raise ValueError("gain entries must be finite")
+        if not all(all(map(math.isfinite, row)) for row in self.gains):
+            raise ValueError("gain entries must be finite")
 
     @classmethod
     def from_rows(cls, grid: PriceGrid, rows: Sequence[Sequence[float]]) -> "GainTable":
-        return cls(grid, tuple(tuple(float(v) for v in row) for row in rows))
+        return cls(grid, tuple(tuple(map(float, row)) for row in rows))
 
     def reference_monotone(self) -> bool:
         """True iff every column is weakly increasing in the reference index.

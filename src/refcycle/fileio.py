@@ -32,8 +32,8 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -154,13 +154,21 @@ _MODEL_FIELDS = dict(
 )
 
 
+def _is_gain_row(row) -> bool:
+    """A list of numbers, bools refused, within the float range compared exactly
+    (a JSON integer too large for a float is refused, not rounded) and finite;
+    each check is one pass over the row."""
+    return (isinstance(row, list)
+            and (set(map(type, row)) <= {int, float} or all(map(_is_number, row)))
+            and -sys.float_info.max <= min(row, default=0)
+            and max(row, default=0) <= sys.float_info.max
+            and all(map(math.isfinite, row)))
+
+
 _GAIN_TABLE_FIELDS = dict(
     prices=lambda v: isinstance(v, list) and all(_is_number(p) or isinstance(p, str) for p in v),
     memory=_is_integer,
-    # a JSON integer too large for a float is refused, not rounded to inf
-    gains=lambda v: isinstance(v, list) and all(
-        isinstance(row, list) and all(_is_number(g) and abs(g) <= sys.float_info.max for g in row)
-        for row in v),
+    gains=lambda v: isinstance(v, list) and all(map(_is_gain_row, v)),
 )
 
 
@@ -187,7 +195,7 @@ def load_gain_table(path: str | Path, memory: int | None = None) -> tuple[GainTa
         if not rows:
             raise ValueError(f"CSV gain table {path} is empty")
         grid = PriceGrid.from_values([as_price(cell) for cell in rows[0]], memory)
-        table = GainTable.from_rows(grid, [[float(cell) for cell in row] for row in rows[1:]])
+        table = GainTable.from_rows(grid, rows[1:])
     else:
         table = gain_table_from_dict(_read_json(path, text))
     if memory is not None and memory != table.grid.memory:
@@ -358,9 +366,8 @@ def load_dataset(path: str | Path) -> CouponDataset:
 
     The CSV's bytes are read once for their sha256, which the dataset carries
     as ``source_sha256``.  The columns come from the cache where
-    :func:`_cached_columns` accepts it, else from one ``np.loadtxt`` pass where
-    numpy reads the file as the row loop :func:`_read_panel_rows` would, else
-    from that loop, which then also gives every error."""
+    :func:`_cached_columns` accepts it, else from the row loop
+    :func:`_read_panel_rows`, which also gives every error."""
     path = Path(path)
     meta = _checked(_read_json(_sidecar_path(path)), "a dataset sidecar",
                     feature_columns=_is_string_list, reference_feature=lambda v: isinstance(v, str),
@@ -372,10 +379,7 @@ def load_dataset(path: str | Path) -> CouponDataset:
     if columns is None:
         with path.open(newline="") as handle:
             try:
-                columns = _loadtxt_rows(handle, header, row)
-                if columns is None:
-                    handle.seek(0)
-                    columns = _read_panel_rows(handle, header, row)
+                columns = _read_panel_rows(handle, header, row)
             except csv.Error as exc:  # a field over the csv module's size limit
                 raise ValueError(f"dataset {path}: {exc}") from None
     return CouponDataset(
@@ -414,32 +418,6 @@ def _cached_columns(path: Path, digest: str, header: list[str], row: np.dtype) -
 
 def _dataset_header(feature_names) -> list[str]:
     return ["customer_id", "day", *feature_names, "coupon_value", "purchased"]
-
-
-def _loadtxt_rows(handle, header: list[str], row: np.dtype) -> np.ndarray | None:
-    """The panel's rows parsed by ``np.loadtxt`` after the header, or
-    ``None`` where numpy's reading could differ from ``int`` and ``float``.
-
-    Integer fields are parsed as int64, so ``1.0`` or an id of 2**63 is
-    refused, not rounded; ``comments=None``, so a ``#`` row is refused, not
-    skipped.  A warning (a panel with no rows) refuses too.  numpy strips
-    the separators U+001C..U+001F around a number as whitespace, which
-    ``int`` and ``float`` reject, and reads non-ASCII text its own way (the
-    id U+E86A as 59450; some such panels crash the process), so a file
-    holding either is left to the loop.
-    """
-    while chunk := handle.read(1 << 20):
-        if not chunk.isascii() or any(sep in chunk for sep in "\x1c\x1d\x1e\x1f"):
-            return None
-    handle.seek(0)
-    if next(csv.reader(handle), None) != header:
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return np.loadtxt(handle, delimiter=",", comments=None, dtype=row, ndmin=1)
-    except (ValueError, Warning):
-        return None
 
 
 def _read_panel_rows(handle, header: list[str], row: np.dtype) -> np.ndarray:

@@ -14,7 +14,8 @@ float gains), so each weight gain * steps is an integer over it, and every
 value and bias over one common scale, a multiple of each cycle's reduced time
 seen so far; sums, products and comparisons are then exact integer
 operations, and ``Fraction``s are built only for the returned values and
-biases.
+biases.  The solver reads the integers themselves, through the private
+:func:`_max_ratio_levels` that :func:`max_ratio_cycle` wraps.
 
 At the fixed point no edge leads to a higher value, and every edge (u, v)
 with ``value[v] == value[u]`` satisfies
@@ -94,25 +95,16 @@ def _evaluate(edges: Sequence[Sequence[tuple[int, int, int]]], policy: list[int]
     return level, bias, scale  # type: ignore[return-value]
 
 
-def max_ratio_cycle(edges: Sequence[Sequence[Edge]], policy: Sequence[int] | None = None
-                    ) -> tuple[list[Fraction], list[Fraction], list[list[int]]]:
-    """Per-node optimal cycle ratio, bias and tight successors; see the module
-    docstring.
-
-    ``policy`` optionally gives the starting edge index per node; by default
-    each node starts on its edge of highest gain, the first on ties.  A node
-    switches edge only on a strict improvement, first of value and then of
-    bias.  ``tight[u]`` lists, in edge order, the successors v of equal value
-    with ``bias[u] == (gain - value[u]) * steps + bias[v]``; the final policy
-    edge is among them, so no list is empty.
-    """
+def _max_ratio_levels(edges: Sequence[Sequence[Edge]], policy: Sequence[int] | None = None):
+    """:func:`max_ratio_cycle` in integers: ``(graph, level, bias, unit, scale,
+    tight)``, the edges as ``(successor, weight, time)`` with weights over
+    ``unit``, and each node's value and bias times ``unit * scale``."""
     # gains over their common denominator ``unit``: integer weights gain * unit * steps
-    unit, weights = _common_denominator([gain for _, gain, _ in row] for row in edges)
+    gains = [[gain for _, gain, _ in row] for row in edges]
+    unit, weights = _common_denominator(gains)
     graph = [[(v, w * steps, steps) for (v, _, steps), w in zip(row, ws)]
              for row, ws in zip(edges, weights)]
-    if policy is None:
-        policy = [max(range(len(row)), key=lambda k: row[k][1]) for row in edges]
-    policy = list(policy)
+    policy = [row.index(max(row)) for row in gains] if policy is None else list(policy)
     bias, scale = [0] * len(graph), 1
     while True:
         level, bias, scale = _evaluate(graph, policy, bias, scale)
@@ -136,10 +128,24 @@ def max_ratio_cycle(edges: Sequence[Sequence[Edge]], policy: Sequence[int] | Non
                         successors.append(v)
             tight.append(successors)
         if not switched:
-            denominator = unit * scale
-            values = {lv: Fraction(lv, denominator) for lv in set(level)}
-            return ([values[lv] for lv in level],
-                    [Fraction(b, denominator) for b in bias], tight)
+            return graph, level, bias, unit, scale, tight
+
+
+def max_ratio_cycle(edges: Sequence[Sequence[Edge]], policy: Sequence[int] | None = None
+                    ) -> tuple[list[Fraction], list[Fraction], list[list[int]]]:
+    """Per-node optimal cycle ratio, bias and tight successors; see the module
+    docstring.
+
+    ``policy`` optionally gives the starting edge index per node; by default
+    each node starts on its edge of highest gain, the first on ties.  A node
+    switches edge only on a strict improvement, first of value and then of
+    bias.  ``tight[u]`` lists, in edge order, the successors v of equal value
+    with ``bias[u] == (gain - value[u]) * steps + bias[v]``; the final policy
+    edge is among them, so no list is empty.
+    """
+    _, level, bias, unit, scale, tight = _max_ratio_levels(edges, policy)
+    values = {lv: Fraction(lv, unit * scale) for lv in set(level)}
+    return [values[lv] for lv in level], [Fraction(b, unit * scale) for b in bias], tight
 
 
 def least_tight_cycle(tight: Sequence[Sequence[int]]) -> tuple[int, ...]:

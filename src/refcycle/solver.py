@@ -4,11 +4,16 @@ Restricting attention to cycles of distinct prices (each increase held for
 ``memory`` steps, each decrease offered once) collapses the exponential state
 space to one state per price: offering p from reference r earns g(r, p) per
 step over k(r, p) = 1 + (memory-1)*[r < p] steps.  The best cycle maximizes
-the ratio of total gain to total time, found here exactly by Howard policy
-iteration (:mod:`refcycle.kernel`) on edges of gain g(r, p) and k(r, p)
-steps.  The returned mean is exact for the instance, the bias vector solves
-the average-reward optimality equations, and ties are broken to the
-lexicographically least canonical generator at every grid size.
+the ratio of total gain to total time, found here exactly by one run of
+Howard policy iteration (:mod:`refcycle.kernel`) on edges of gain g(r, p) and
+k(r, p) steps.  The returned mean is exact for the instance, and ties are
+broken to the lexicographically least canonical generator at every grid size.
+
+The bias, which solves the average-reward optimality equations exactly, is
+then anchored on the generator by one shortest-path pass over the run's reduced
+costs, in integers: every generator edge is tight, so from a generator price
+the best walk into the first price follows the generator, and no cycle is
+positive under g - opt, so the best walk's total is unique.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GainTable, GeneratorCycle, PriceCycle, expand, expansion_count
-from .kernel import Edge, least_tight_cycle, max_ratio_cycle
+from .core import GainTable, GeneratorCycle, PriceCycle, expand
+from .kernel import Edge, _max_ratio_levels, least_tight_cycle
 
 __all__ = [
     "SolveResult",
@@ -48,39 +53,57 @@ class SolveResult:
 
 
 def _ratio_edges(table: GainTable) -> list[list[Edge]]:
-    """Per-price graph: offering p from r earns g(r, p) on each of k(r, p) steps."""
-    n, memory = len(table.grid), table.grid.memory
-    return [[(p, table.gains[r][p], expansion_count(memory, r, p)) for p in range(n)]
-            for r in range(n)]
+    """Per-price graph: offering p from r earns g(r, p) on each of k(r, p) steps;
+    row r lists its edges in successor order."""
+    memory = table.grid.memory
+    return [[(p, gain, memory if p > r else 1) for p, gain in enumerate(row)]
+            for r, row in enumerate(table.gains)]
+
+
+def _walks_into(graph: list[list[tuple[int, int, int]]], level: int, bias: list[int],
+                scale: int, anchor: int) -> list[int]:
+    """Per price u, the best total of (g - opt) * k over walks from u into
+    ``anchor``, plus ``bias[anchor]``, on the kernel's integers (see
+    :func:`refcycle.kernel._max_ratio_levels`); ``graph[u][v]`` is the edge u -> v.
+
+    At the kernel's fixed point every edge's reduced cost
+    c(u, v) = bias[u] - (weight * scale - level * time + bias[v]) is >= 0, so the
+    best walk totals bias[u] - bias[anchor] - dist(u, anchor) with dist the
+    shortest path on reduced costs (Johnson 1977).  One dense Dijkstra grows it
+    from ``anchor``, settling the open price of least dist, that is of the
+    largest total minus bias, and relaxing the edges into it.
+    """
+    walk = [weight * scale - level * time + bias[anchor] for _, weight, time in
+            (row[anchor] for row in graph)]
+    walk[anchor] = bias[anchor]
+    todo = [u for u in range(len(graph)) if u != anchor]
+    while todo:
+        x = max(todo, key=lambda u: walk[u] - bias[u])
+        todo.remove(x)
+        for u in todo:
+            _, weight, time = graph[u][x]
+            walk[u] = max(walk[u], weight * scale - level * time + walk[x])
+    return walk
 
 
 def solve(table: GainTable) -> SolveResult:
     """Best distinct-price cycle, its exact mean, and the bias vector.
 
-    Policy iteration on the per-price graph gives the exact optimum, and the
-    generator is the least tight cycle.  A second run on the same graph,
-    started with each generator price on its cycle edge and the other prices
-    on its first, anchors the bias on the generator: a generator price that
-    left its cycle edge would close, with a walk into the first price, a cycle
-    of positive weight under g - opt, which no cycle has at the optimum.
+    One policy-iteration run on the per-price graph gives the exact optimum and
+    the generator, its least tight cycle.  The bias is the best walk into the
+    generator's first price, read off the same run by :func:`_walks_into`.
     """
-    edges = _ratio_edges(table)
-    value, _, tight = max_ratio_cycle(edges)
-    opt = value[0]
+    graph, level, bias, unit, scale, tight = _max_ratio_levels(_ratio_edges(table))
+    assert level == [level[0]] * len(level), "the per-price graph is strongly connected"
     generator = GeneratorCycle(least_tight_cycle(tight))
-    values = generator.values
-    start = [values[0]] * len(edges)
-    for i, u in enumerate(values):
-        start[u] = values[(i + 1) % len(values)]
-    _, bias, _ = max_ratio_cycle(edges, start)
-    bias = [b - bias[0] for b in bias]
+    walk = _walks_into(graph, level[0], bias, scale, generator.values[0])
     return SolveResult(
-        opt=float(opt),
-        bias=tuple(float(b) for b in bias),
+        opt=level[0] / (unit * scale),  # int / int rounds once, as float(Fraction) does
+        bias=tuple((w - walk[0]) / (unit * scale) for w in walk),
         generator=generator,
         cycle=expand(generator, table.grid),
         assumption_violated=not table.reference_monotone(),
-        opt_exact=opt,
+        opt_exact=Fraction(level[0], unit * scale),
     )
 
 
@@ -91,14 +114,9 @@ def bellman_residual(result: SolveResult, table: GainTable) -> float:
     h(r) = max_p (g(r, p) - opt) * k(r, p) + h(p); a valid solve result keeps
     the maximum absolute gap at floating-point noise.
     """
-    n = len(table.grid)
-    memory = table.grid.memory
+    opt, bias, memory = result.opt, result.bias, table.grid.memory
     worst = 0.0
-    for r in range(n):
-        best = max(
-            (table.gains[r][p] - result.opt) * expansion_count(memory, r, p)
-            + result.bias[p]
-            for p in range(n)
-        )
-        worst = max(worst, abs(result.bias[r] - best))
+    for r, row in enumerate(table.gains):
+        best = max((gain - opt) * (memory if p > r else 1) + bias[p] for p, gain in enumerate(row))
+        worst = max(worst, abs(bias[r] - best))
     return worst

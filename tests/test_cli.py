@@ -365,6 +365,46 @@ def test_malformed_gain_table_exit_code(capsys, tmp_path, name):
     assert "refcycle: error:" in err
 
 
+# an integer just above the largest float: float() rounds it down to that float
+# without an error, yet the table refuses it
+JUST_ABOVE_FLOAT_MAX = int(sys.float_info.max) + 2**968
+
+# each refusal of a gain table's cells, as the file is written and as stderr reads
+GAIN_CELL_REFUSALS = {
+    "bool.json": ("[[true, 1], [1, 0]]", "a gain table: malformed 'gains': [[True, 1], [1, 0]]"),
+    "int-beyond-float.json": (f"[[{JUST_ABOVE_FLOAT_MAX}, 1], [1, 0]]",
+                              f"a gain table: malformed 'gains': [[{JUST_ABOVE_FLOAT_MAX}, 1], [1, 0]]"),
+    "negative-int-beyond-float.json": (f"[[0, 1], [1, -{JUST_ABOVE_FLOAT_MAX}]]",
+                                       f"a gain table: malformed 'gains': "
+                                       f"[[0, 1], [1, -{JUST_ABOVE_FLOAT_MAX}]]"),
+    "nan.json": ("[[NaN, 1], [1, 0]]", "a gain table: malformed 'gains': [[nan, 1], [1, 0]]"),
+    "infinity.json": ("[[1, 2], [1, -Infinity]]",
+                      "a gain table: malformed 'gains': [[1, 2], [1, -inf]]"),
+    "nan-after-huge.json": (f"[[1, 2], [1{'0' * 400}, NaN]]",
+                            f"a gain table: malformed 'gains': [[1, 2], [1{'0' * 400}, nan]]"),
+    "string.json": ('[["1", 1], [1, 0]]', "a gain table: malformed 'gains': [['1', 1], [1, 0]]"),
+    "row-not-a-list.json": ("[5, [1, 0]]", "a gain table: malformed 'gains': [5, [1, 0]]"),
+    "row-too-long.json": ("[[0, 1, 2], [1, 0]]", "gain matrix must be 2x2"),
+    "rows-too-few.json": ("[[0, 1]]", "gain matrix must be 2x2"),
+    "nan.csv": ("1,2\nnan,1\n1,0\n", "gain entries must be finite"),
+    "infinity.csv": ("1,2\n1,-inf\n1,0\n", "gain entries must be finite"),
+    "row-too-long.csv": ("1,2\n1,2,3\n1,0\n", "gain matrix must be 2x2"),
+}
+
+
+@pytest.mark.parametrize("name", list(GAIN_CELL_REFUSALS))
+def test_gain_cell_refusals_keep_their_text(capsys, tmp_path, name):
+    gains, message = GAIN_CELL_REFUSALS[name]
+    path = tmp_path / name
+    if name.endswith(".csv"):
+        path.write_text(gains)
+        code, out, err = run(capsys, "solve", "--gains", path, "--memory", 2)
+    else:
+        path.write_text(f'{{"prices": [1, 2], "memory": 2, "gains": {gains}}}')
+        code, out, err = run(capsys, "solve", "--gains", path)
+    assert (code, out, err) == (2, "", f"refcycle: error: {message}\n")
+
+
 TRUTH = default_ground_truth(3)  # the panel's schema
 FEATURES = TRUTH.feature_names
 VALID_MODEL = {"feature_names": list(FEATURES), "alpha_weights": TRUTH.alpha_weights.tolist(),
@@ -675,7 +715,6 @@ def test_a_simulated_panel_is_read_from_its_cache(capsys, tmp_path, monkeypatch,
                 for command in ("analyze", "allocate")]
 
     with monkeypatch.context() as patched:
-        patched.setattr(fileio, "_loadtxt_rows", parse_nothing)
         patched.setattr(fileio, "_read_panel_rows", parse_nothing)
         cached = outcomes()
     Path("panel.csv.npy").unlink()

@@ -94,6 +94,21 @@ def test_gain_table_json_round_trip(tmp_path, demo_table):
     assert gain_table_from_dict(gain_table_to_dict(demo_table)) == demo_table
 
 
+def test_gain_cells_up_to_the_float_bounds_are_accepted_as_floats():
+    top = float.fromhex("0x1.fffffffffffffp+1023")
+    payload = {"prices": [1, 2], "memory": 1, "gains": [[int(top), 0], [-0.0, -int(top)]]}
+    table = gain_table_from_dict(payload)
+    assert table.gains == ((top, 0.0), (0.0, -top))
+    assert [[type(g) for g in row] for row in table.gains] == [[float, float]] * 2
+    assert str(table.gains[1][0]) == "-0.0"
+    # a subclass of float or int is a number, a bool is not
+    payload["gains"] = [[np.float64(0.25), 0], [1, 2]]
+    assert gain_table_from_dict(payload).gains == ((0.25, 0.0), (1.0, 2.0))
+    payload["gains"] = [[np.bool_(True), 0], [1, 2]]
+    with pytest.raises(ValueError, match="malformed 'gains'"):
+        gain_table_from_dict(payload)
+
+
 def test_gain_table_csv_round_trip(tmp_path, demo_table):
     path = tmp_path / "table.csv"
     with path.open("w", newline="") as handle:
@@ -580,7 +595,6 @@ def test_load_dataset_same_with_and_without_its_cache(tmp_path, monkeypatch, row
     assert cache.exists() == (rows > 0 and variant in ("nan-free", "fortran"))
     with monkeypatch.context() as patched:
         if cache.exists():  # the columns come from the cache alone
-            patched.setattr(fileio, "_loadtxt_rows", parse_nothing)
             patched.setattr(fileio, "_read_panel_rows", parse_nothing)
         cached = load_outcome(loaded_panel, path)
         assert not cache.exists() or cached[2].flags.c_contiguous

@@ -12,6 +12,7 @@ from conftest import random_table
 
 from refcycle.core import (
     GainTable,
+    _common_denominator,
     GeneratorCycle,
     PriceCycle,
     cycle_objective,
@@ -22,6 +23,7 @@ from refcycle.core import (
 from refcycle.instances import integer_grid, random_monotone_table
 from refcycle.kernel import least_tight_cycle, max_ratio_cycle
 from refcycle.oracle import StateGraph, exhaustive_generators, max_mean_cycle
+from refcycle import kernel as kernel_module
 from refcycle import oracle as oracle_module
 from refcycle import solver as solver_module
 from refcycle.solver import bellman_residual, solve
@@ -309,16 +311,24 @@ def test_kernel_matches_the_rational_reference(rng):
     assert compared == 2016
 
 
+def levels_as_fractions(run):
+    """Value, bias and tight lists of the kernel's integer fixed point, as
+    :func:`refcycle.kernel.max_ratio_cycle` returns them."""
+    _, level, bias, unit, scale, tight = run
+    return ([Fraction(lv, unit * scale) for lv in level],
+            [Fraction(b, unit * scale) for b in bias], tight)
+
+
 def test_kernel_matches_the_rational_reference_inside_solve(rng, monkeypatch):
-    # both of solve's kernel runs, the second with its starting policy
+    # solve's one kernel run, read in integers, is the rational kernel's fixed point
     calls = []
 
     def recorded(edges, policy=None):
-        result = max_ratio_cycle(edges, policy)
+        result = kernel_module._max_ratio_levels(edges, policy)
         calls.append((edges, policy, result))
         return result
 
-    monkeypatch.setattr(solver_module, "max_ratio_cycle", recorded)
+    monkeypatch.setattr(solver_module, "_max_ratio_levels", recorded)
     for i in range(60):
         n, memory = int(rng.integers(2, 13)), int(rng.integers(1, 8))
         if i % 3 == 2:
@@ -327,31 +337,34 @@ def test_kernel_matches_the_rational_reference_inside_solve(rng, monkeypatch):
         else:
             table = (random_monotone_table if i % 3 else random_table)(rng, n, memory)
         solve(table)
-    assert len(calls) == 120 and all(policy is not None for _, policy, _ in calls[1::2])
+    assert len(calls) == 60 and all(policy is None for _, policy, _ in calls)
     for edges, policy, result in calls:
-        assert result == reference_max_ratio_cycle(edges, policy)
+        assert levels_as_fractions(result) == reference_max_ratio_cycle(edges, policy)
+        assert max_ratio_cycle(edges, policy) == levels_as_fractions(result)
 
 
 def test_kernel_edges_carry_the_table_floats(rng, monkeypatch):
-    # solve's two runs, both on the full per-price graph, and the oracle's one
-    # get the gain table's own floats, with k(r, p) steps in solve and one step
-    # in the oracle: no Fraction is built on the way into the kernel
+    # solve's one run, on the full per-price graph, and the oracle's one get
+    # the gain table's own floats, with k(r, p) steps in solve and one step in
+    # the oracle: no Fraction is built on the way into the kernel
     calls = []
 
-    def recorded(edges, policy=None):
-        calls.append(edges)
-        return max_ratio_cycle(edges, policy)
+    def recorded(kernel_run):
+        def run(edges, policy=None):
+            calls.append(edges)
+            return kernel_run(edges, policy)
+        return run
 
-    monkeypatch.setattr(solver_module, "max_ratio_cycle", recorded)
-    monkeypatch.setattr(oracle_module, "max_ratio_cycle", recorded)
+    monkeypatch.setattr(solver_module, "_max_ratio_levels",
+                        recorded(kernel_module._max_ratio_levels))
+    monkeypatch.setattr(oracle_module, "max_ratio_cycle", recorded(max_ratio_cycle))
     for i in range(12):
         n, memory = int(rng.integers(2, 6)), int(rng.integers(1, 4))
         table = (random_monotone_table if i % 2 else random_table)(rng, n, memory)
         solve(table)
         graph = StateGraph.build(table)
         max_mean_cycle(graph)
-        first, second, states = calls[-3:]
-        assert second is first
+        first, states = calls[-2:]
         assert [[v for v, _, _ in row] for row in first] == [list(range(n))] * n
         for r, row in enumerate(first):
             for p, gain, steps in row:
@@ -361,7 +374,7 @@ def test_kernel_edges_carry_the_table_floats(rng, monkeypatch):
             assert [graph.nodes[v][-1] for v, _, _ in row] == list(range(n))
             for p, (_, gain, steps) in enumerate(row):
                 assert gain is table.gains[node[0]][p] and steps == 1
-    assert len(calls) == 36
+    assert len(calls) == 24
 
 
 def test_kernel_rescales_biases_for_each_new_cycle_time():
@@ -521,9 +534,9 @@ def test_nonmonotone_flagged_and_best_generator_reported(demo_table):
 
 
 def anchored_bias(table: GainTable) -> tuple[list[Fraction], tuple[int, ...]]:
-    """The bias as solve anchored it before it reused its graph: a second
-    kernel run on a copy of the per-price graph where each generator price
-    keeps only its cycle edge; the reference for the start-policy run."""
+    """The bias as solve once anchored it: a second kernel run on a copy of
+    the per-price graph where each generator price keeps only its cycle edge;
+    the reference for solve's walks into the generator."""
     n, memory = len(table.grid), table.grid.memory
     edges = [[(p, table.gains[r][p], expansion_count(memory, r, p)) for p in range(n)]
              for r in range(n)]
@@ -536,18 +549,18 @@ def anchored_bias(table: GainTable) -> tuple[list[Fraction], tuple[int, ...]]:
     return [b - bias[0] for b in bias], values
 
 
-def test_start_policy_bias_equals_the_anchored_graph_bias(rng, monkeypatch):
-    # the generator prices never leave their cycle edges, so one graph gives
-    # the anchored graph's exact bias, and so its floats bit for bit, on every
-    # kind of table
-    biases = []
+def test_solve_bias_equals_the_anchored_graph_bias(rng, monkeypatch):
+    # the walks into the generator's first price, read off solve's one run,
+    # give the anchored graph's exact bias, and so its floats bit for bit, on
+    # every kind of table
+    walks, walks_into = [], solver_module._walks_into
 
-    def recorded(edges, policy=None):
-        result = max_ratio_cycle(edges, policy)
-        biases.append(result[1])
-        return result
+    def recorded(graph, level, bias, scale, anchor):
+        walk = walks_into(graph, level, bias, scale, anchor)
+        walks.append((walk, scale))
+        return walk
 
-    monkeypatch.setattr(solver_module, "max_ratio_cycle", recorded)
+    monkeypatch.setattr(solver_module, "_walks_into", recorded)
     kinds = ("monotone", "non-monotone", "tie-heavy")
     for i in range(330):
         kind = kinds[i % 3]
@@ -559,9 +572,82 @@ def test_start_policy_bias_equals_the_anchored_graph_bias(rng, monkeypatch):
             table = (random_monotone_table if kind == "monotone" else random_table)(rng, n, memory)
         result = solve(table)
         bias, values = anchored_bias(table)
+        walk, scale = walks[-1]
+        unit, _ = _common_denominator(table.gains)  # the kernel's unit
         assert result.generator.values == values, kind
-        assert [b - biases[-1][0] for b in biases[-1]] == bias, kind
+        assert [Fraction(w - walk[0], unit * scale) for w in walk] == bias, kind
         assert [b.hex() for b in result.bias] == [float(b).hex() for b in bias], kind
+    assert len(walks) == 330
+
+
+def two_run_solve(table: GainTable) -> tuple[Fraction, tuple[float, ...], GeneratorCycle]:
+    """``solve`` as it was with two kernel runs, kept as the reference: the
+    second run starts each generator price on its cycle edge and every other
+    price on the generator's first, and its bias, shifted to bias[0] == 0,
+    is the result's."""
+    n, memory = len(table.grid), table.grid.memory
+    edges = [[(p, table.gains[r][p], expansion_count(memory, r, p)) for p in range(n)]
+             for r in range(n)]
+    value, _, tight = max_ratio_cycle(edges)
+    generator = GeneratorCycle(least_tight_cycle(tight))
+    values = generator.values
+    start = [values[0]] * n
+    for i, u in enumerate(values):
+        start[u] = values[(i + 1) % len(values)]
+    _, bias, _ = max_ratio_cycle(edges, start)
+    return value[0], tuple(float(b - bias[0]) for b in bias), generator
+
+
+def seeded_tables(rng, count):
+    """``count`` tables of 1-12 prices at memory 1-7: monotone, non-monotone,
+    tie-heavy on {0, 1, 2} and decimal tenths in -1..1, in turn."""
+    for i in range(count):
+        n, memory = int(rng.integers(1, 13)), int(rng.integers(1, 8))
+        grid = integer_grid(n, memory)
+        kind = i % 4
+        if kind == 0:
+            yield "monotone", random_monotone_table(rng, n, memory)
+        elif kind == 1:
+            yield "non-monotone", random_table(rng, n, memory)
+        elif kind == 2:
+            yield "tie-heavy", GainTable.from_rows(
+                grid, rng.integers(0, 3, size=(n, n)).astype(float).tolist())
+        else:
+            yield "tenths", GainTable.from_rows(
+                grid, (rng.integers(-10, 11, size=(n, n)) / 10).tolist())
+
+
+def test_one_run_solve_matches_the_two_run_solve(rng):
+    # opt, bias, generator and cycle, bit for bit; on some tables the first
+    # run's bias leaves no tight path into the generator, so the walks there
+    # pay a positive reduced cost
+    detours = 0
+    for kind, table in seeded_tables(rng, 3000):
+        result = solve(table)
+        opt, bias, generator = two_run_solve(table)
+        assert result.opt_exact == opt and result.opt.hex() == float(opt).hex(), kind
+        assert [b.hex() for b in result.bias] == [b.hex() for b in bias], kind
+        assert result.generator == generator, kind
+        assert result.cycle == expand(generator, table.grid), kind
+        graph, level, bias, _, scale, _ = kernel_module._max_ratio_levels(
+            solver_module._ratio_edges(table))
+        detours += solver_module._walks_into(graph, level[0], bias, scale, generator.values[0]) != bias
+    assert detours >= 100
+
+
+def test_walks_into_the_generator_pay_a_detour_off_the_first_run_cycle():
+    # two self-loops of mean 1 joined by edges of gain -5: the first run keeps
+    # both loops, so its bias gives price 1 no tight path into price 0, the
+    # generator; the anchored bias of price 1 is the edge 1 -> 0, -5 - 1
+    table = GainTable.from_rows(integer_grid(2, 1), [[1.0, -5.0], [-5.0, 1.0]])
+    graph, level, bias, unit, scale, tight = kernel_module._max_ratio_levels(
+        solver_module._ratio_edges(table))
+    assert bias == [0, 0] and tight == [[0], [1]]
+    assert solver_module._walks_into(graph, level[0], bias, scale, 0) == [0, -6 * unit * scale]
+    result = solve(table)
+    assert (result.opt, result.bias, result.generator.values) == (1.0, (0.0, -6.0), (0,))
+    assert two_run_solve(table) == (Fraction(1), (0.0, -6.0), result.generator)
+    assert bellman_residual(result, table) == 0.0
 
 
 def test_solve_agrees_with_enumeration_everywhere(rng):
