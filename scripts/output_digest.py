@@ -26,10 +26,15 @@ Every fiftieth table, counting from the fiftieth, also runs ``simulate`` on
 drawn, an unbounded and an infeasible (zero) budget, a table large enough
 for the shadow-price search to start from its strided sample's bracket; no
 smaller run reaches that path.
+Every tenth table also runs ``simulate`` alone under a constant and under a
+myopic policy, on 20-300 customers over 1-20 days, at memory 1, 2, ..., 7 in
+turn, so every branch of the simulation writes a panel; these specs come from
+a generator of their own, so the runs above draw the same inputs as without
+them.
 Prints the number of runs, a histogram of exit codes and one sha256 over
 each run's command, exit code, stdout and ``refcycle:`` stderr lines, and
-over the bytes of the files the chain writes (the panel CSV, its sidecar and
-the assignments CSV); the run manifests, which hold timings, and the panel
+over the bytes of the files the runs write (the panel CSVs, their sidecars
+and the assignments CSV); the run manifests, which hold timings, and the panel
 cache, whose name and format differ between trees, are left out.
 
 Tables, specs and the allocation model are drawn with numpy and written as
@@ -164,6 +169,22 @@ def large_allocation(rng: np.random.Generator) -> tuple[dict, list]:
     ]
 
 
+def policy_panels(rng: np.random.Generator, memory: int) -> tuple[dict, list]:
+    """``simulate`` on 20-300 customers over 1-20 days at ``memory``, under a
+    constant policy at a drawn discount and under the myopic policy of the
+    planted model at a shadow price of 0-4."""
+    size, horizon = int(rng.integers(20, 301)), int(rng.integers(1, 21))
+    base = {"population": size, "horizon": horizon, "memory": memory, "discounts": DISCOUNTS}
+    specs = {"constant.json": {**base, "policy": {"type": "constant",
+                                                   "value": float(rng.choice(DISCOUNTS))}},
+             "myopic.json": {**base, "policy": {"type": "myopic",
+                                                 "shadow_price": float(rng.uniform(0.0, 4.0))}}}
+    seeds = rng.integers(1000, size=len(specs))
+    return specs, [(["simulate", "--spec", name, "--seed", str(seed), "--out", "policy.csv"],
+                    ("policy.csv", "policy.csv.meta.json"), ())
+                   for name, seed in zip(specs, seeds.tolist())]
+
+
 def written_panel(rng: np.random.Generator) -> tuple[dict, list]:
     """A panel of 20-79 customers over 6-30 days in shuffled rows, and
     ``analyze`` at windows 3, 5 and the longest.  Half the customers get
@@ -211,6 +232,7 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
+    policy_rng = np.random.default_rng((args.seed, 1))
     digest, codes = hashlib.sha256(), Counter()
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -224,6 +246,7 @@ def main() -> int:
                 if i % CHAIN_EVERY == 0:
                     batches.append(chain(rng, i % LARGE_CHAIN_EVERY == 0))
                     batches.append(written_panel(rng))
+                    batches.append(policy_panels(policy_rng, 1 + i // CHAIN_EVERY % 7))
                 if i % LARGE_ALLOCATION_EVERY == LARGE_ALLOCATION_EVERY - 1:
                     batches.append(large_allocation(rng))
                 for inputs, runs in batches:

@@ -167,20 +167,17 @@ def default_ground_truth(memory: int = 7) -> AllocationModel:
     return AllocationModel(names, alpha, beta, pivot=0.15)
 
 
-def _draw_static(rng: np.random.Generator, size: int) -> np.ndarray:
-    emails = rng.poisson(2.0, size)
-    cart3 = rng.poisson(1.5, size)
-    cart7 = cart3 + rng.poisson(1.5, size)
-    sale_discount = rng.uniform(0.0, 0.5, size)
-    rate_hist = rng.beta(2.0, 4.0, size)
-    rate_30d = rng.beta(2.0, 4.0, size)
-    rate_all = rng.beta(2.0, 4.0, size)
-    clicked7 = rng.uniform(0.05, 0.25, size) * (rng.random(size) < 0.5)
-    clicked30 = rng.uniform(0.05, 0.25, size) * (rng.random(size) < 0.5)
-    return np.column_stack([
-        emails, cart3, cart7, sale_discount,
-        rate_hist, rate_30d, rate_all, clicked7, clicked30,
-    ]).astype(float)
+def _draw_static(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Draw the static features into the first columns of ``out``, one row per customer."""
+    size = len(out)
+    out[:, 0] = rng.poisson(2.0, size)                  # emails_clicked_28d
+    out[:, 1] = cart3 = rng.poisson(1.5, size)          # cart_views_3d
+    out[:, 2] = cart3 + rng.poisson(1.5, size)          # cart_views_7d
+    out[:, 3] = rng.uniform(0.0, 0.5, size)             # avg_sale_discount_cart
+    for column in (4, 5, 6):                            # coupon_order_rate_{hist,30d,all}
+        out[:, column] = rng.beta(2.0, 4.0, size)
+    for column in (7, 8):                               # avg_coupon_clicked_{7d,30d}
+        out[:, column] = rng.uniform(0.05, 0.25, size) * (rng.random(size) < 0.5)
 
 
 def simulate_population(
@@ -198,6 +195,12 @@ def simulate_population(
     The model must be defined on the spec's feature schema (static features
     plus the reference feature last).  Purchases are Bernoulli draws from the
     model's probabilities at the offered coupon.
+
+    The rollout runs day by day on ``(horizon, n)`` coupon and purchase rows,
+    so a day's reference is a max over at most ``memory`` contiguous rows; the
+    model and policy see one C-ordered float64 day matrix, its reference column
+    set each day.  A max is exact, the matmuls see the matrix a customer-major
+    rollout builds and the draws come in the same order: the outputs are its bits.
     """
     if model.feature_names != spec.feature_names:
         raise ValueError("model features do not match the population spec")
@@ -205,7 +208,8 @@ def simulate_population(
         raise ValueError(f"unknown policy {policy!r}")
     rng = np.random.default_rng(seed)
     n, horizon = spec.size, spec.horizon
-    static = _draw_static(rng, n)
+    day_features = np.empty((n, len(spec.feature_names)))
+    _draw_static(rng, day_features)
     discounts = DiscountSet(spec.discounts)
     values = np.asarray(discounts.values)
     if isinstance(policy, ConstantPolicy):
@@ -214,17 +218,11 @@ def simulate_population(
     elif not isinstance(policy, (str, MyopicPolicy)):
         raise TypeError(f"unsupported policy {policy!r}")
 
-    coupon_history = np.empty((n, horizon))
+    coupons = np.empty((horizon, n))
+    purchases = np.empty((horizon, n), dtype=bool)
     features = np.empty((n, horizon, len(spec.feature_names)))
-    purchases = np.empty((n, horizon))
     for t in range(horizon):
-        if t == 0:
-            reference = np.full(n, model.pivot)
-        else:
-            start = max(0, t - spec.memory)
-            reference = coupon_history[:, start:t].max(axis=1)
-        day_features = np.column_stack([static, reference])
-
+        day_features[:, -1] = coupons[max(0, t - spec.memory):t].max(axis=0) if t else model.pivot
         if isinstance(policy, str):  # "uniform"
             offered = values[rng.integers(0, len(values), size=n)]
         elif isinstance(policy, MyopicPolicy):
@@ -234,8 +232,8 @@ def simulate_population(
 
         q = _purchase_prob(model.alpha_values(day_features), model.sensitivity(day_features),
                            offered, model.pivot)
-        purchases[:, t] = rng.random(n) < q
-        coupon_history[:, t] = offered
+        purchases[t] = rng.random(n) < q
+        coupons[t] = offered
         features[:, t, :] = day_features
 
     return CouponDataset(
@@ -246,6 +244,6 @@ def simulate_population(
         customer_ids=np.repeat(np.arange(n), horizon),
         days=np.tile(np.arange(1, horizon + 1), n),
         features=features.reshape(n * horizon, -1),
-        coupons=coupon_history.reshape(n * horizon),
-        purchases=purchases.reshape(n * horizon).astype(int),
+        coupons=coupons.T.reshape(-1),
+        purchases=purchases.T.reshape(-1).astype(int),
     )

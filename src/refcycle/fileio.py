@@ -288,18 +288,20 @@ def write_csv_rows(handle, columns, newline: str) -> None:
     never exist at once.  Each distinct value of a block's column is formatted once,
     keyed by value for integers and bools, else by bit pattern (``-0.0 == 0.0``, yet
     their texts differ), so object arrays and dtypes over 64 bits raise ``TypeError``.
+    Each text ends with its separator, so a block is written as one join.
     """
     rows = len(columns[0])
+    separators = [","] * (len(columns) - 1) + [newline]
     for start in range(0, rows, _BLOCK_ROWS):
         cells = []
-        for column in columns:
+        for column, separator in zip(columns, separators):
             part = column[start:start + _BLOCK_ROWS]
             kind = int if part.dtype.kind in "biu" else float
             key = part if kind is int else part.view(f"u{part.itemsize}")
             distinct, inverse = np.unique(key, return_inverse=True)
-            texts = [str(kind(x)) for x in distinct.view(part.dtype).tolist()]
+            texts = [str(kind(x)) + separator for x in distinct.view(part.dtype).tolist()]
             cells.append(np.array(texts, dtype=object)[inverse])
-        handle.write(newline.join(map(",".join, zip(*cells))) + newline)
+        handle.write("".join(np.stack(cells, axis=1).ravel().tolist()))
 
 
 def cache_path(path: str | Path) -> Path:

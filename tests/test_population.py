@@ -1,5 +1,7 @@
 """Synthetic population simulator: determinism, reference feature, policies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from refcycle.allocator import (
     reference_feature_name,
     simulate_population,
 )
-from refcycle.allocator.model import sigmoid
+from refcycle.allocator.model import DiscountSet, _purchase_prob, myopic_assign, sigmoid
 from refcycle.fileio import save_dataset
 
 SPEC = PopulationSpec(size=400, horizon=15, memory=3, discounts=(0.12, 0.15, 0.17, 0.20))
@@ -214,3 +216,101 @@ def test_myopic_reference_model_varies_coupons_within_customer():
     repeat_without = longest_constant_run_fraction(without_reference, spec, threshold)
     assert repeat_without == 1.0  # static features only: the rule never moves
     assert repeat_with < repeat_without
+
+
+def reference_simulate(spec, model, policy="uniform", seed=0):
+    """The customer-major rollout ``simulate_population`` must match to the bit:
+    (n, horizon) coupon and purchase panels and a fresh day matrix each day."""
+    rng = np.random.default_rng(seed)
+    n, horizon = spec.size, spec.horizon
+    emails = rng.poisson(2.0, n)
+    cart3 = rng.poisson(1.5, n)
+    cart7 = cart3 + rng.poisson(1.5, n)
+    sale_discount = rng.uniform(0.0, 0.5, n)
+    rate_hist = rng.beta(2.0, 4.0, n)
+    rate_30d = rng.beta(2.0, 4.0, n)
+    rate_all = rng.beta(2.0, 4.0, n)
+    clicked7 = rng.uniform(0.05, 0.25, n) * (rng.random(n) < 0.5)
+    clicked30 = rng.uniform(0.05, 0.25, n) * (rng.random(n) < 0.5)
+    static = np.column_stack([emails, cart3, cart7, sale_discount,
+                              rate_hist, rate_30d, rate_all, clicked7, clicked30]).astype(float)
+    discounts = DiscountSet(spec.discounts)
+    values = np.asarray(discounts.values)
+    coupon_history = np.empty((n, horizon))
+    features = np.empty((n, horizon, len(spec.feature_names)))
+    purchases = np.empty((n, horizon))
+    for t in range(horizon):
+        if t == 0:
+            reference = np.full(n, model.pivot)
+        else:
+            start = max(0, t - spec.memory)
+            reference = coupon_history[:, start:t].max(axis=1)
+        day_features = np.column_stack([static, reference])
+        if isinstance(policy, str):
+            offered = values[rng.integers(0, len(values), size=n)]
+        elif isinstance(policy, MyopicPolicy):
+            offered = myopic_assign(policy.model, day_features, policy.shadow_price, discounts)
+        else:
+            offered = np.full(n, policy.value)
+        q = _purchase_prob(model.alpha_values(day_features), model.sensitivity(day_features),
+                           offered, model.pivot)
+        purchases[:, t] = rng.random(n) < q
+        coupon_history[:, t] = offered
+        features[:, t, :] = day_features
+    return CouponDataset(
+        feature_names=spec.feature_names,
+        reference_feature=reference_feature_name(spec.memory),
+        discounts=discounts.values,
+        memory=spec.memory,
+        customer_ids=np.repeat(np.arange(n), horizon),
+        days=np.tile(np.arange(1, horizon + 1), n),
+        features=features.reshape(n * horizon, -1),
+        coupons=coupon_history.reshape(n * horizon),
+        purchases=purchases.reshape(n * horizon).astype(int),
+    )
+
+
+def test_simulation_matches_the_customer_major_rollout_to_the_bit():
+    rng = np.random.default_rng(35)
+    discounts = (0.12, 0.15, 0.17, 0.20)
+    reached = set()
+    for case in range(210):
+        memory = 1 + case % 7
+        horizon = 1 if case % 11 == 0 else int(rng.integers(1, 13))
+        size = 1 if case % 13 == 0 else int(rng.choice([2, 3, 17, 64]))
+        spec = PopulationSpec(size=size, horizon=horizon, memory=memory, discounts=discounts)
+        truth = default_ground_truth(memory)
+        policy = ["uniform", ConstantPolicy(float(rng.choice(discounts))),
+                  MyopicPolicy(truth, float(rng.uniform(0.0, 4.0)))][case % 3]
+        got = simulate_population(spec, truth, policy, seed=case)
+        want = reference_simulate(spec, truth, policy, seed=case)
+        for name in ("customer_ids", "days", "features", "coupons", "purchases"):
+            a, b = getattr(got, name), getattr(want, name)
+            layout = (a.dtype, a.shape, a.flags.c_contiguous)
+            assert layout == (b.dtype, b.shape, b.flags.c_contiguous), (case, name)
+            assert a.tobytes() == b.tobytes(), (case, name)
+        reached.update({"memory > horizon"} if memory > horizon else set())
+        reached.update({"horizon 1"} if horizon == 1 else set())
+        reached.update({"one customer"} if size == 1 else set())
+        if isinstance(policy, MyopicPolicy) and len(np.unique(got.coupons)) > 1:
+            reached.add("myopic choice varies")
+    assert reached == {"memory > horizon", "horizon 1", "one customer", "myopic choice varies"}
+
+
+def peak_bytes(simulate, spec, truth) -> int:
+    tracemalloc.start()
+    try:
+        simulate(spec, truth, "uniform", 0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("size, horizon", [(5000, 30), (10000, 8)])
+def test_simulation_peak_memory_is_no_more_than_the_customer_major_rollout(size, horizon):
+    # the features block stays customer-major: a day-major one and its
+    # transposed copy raise the peak by half
+    spec = PopulationSpec(size=size, horizon=horizon, memory=7)
+    truth = default_ground_truth(spec.memory)
+    reference_peak = peak_bytes(reference_simulate, spec, truth)
+    assert peak_bytes(simulate_population, spec, truth) <= 1.05 * reference_peak
